@@ -2,7 +2,7 @@
 # these targets so local runs and CI runs cannot drift apart.
 
 GO ?= go
-BENCH_JSON ?= BENCH_PR10.json
+BENCH_JSON ?= BENCH_PR12.json
 BENCH_MICRO_JSON ?= BENCH_MICRO.json
 BENCH_BASELINE ?= bench/BENCH_BASELINE.json
 BENCH_THRESHOLD ?= 0.20
@@ -13,10 +13,9 @@ BENCH_THRESHOLD ?= 0.20
 # cost on at least half the scenarios and never be >$(SCHED_GATE) worse.
 SCHED_STEPS ?= 120
 SCHED_GATE ?= 0.05
-# Speculative batch width and scoring backend of the bench-batch-smoke
-# leg (CI runs batch=1, batch=8 shadow, and batch=8 lanes).
+# Speculative batch width of the bench-batch-smoke leg (CI runs batch=1
+# and batch=8).
 BATCH ?= 8
-BATCH_KERNEL ?= auto
 
 .PHONY: all build test race bench bench-json bench-check bench-baseline bench-batch-smoke bench-diff bench-micro-json dsed-smoke fleet-smoke fleet-report docs-check fmt fmt-check vet ci
 
@@ -71,18 +70,16 @@ bench-baseline:
 	$(GO) run -race ./cmd/dsebench -scenarios layered-xl -strategies sa -json $(BENCH_BASELINE) -append
 
 # The batched-speculation smoke: two scenarios through the SA hot loop at
-# speculative batch width $(BATCH), scored by the $(BATCH_KERNEL) batch
-# kernel, under the race detector. CI runs serial batch=1 plus batch=8
-# with each scoring backend (shadow and lanes) as a matrix. The scenario
-# pair spans both evaluation paths: layered-small resolves to the full
-# rebuild (where `lanes` falls back to shadows, racing the fallback),
-# layered-large to the incremental path (racing the lane kernel itself).
-# Each leg writes a pprof CPU profile so a perf regression in any code
-# path is diagnosable straight from the CI artifact.
+# speculative batch width $(BATCH), under the race detector. CI runs
+# serial batch=1 and batch=8 as a matrix. The scenario pair spans both
+# evaluation paths: layered-small resolves to the full rebuild,
+# layered-large to the incremental path, so batch=8 races in-place
+# candidate scoring on each. Each leg writes a pprof CPU profile so a
+# perf regression in any code path is diagnosable straight from the CI
+# artifact.
 bench-batch-smoke:
 	$(GO) run -race ./cmd/dsebench -scenarios layered-small,layered-large -strategies sa \
-		-batch $(BATCH) -batch-kernel $(BATCH_KERNEL) \
-		-json BENCH_BATCH_$(BATCH)_$(BATCH_KERNEL).json -cpuprofile dsebench_batch$(BATCH)_$(BATCH_KERNEL).pprof
+		-batch $(BATCH) -json BENCH_BATCH_$(BATCH).json -cpuprofile dsebench_batch$(BATCH).pprof
 
 # Old-vs-new throughput report: per-cell evals/s and best-cost deltas
 # between two dsebench result files, no gating. Defaults compare the

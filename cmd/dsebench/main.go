@@ -64,7 +64,6 @@ import (
 	"strings"
 
 	"repro/internal/apps"
-	"repro/internal/core"
 	"repro/internal/prof"
 	"repro/internal/report"
 	"repro/internal/runner"
@@ -91,8 +90,6 @@ func main() {
 		cacheSize  = flag.Int("cache-size", 8192, "result-cache capacity in entries (with -cache)")
 		verbose    = flag.Bool("v", false, "print each cell as it completes")
 		batch      = flag.Int("batch", 0, "speculative batch width for SA cells (<=1 = serial)")
-		batchWk    = flag.Int("batch-workers", 0, "goroutines scoring each speculated batch (0 = GOMAXPROCS; never changes results)")
-		batchKn    = flag.String("batch-kernel", "", "batch scoring backend: auto (default), shadow, or lanes — bit-identical results, throughput only")
 		earlyStop  = flag.Float64("early-stop", 0, "adaptive early stop: end a run when best cost improves < this fraction over -early-stop-window steps (0 = off)")
 		earlyStopW = flag.Int("early-stop-window", 32, "sliding-window length (driver steps) of -early-stop")
 		appendJSON = flag.Bool("append", false, "merge rows into an existing -json file instead of overwriting it")
@@ -130,22 +127,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	kernel, err := core.ParseBatchKernel(*batchKn)
-	if err != nil {
-		log.Fatal(err)
-	}
 	stopProfile := prof.Start(*cpuprofile, "")
 	defer stopProfile()
 
 	opts := scenario.MatrixOptions{
-		Strategies:   scenario.SplitComma(*strategies),
-		Runs:         *runs,
-		Workers:      *workers,
-		BaseSeed:     *seed,
-		MaxSteps:     *maxSteps,
-		Batch:        *batch,
-		BatchWorkers: *batchWk,
-		BatchKernel:  kernel,
+		Strategies: scenario.SplitComma(*strategies),
+		Runs:       *runs,
+		Workers:    *workers,
+		BaseSeed:   *seed,
+		MaxSteps:   *maxSteps,
+		Batch:      *batch,
 	}
 	if *earlyStop > 0 {
 		opts.EarlyStopEpsilon = *earlyStop
@@ -213,7 +204,6 @@ func main() {
 	}
 	if *batch > 1 {
 		file.Params["batch"] = fmt.Sprint(*batch)
-		file.Params["batchKernel"] = kernel.String()
 	}
 	if *earlyStop > 0 {
 		file.Params["earlyStop"] = fmt.Sprintf("%g/%d", *earlyStop, *earlyStopW)

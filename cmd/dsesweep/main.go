@@ -60,17 +60,10 @@ func main() {
 		wReconf    = flag.Float64("w-reconf", 0, "objective weight on reconfiguration time (cost units per ms, initial+dynamic)")
 		cacheOn    = flag.Bool("cache", false, "memoize run outcomes across sweep points (repeated sizes/seeds become cache hits)")
 		batch      = flag.Int("batch", 0, "speculative batch width for SA moves (<=1 = serial; changes the trajectory deterministically)")
-		batchWk    = flag.Int("batch-workers", 0, "goroutines scoring each speculated batch (0 = GOMAXPROCS; never changes results)")
-		batchKn    = flag.String("batch-kernel", "", "batch scoring backend: auto (default), shadow, or lanes — bit-identical results, throughput only")
 		earlyStop  = flag.Float64("early-stop", 0, "adaptive early stop: end a run when best cost improves < this fraction over -early-stop-window steps (0 = off)")
 		earlyStopW = flag.Int("early-stop-window", 32, "sliding-window length (driver steps) of -early-stop")
 	)
 	flag.Parse()
-
-	kernel, err := core.ParseBatchKernel(*batchKn)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	stopProfiles := prof.Start(*cpuprofile, *memprofile)
 	defer stopProfiles()
@@ -103,8 +96,6 @@ func main() {
 		cfg.Deadline = apps.MotionDeadline
 		cfg.EnableCtxSplit = *splits
 		cfg.Batch = *batch
-		cfg.BatchWorkers = *batchWk
-		cfg.BatchKernel = kernel
 		scfg := search.DefaultConfig()
 		scfg.SA = cfg
 		scfg.Sched = *schedPol

@@ -83,17 +83,10 @@ func main() {
 		wReconf    = flag.Float64("w-reconf", 0, "objective weight on reconfiguration time (cost units per ms, initial+dynamic)")
 		server     = flag.String("server", "", "submit the job to this dsed server (e.g. http://localhost:8080) instead of running locally")
 		batch      = flag.Int("batch", 0, "speculative batch width for SA moves (<=1 = serial; changes the trajectory deterministically)")
-		batchWk    = flag.Int("batch-workers", 0, "goroutines scoring each speculated batch (0 = GOMAXPROCS; pure throughput, never changes results)")
-		batchKn    = flag.String("batch-kernel", "", "batch scoring backend: auto (default), shadow, or lanes — bit-identical results, throughput only")
 		earlyStop  = flag.Float64("early-stop", 0, "adaptive early stop: end a run when best cost improves < this fraction over -early-stop-window steps (0 = off)")
 		earlyStopW = flag.Int("early-stop-window", 32, "sliding-window length (driver steps) of -early-stop")
 	)
 	flag.Parse()
-
-	kernel, kerr := core.ParseBatchKernel(*batchKn)
-	if kerr != nil {
-		log.Fatal(kerr)
-	}
 
 	stopProfiles := prof.Start(*cpuprofile, *memprofile)
 	defer stopProfiles()
@@ -141,8 +134,7 @@ func main() {
 			Strategy: *strategy, Runs: *runs, Seed: *seed, Workers: *workers,
 			SAIters: *iters, Quality: *quality, DeadlineMS: *deadlineMS,
 			WArea: *wArea, WReconf: *wReconf,
-			Batch: *batch, BatchWorkers: *batchWk, BatchKernel: *batchKn,
-			EarlyStopEpsilon: *earlyStop, EarlyStopWindow: *earlyStopW,
+			Batch: *batch, EarlyStopEpsilon: *earlyStop, EarlyStopWindow: *earlyStopW,
 			Sched: *schedPol, SchedSlice: *schedSlice, Transfer: *transfer,
 		}
 		runRemote(*server, spec)
@@ -155,8 +147,6 @@ func main() {
 	cfg.Quality = *quality
 	cfg.Deadline = model.FromMillis(*deadlineMS)
 	cfg.Batch = *batch
-	cfg.BatchWorkers = *batchWk
-	cfg.BatchKernel = kernel
 
 	scfg := search.DefaultConfig()
 	scfg.SA = cfg

@@ -32,30 +32,35 @@ type BestKeeper interface {
 }
 
 // BatchProblem is optionally implemented by problems that support
-// speculative batch evaluation: the runner asks for a batch of independent
-// candidate moves up front, the problem evaluates them all against the
-// *current* solution (possibly in parallel), and the runner then consumes
-// the scores one by one in canonical order i = 0..n-1 through the usual
+// speculative batch evaluation: the runner draws a round of independent
+// candidate moves up front, all against the *current* solution, then
+// consumes them one by one in canonical order i = 0..n-1 through the usual
 // Metropolis rule. The first accepted candidate invalidates the rest of the
-// batch — their scores were measured against a state that no longer exists —
-// so the runner discards them (Stats.Discarded) and speculates a fresh
-// batch. The consumed trajectory is therefore a pure function of (seed,
-// batch width): the worker count used to evaluate a batch can never shift a
-// decision.
+// round — they were drawn against a state that no longer exists — so the
+// runner discards them (Stats.Discarded) and speculates a fresh round. The
+// consumed trajectory is a pure function of (seed, batch width).
+//
+// The call order is fixed, and implementations may rely on it: after
+// SpeculateBatch, each Candidate(i) is followed by ConsumeCandidate(i, …)
+// before the next Candidate, Cost or SpeculateBatch call, and candidates
+// are read in increasing i. This lets a problem score a candidate by
+// applying it in place and leaving it applied until it is consumed.
 type BatchProblem interface {
 	Problem
-	// SpeculateBatch draws up to k candidate moves from rng and evaluates
-	// each against the current solution, returning the number of candidates
-	// speculated (normally k). The problem's state must be left exactly as
-	// it was before the call.
+	// SpeculateBatch draws up to k candidate moves from rng against the
+	// current solution and returns the number drawn (normally k). It only
+	// draws: the problem's state must be left exactly as it was.
 	SpeculateBatch(rng *rand.Rand, k int) int
-	// Candidate reports speculated candidate i: its move kind (-1 when the
-	// draw produced no move), whether it evaluated feasibly, and its cost.
+	// Candidate scores candidate i against the current solution and reports
+	// its move kind (-1 when the draw produced no move), whether it
+	// evaluated feasibly, and its cost. A feasible candidate may be left
+	// applied until ConsumeCandidate(i, …).
 	Candidate(i int) (kind int, ok bool, cost float64)
 	// ConsumeCandidate finalizes candidate i. With accepted true the
-	// problem must re-apply the candidate to its current solution and
-	// report success; with accepted false it records the rejection (no
-	// state change — speculation already rolled back).
+	// candidate becomes the current solution (a problem that left it
+	// applied simply keeps it) and the call reports success; with accepted
+	// false the current solution must be the one the round was drawn
+	// against again.
 	ConsumeCandidate(i int, accepted bool) bool
 }
 
@@ -96,8 +101,7 @@ type Options struct {
 	// serial loop, bit-identical to earlier releases. Batched runs follow a
 	// different (equally valid) trajectory than serial ones — the RNG
 	// interleaving differs — but are themselves fully deterministic for a
-	// given (Seed, Batch), independent of how the problem parallelizes the
-	// speculative evaluations.
+	// given (Seed, Batch).
 	Batch int
 }
 
@@ -119,9 +123,9 @@ type Stats struct {
 	// Speculated counts candidates drawn by speculative batch rounds
 	// (zero in serial runs); Discarded counts the speculated candidates
 	// that were never consumed because an earlier candidate of their batch
-	// was accepted (or the run ended mid-batch). Their evaluation work is
-	// the price of speculation: Accepted+Rejected+Discarded is the total
-	// number of scored candidates.
+	// was accepted (or the run ended mid-batch). The runner never asks for
+	// a discarded candidate's score, so a problem that scores lazily never
+	// evaluates it.
 	Speculated int
 	Discarded  int
 }
@@ -314,9 +318,9 @@ func (r *Runner) stepBatched(n int) bool {
 							}
 						}
 					} else {
-						// Re-applying a speculated candidate to the very
-						// state it was scored against cannot fail; treat a
-						// refusal as infeasibility so the run still ends.
+						// Keeping a candidate that scored feasibly cannot
+						// fail; treat a refusal as infeasibility so the
+						// run still ends.
 						r.st.Infeasible++
 					}
 				} else {

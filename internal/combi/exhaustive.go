@@ -26,6 +26,7 @@ type Exhaustive struct {
 	n    int
 	mask uint64
 	hw   []bool
+	dec  *listsched.Decoder
 }
 
 // MaxExhaustiveTasks caps the instance size: beyond this the 2^n sweep is
@@ -48,7 +49,7 @@ func NewExhaustive(app *model.App, arch *model.Arch) (*Exhaustive, error) {
 	if len(arch.Processors) == 0 {
 		return nil, fmt.Errorf("combi: exhaustive enumeration needs at least one processor")
 	}
-	return &Exhaustive{app: app, arch: arch, n: app.N(), hw: make([]bool, app.N())}, nil
+	return &Exhaustive{app: app, arch: arch, n: app.N(), hw: make([]bool, app.N()), dec: listsched.NewDecoder(app, arch)}, nil
 }
 
 // Total returns the number of bipartitions the sweep visits (2^n).
@@ -73,7 +74,7 @@ func (x *Exhaustive) Next() (*sched.Mapping, bool) {
 		for t := 0; t < x.n; t++ {
 			x.hw[t] = m&(uint64(1)<<uint(t)) != 0
 		}
-		mp, err := listsched.Build(x.app, x.arch, x.hw, nil)
+		mp, err := x.dec.Build(x.hw, nil)
 		if err != nil {
 			continue
 		}

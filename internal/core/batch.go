@@ -1,38 +1,32 @@
 package core
 
-import (
-	"fmt"
-	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/sched"
-)
+import "math/rand"
 
 // Speculative batch evaluation (anneal.BatchProblem): the annealer asks for
-// a batch of K independent candidate moves, the explorer scores them all
-// against the *current* solution, and the annealer then consumes the scores
-// in canonical order. Scoring a candidate is apply → evaluate → revert — the
-// journal's O(delta) rollback is what makes a speculation round cheap — and
-// is a pure function of (solution, candidate params), so the batch can be
-// fanned out over shadow explorers without any effect on the result: the
-// consumed trajectory depends only on (seed, batch width), never on
-// BatchWorkers or goroutine scheduling.
+// a round of k candidate moves drawn against the current solution, then
+// consumes them in draw order through the Metropolis rule and ends the
+// round at the first acceptance. Scoring is lazy and in place: the draw
+// scores nothing, Candidate(i) applies candidate i through the ordinary
+// move.Apply path (journal, incremental update or full rebuild, Paranoid
+// checks) and leaves it applied, and ConsumeCandidate reverts it on
+// rejection or keeps it on acceptance. Every rejected candidate is
+// reverted before the next one is applied, so each score is measured
+// against the round's base state — the same apply → evaluate number an
+// eager scorer computes — and the trajectory stays a pure function of
+// (seed, batch width). Candidates past an acceptance are discarded
+// without ever being scored.
 
-// specCand is one speculated candidate: the move parameters captured at
-// proposal time plus the speculative evaluation's verdict.
+// specCand is one drawn candidate: the move parameters captured at
+// proposal time.
 type specCand struct {
 	kind          int // -1 when the draw produced no move
 	a, b, c, d, p int
-	ok            bool
-	cost          float64
 }
 
 // SpeculateBatch implements anneal.BatchProblem: draw k candidates from rng
-// (serially — the draw order is part of the deterministic trajectory), then
-// score them against the current solution, in parallel when the
-// configuration allows. The current solution is left untouched.
+// against the current solution. The draw order is part of the
+// deterministic trajectory; nothing is scored and the solution is left
+// untouched.
 func (e *Explorer) SpeculateBatch(rng *rand.Rand, k int) int {
 	if cap(e.spec) < k {
 		e.spec = make([]specCand, k)
@@ -41,188 +35,49 @@ func (e *Explorer) SpeculateBatch(rng *rand.Rand, k int) int {
 	for i := range e.spec {
 		c := &e.spec[i]
 		if e.Propose(rng) != nil {
-			*c = specCand{kind: e.mv.kind, a: e.mv.a, b: e.mv.b, c: e.mv.c, d: e.mv.d, p: e.mv.p, ok: true}
+			*c = specCand{kind: e.mv.kind, a: e.mv.a, b: e.mv.b, c: e.mv.c, d: e.mv.d, p: e.mv.p}
 		} else {
 			*c = specCand{kind: -1}
 		}
 	}
-	e.laneLazy = false
-	if e.useLanes() {
-		// The lane backend (lanes.go) scores lazily: everything before
-		// this point — the serial draw loop — is byte-for-byte the
-		// trajectory the shadow backend produces, and scores are filled
-		// in shared-sweep chunks as Candidate walks the round.
-		e.lanesBegin(k)
-		return k
-	}
-	w := e.specWorkers(k)
-	if w <= 1 {
-		e.speculating = true
-		for i := range e.spec {
-			e.evalCandidate(&e.spec[i])
-		}
-		e.speculating = false
-		return k
-	}
-	e.syncShadows(w - 1)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	score := func(x *Explorer) {
-		defer wg.Done()
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= k {
-				return
-			}
-			x.evalCandidate(&e.spec[i])
-		}
-	}
-	wg.Add(w)
-	for _, s := range e.shadows[:w-1] {
-		go score(s)
-	}
-	// The master scores its share on the calling goroutine; front offers
-	// are suppressed during speculation so the archive stays identical for
-	// every worker count (shadows carry no archive at all).
-	e.speculating = true
-	score(e)
-	wg.Wait()
-	e.speculating = false
 	return k
 }
 
-// Candidate implements anneal.BatchProblem. Under the lane backend the
-// verdict is computed on demand: the consumer walks candidates in draw
-// order and stops at the first acceptance, so scoring ahead of the read
-// cursor in doubling chunks bounds wasted sweeps while preserving the
-// exact scores the eager backends produce.
+// Candidate implements anneal.BatchProblem: apply candidate i to the
+// current solution and report its cost. A feasible candidate stays
+// applied until ConsumeCandidate(i, …). Its front offer is held back:
+// only an accepted candidate is archived, exactly once.
 func (e *Explorer) Candidate(i int) (kind int, ok bool, cost float64) {
-	if e.laneLazy && i >= e.laneScored {
-		e.lanesEnsure(i)
-	}
 	c := &e.spec[i]
-	return c.kind, c.ok, c.cost
+	if c.kind < 0 {
+		return -1, false, 0
+	}
+	e.mv.kind, e.mv.a, e.mv.b, e.mv.c, e.mv.d, e.mv.p = c.kind, c.a, c.b, c.c, c.d, c.p
+	e.speculating = true
+	e.specApplied = e.mv.Apply()
+	e.speculating = false
+	if !e.specApplied {
+		return c.kind, false, 0
+	}
+	return c.kind, true, e.curCost
 }
 
-// ConsumeCandidate implements anneal.BatchProblem: an accepted candidate is
-// re-applied to the current solution — which is still exactly the state it
-// was scored against, since acceptance ends the round. Rejections need no
-// work (speculation already reverted). Accepted moves are logged so shadow
-// explorers can replay them before the next parallel round.
+// ConsumeCandidate implements anneal.BatchProblem. A rejected candidate is
+// reverted with the serial loop's O(journal) Revert, which defers the
+// evaluator resync to the next update. An accepted candidate is already
+// the current solution; it only gets the front offer Candidate held back.
 func (e *Explorer) ConsumeCandidate(i int, accepted bool) bool {
+	applied := e.specApplied
+	e.specApplied = false
 	if !accepted {
+		if applied {
+			e.mv.Revert()
+		}
 		return true
 	}
-	c := &e.spec[i]
-	e.mv.kind, e.mv.a, e.mv.b, e.mv.c, e.mv.d, e.mv.p = c.kind, c.a, c.b, c.c, c.d, c.p
-	if !e.mv.Apply() {
+	if !applied {
 		return false
 	}
-	if len(e.shadows) > 0 {
-		e.specLog = append(e.specLog, *c)
-	}
+	e.offerFront()
 	return true
-}
-
-// evalCandidate scores one candidate against x's current solution and
-// restores it: apply, read the scalarized cost, revert. Runs on the master
-// or on a shadow — the result is identical by the rollback bit-exactness
-// contract.
-func (x *Explorer) evalCandidate(c *specCand) {
-	if c.kind < 0 {
-		return
-	}
-	x.mv.kind, x.mv.a, x.mv.b, x.mv.c, x.mv.d, x.mv.p = c.kind, c.a, c.b, c.c, c.d, c.p
-	if !x.mv.Apply() {
-		c.ok = false
-		return
-	}
-	c.cost = x.curCost
-	x.mv.Revert()
-}
-
-// specWorkers resolves the scoring fan-out for a batch of k candidates.
-func (e *Explorer) specWorkers(k int) int {
-	w := e.cfg.BatchWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > k {
-		w = k
-	}
-	return w
-}
-
-// newShadow builds a worker explorer sharing every immutable piece of the
-// master — models, config, precedence closure, topological order, cost
-// function — with its own mutable state: solution clone, journal, change
-// set, incremental evaluator, candidate pools. Shadows never propose, never
-// archive, and never keep a best; they exist only to score candidates.
-func (e *Explorer) newShadow() *Explorer {
-	s := &Explorer{
-		app:       e.app,
-		arch:      e.arch,
-		cfg:       e.cfg,
-		precReach: e.precReach,
-		topoPos:   e.topoPos,
-		cs:        sched.NewChangeSet(e.app.N(), len(e.arch.Processors), len(e.arch.RCs)),
-		best:      &sched.Mapping{},
-		scal:      e.scal,
-		needsMap:  e.needsMap,
-	}
-	s.cfg.Trace, s.cfg.Stop, s.cfg.Schedule, s.cfg.FrontMetrics = nil, nil, nil, nil
-	if e.inc != nil {
-		if e.cfg.Recycler != nil {
-			s.inc = e.cfg.Recycler.GetIncEvaluator()
-		}
-		if s.inc == nil {
-			inc, err := sched.NewIncEvaluator(e.app, e.arch)
-			if err != nil {
-				// The master built one over the same models; this cannot fail.
-				panic(fmt.Sprintf("core: shadow evaluator: %v", err))
-			}
-			s.inc = inc
-		}
-	}
-	s.mv.e = s
-	return s
-}
-
-// syncShadows brings (at least) need shadow explorers up to the master's
-// current solution: replaying the accepted moves logged since the last
-// round, or — after a wholesale reset (quench restart, SetSolution) — by
-// reinstalling a clone of the master's solution.
-func (e *Explorer) syncShadows(need int) {
-	for len(e.shadows) < need {
-		s := e.newShadow()
-		e.resyncShadow(s)
-		e.shadows = append(e.shadows, s)
-	}
-	for _, s := range e.shadows {
-		if s.specEpoch != e.specEpoch {
-			e.resyncShadow(s)
-			continue
-		}
-		for i := range e.specLog {
-			c := &e.specLog[i]
-			s.mv.kind, s.mv.a, s.mv.b, s.mv.c, s.mv.d, s.mv.p = c.kind, c.a, c.b, c.c, c.d, c.p
-			if !s.mv.Apply() {
-				// Replaying an accepted move on the identical state cannot
-				// fail; if it somehow does, fall back to a full resync.
-				e.resyncShadow(s)
-				break
-			}
-		}
-	}
-	e.specLog = e.specLog[:0]
-}
-
-// resyncShadow reinstalls the master's current solution on a shadow.
-func (e *Explorer) resyncShadow(s *Explorer) {
-	if err := s.reset(e.cur.Clone()); err != nil {
-		// The master's solution is always valid and acyclic (it was
-		// evaluated); a shadow rejecting it is an invariant violation.
-		panic(fmt.Sprintf("core: shadow resync: %v", err))
-	}
-	s.specEpoch = e.specEpoch
 }

@@ -1,12 +1,17 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"repro/internal/anneal"
 	"repro/internal/apps"
 	"repro/internal/model"
 	"repro/internal/objective"
+	"repro/internal/pareto"
+	"repro/internal/sched"
 )
 
 // runWithConfig is runWithMode without the mode override: one full Explore
@@ -100,10 +105,10 @@ func TestBatchDeterministicForSeed(t *testing.T) {
 	}
 }
 
-// TestBatchWorkerCountIndependence: BatchWorkers is pure throughput — the
-// trajectory, the statistics, and the in-run Pareto front must be
-// bit-identical for every worker count (including widths that leave some
-// shadows idle on the final short round).
+// TestBatchWorkerCountIndependence: a batched run is a pure function of
+// (seed, batch width) — the trajectory, the statistics, and the in-run
+// Pareto front must be bit-identical whatever number of processors the
+// run's goroutines are scheduled on.
 func TestBatchWorkerCountIndependence(t *testing.T) {
 	mcfg := apps.DefaultMotionConfig()
 	app := apps.MotionDetection(mcfg)
@@ -121,27 +126,172 @@ func TestBatchWorkerCountIndependence(t *testing.T) {
 		trace []equivTracePoint
 	}
 	var base *outcome
-	for _, workers := range []int{1, 2, 3, 7} {
-		c := cfg
-		c.BatchWorkers = workers
-		res, trace := runWithConfig(t, app, arch, c)
+	for _, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		res, trace := runWithConfig(t, app, arch, cfg)
+		runtime.GOMAXPROCS(prev)
 		if base == nil {
 			base = &outcome{res: res, trace: trace}
 			continue
 		}
-		assertSameTrajectory(t, "worker-count independence", base.res, res, base.trace, trace)
-		bp, rp := base.res.Front.Points(), res.Front.Points()
-		if len(bp) != len(rp) {
-			t.Fatalf("workers=%d: front sizes differ: %d vs %d", workers, len(bp), len(rp))
+		assertSameTrajectory(t, "processor-count independence", base.res, res, base.trace, trace)
+		assertSameFront(t, base.res.Front.Points(), res.Front.Points())
+	}
+}
+
+// assertSameFront requires two in-run archives to hold the same points,
+// offer IDs included, in the same order.
+func assertSameFront(t *testing.T, a, b []pareto.NPoint) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("front sizes differ: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i].ID != b[i].ID || len(a[i].V) != len(b[i].V) {
+			t.Fatalf("front point %d differs: %+v vs %+v", i, a[i], b[i])
 		}
-		for i := range bp {
-			if bp[i].ID != rp[i].ID || len(bp[i].V) != len(rp[i].V) {
-				t.Fatalf("workers=%d: front point %d differs: %+v vs %+v", workers, i, bp[i], rp[i])
+		for d := range a[i].V {
+			if a[i].V[d] != b[i].V[d] {
+				t.Fatalf("front point %d coord %d differs: %v vs %v", i, d, a[i].V[d], b[i].V[d])
 			}
-			for d := range bp[i].V {
-				if bp[i].V[d] != rp[i].V[d] {
-					t.Fatalf("workers=%d: front point %d coord %d differs", workers, i, d)
+		}
+	}
+}
+
+// eagerBatch is the reference batch scorer: it scores every drawn
+// candidate up front with apply → evaluate → revert against the unchanged
+// solution, then re-applies the accepted one. It shares the explorer's
+// draws, so any difference from an in-place run is a scoring difference.
+type eagerBatch struct {
+	*Explorer
+	ok   []bool
+	cost []float64
+}
+
+func (b *eagerBatch) load(i int) {
+	e, c := b.Explorer, &b.spec[i]
+	e.mv.kind, e.mv.a, e.mv.b, e.mv.c, e.mv.d, e.mv.p = c.kind, c.a, c.b, c.c, c.d, c.p
+}
+
+func (b *eagerBatch) SpeculateBatch(rng *rand.Rand, k int) int {
+	n := b.Explorer.SpeculateBatch(rng, k)
+	b.ok, b.cost = b.ok[:0], b.cost[:0]
+	for i := 0; i < n; i++ {
+		ok, cost := false, 0.0
+		if b.spec[i].kind >= 0 {
+			b.load(i)
+			b.speculating = true
+			if b.mv.Apply() {
+				ok, cost = true, b.curCost
+				b.mv.Revert()
+			}
+			b.speculating = false
+		}
+		b.ok, b.cost = append(b.ok, ok), append(b.cost, cost)
+	}
+	return n
+}
+
+func (b *eagerBatch) Candidate(i int) (int, bool, float64) {
+	return b.spec[i].kind, b.ok[i], b.cost[i]
+}
+
+func (b *eagerBatch) ConsumeCandidate(i int, accepted bool) bool {
+	if !accepted {
+		return true
+	}
+	b.load(i)
+	return b.mv.Apply()
+}
+
+// batchRun is one annealing phase over a batch problem, with Start's
+// selector feedback and a trace tap.
+type batchRun struct {
+	st    anneal.Stats
+	best  sched.Result
+	trace []equivTracePoint
+	front []pareto.NPoint
+}
+
+func runBatchProblem(t *testing.T, app *model.App, arch *model.Arch, cfg Config, eager bool) batchRun {
+	t.Helper()
+	e, err := New(app, arch, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p anneal.Problem = e
+	if eager {
+		p = &eagerBatch{Explorer: e}
+	}
+	var out batchRun
+	opt := anneal.NewOptions(anneal.NewLam(cfg.Quality, cfg.Warmup))
+	opt.MaxIters, opt.Seed, opt.Batch = cfg.MaxIters, cfg.Seed, cfg.Batch
+	opt.Trace = func(o anneal.Observation) {
+		if o.MoveKind >= 0 {
+			e.selector.Observe(o.MoveKind, o.Accepted)
+		}
+		out.trace = append(out.trace, equivTracePoint{cost: o.Cost, makespan: e.curRes.Makespan, accepted: o.Accepted, moveKind: o.MoveKind})
+	}
+	out.st = anneal.Run(p, opt)
+	out.best = e.bestRes
+	out.front = e.front.Points()
+	return out
+}
+
+// TestLazyScoringMatchesEager is the in-place kernel's oracle: scoring a
+// round lazily — each candidate applied in place only when the consumer
+// reaches it, rejected ones reverted, the accepted one kept — must make
+// every decision an eager scorer makes, on both evaluation paths, with
+// every move kind enabled, and leave the same front.
+func TestLazyScoringMatchesEager(t *testing.T) {
+	mcfg := apps.DefaultMotionConfig()
+	rcfg := apps.DefaultRandomConfig()
+	rcfg.Tasks = 30
+	layered, err := apps.Layered(rand.New(rand.NewSource(9)), rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := DefaultConfig()
+	base.MaxIters = 1000
+	base.Warmup = 200
+	base.FrontMetrics = []objective.Metric{objective.HWArea, objective.Makespan}
+	wide := base
+	wide.Seed = 23
+	wide.ExploreArch = true
+	wide.EnableCtxSplit = true
+	wide.Deadline = model.FromMillis(20)
+	cases := []struct {
+		name string
+		app  *model.App
+		arch *model.Arch
+		cfg  Config
+	}{
+		{"motion/2000", apps.MotionDetection(mcfg), apps.MotionArch(2000, mcfg), base},
+		{"layered30/wide", layered, wideArch(true), wide},
+	}
+	for _, c := range cases {
+		for mode, path := range map[EvalMode]string{EvalFull: "full", EvalIncremental: "incremental"} {
+			for _, width := range []int{2, 8, 64} {
+				cfg := c.cfg
+				cfg.EvalMode, cfg.Batch = mode, width
+				lazy := runBatchProblem(t, c.app, c.arch, cfg, false)
+				eager := runBatchProblem(t, c.app, c.arch, cfg, true)
+				name := fmt.Sprintf("%s/%s/batch%d", c.name, path, width)
+				if len(lazy.trace) != len(eager.trace) {
+					t.Fatalf("%s: trace lengths differ: %d vs %d", name, len(lazy.trace), len(eager.trace))
 				}
+				for i := range lazy.trace {
+					if lazy.trace[i] != eager.trace[i] {
+						t.Fatalf("%s: traces diverge at iteration %d:\n  lazy  %+v\n  eager %+v", name, i, lazy.trace[i], eager.trace[i])
+					}
+				}
+				if lazy.st != eager.st || lazy.best != eager.best {
+					t.Fatalf("%s: results differ:\n  lazy  %+v %+v\n  eager %+v %+v", name, lazy.st, lazy.best, eager.st, eager.best)
+				}
+				if lazy.st.Discarded == 0 {
+					t.Fatalf("%s: no candidate was ever discarded: %+v", name, lazy.st)
+				}
+				assertSameFront(t, lazy.front, eager.front)
 			}
 		}
 	}
@@ -164,7 +314,7 @@ func TestBatchEvalPathEquivalence(t *testing.T) {
 	assertEquivalent(t, "motion/2000/batch6", motion, apps.MotionArch(2000, mcfg), cfg)
 
 	// Wide template with every move kind (architecture exploration,
-	// context splits) and multiple speculation workers.
+	// context splits).
 	rcfg := apps.DefaultRandomConfig()
 	rcfg.Tasks = 30
 	app, err := apps.Layered(rand.New(rand.NewSource(3)), rcfg)
@@ -180,7 +330,6 @@ func TestBatchEvalPathEquivalence(t *testing.T) {
 	cfg.EnableCtxSplit = true
 	cfg.Deadline = model.FromMillis(20)
 	cfg.Batch = 4
-	cfg.BatchWorkers = 3
 	assertEquivalent(t, "layered30/wide/batch4", app, wideArch(true), cfg)
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/anneal"
@@ -100,61 +99,6 @@ const (
 	EvalIncremental
 )
 
-// BatchKernel selects the backend that scores a speculated batch of
-// candidate moves (Config.Batch > 1). Both backends produce bit-identical
-// candidate scores, verdicts and consume order — the trajectory stays a
-// pure function of (Seed, Batch) — so the choice is, like BatchWorkers,
-// pure throughput tuning and never appears in fingerprints or cache keys.
-type BatchKernel int
-
-const (
-	// BatchKernelAuto (the default) picks per instance: the lane kernel
-	// when the run resolved to the incremental evaluation path — its
-	// persistent graphs are what the lanes sweep, and the same cone-size
-	// heuristic that favors incremental updates also keeps per-candidate
-	// lane divergence sparse — and the shadow backend otherwise.
-	BatchKernelAuto BatchKernel = iota
-	// BatchKernelShadow scores each candidate with an independent
-	// apply → evaluate → revert pass, fanned out over shadow explorers
-	// when BatchWorkers allows.
-	BatchKernelShadow
-	// BatchKernelLanes scores all candidates of a round as lanes of one
-	// pair of shared topological sweeps on a single goroutine
-	// (sched.LaneEval); BatchWorkers is ignored. Falls back to the
-	// shadow backend when the run evaluates by full rebuild (there are
-	// no persistent graphs to sweep).
-	BatchKernelLanes
-)
-
-// batchKernelNames are the stable external names used by -batch-kernel.
-var batchKernelNames = map[BatchKernel]string{
-	BatchKernelAuto:   "auto",
-	BatchKernelShadow: "shadow",
-	BatchKernelLanes:  "lanes",
-}
-
-// String returns the kernel's stable external name.
-func (b BatchKernel) String() string {
-	if s, ok := batchKernelNames[b]; ok {
-		return s
-	}
-	return "?"
-}
-
-// ParseBatchKernel maps a -batch-kernel flag value ("", "auto",
-// "shadow", "lanes") to a BatchKernel.
-func ParseBatchKernel(s string) (BatchKernel, error) {
-	switch s {
-	case "", "auto":
-		return BatchKernelAuto, nil
-	case "shadow":
-		return BatchKernelShadow, nil
-	case "lanes":
-		return BatchKernelLanes, nil
-	}
-	return 0, fmt.Errorf("unknown batch kernel %q (want auto, shadow or lanes)", s)
-}
-
 // resolve maps EvalAuto to a concrete path for the given instance.
 func (m EvalMode) resolve(app *model.App, arch *model.Arch) EvalMode {
 	if m != EvalAuto {
@@ -236,23 +180,14 @@ type Config struct {
 	// never computes mapping-derived metrics).
 	FrontMetrics []objective.Metric
 	// Batch, when >1, enables speculative batched move evaluation: each
-	// annealing round proposes Batch independent candidates, scores them
-	// all against the current solution, and consumes the scores in
-	// canonical order. Values <=1 run the exact serial loop (bit-identical
-	// to earlier releases). A batched run follows a different — equally
-	// valid — trajectory than the serial run with the same seed, but is
-	// itself fully deterministic for a given (Seed, Batch), independent of
-	// BatchWorkers.
+	// annealing round draws Batch independent candidates against the
+	// current solution and consumes them in canonical order, scoring each
+	// only when the consumer reaches it (see batch.go). Values <=1 run the
+	// exact serial loop (bit-identical to earlier releases). A batched run
+	// follows a different — equally valid — trajectory than the serial run
+	// with the same seed, but is itself fully deterministic for a given
+	// (Seed, Batch).
 	Batch int
-	// BatchWorkers bounds the goroutines scoring a speculated batch
-	// (0 = GOMAXPROCS). It is pure throughput tuning: results are
-	// bit-identical for any worker count, so it never appears in
-	// fingerprints or cache keys.
-	BatchWorkers int
-	// BatchKernel selects the batch scoring backend (zero value = Auto).
-	// Like BatchWorkers it only affects speed, never results, and is
-	// excluded from fingerprints and cache keys.
-	BatchKernel BatchKernel
 	// Recycler, when non-nil, recycles the large instance-sized evaluator
 	// state across runs instead of reallocating it per run (the multi-run
 	// drivers pool it with a sync.Pool). Install rebuilds every dynamic
@@ -313,15 +248,25 @@ type Result struct {
 	Stats anneal.Stats
 	// MoveStats counts per-kind proposals and acceptances across the run.
 	MoveStats MoveStats
-	// LaneStats carries the lane batch backend's telemetry (all zeros
-	// when the shadow backend — or no batching — scored the run).
-	LaneStats LaneStats
 	// MetDeadline reports whether the best solution satisfies the
 	// configured deadline (vacuously true when no deadline is set).
 	MetDeadline bool
 	// Front is the in-run Pareto archive over Config.FrontMetrics (nil
 	// when disabled). Point IDs are offer sequence numbers within the run.
 	Front *pareto.NArchive
+}
+
+// LaneStats is the telemetry of the retired lane batch kernel, which
+// scored speculated candidates in shared multi-lane sweeps. Nothing
+// records it any more — batched rounds are scored in place (batch.go) —
+// so every field is always zero. The type survives because search.Stats,
+// runner.Outcome, runner.Aggregate and the outcome codec still carry it
+// and perfbench reads it.
+type LaneStats struct {
+	Rounds     int64
+	Lanes      int64
+	SweepNodes int64
+	LaneRelax  int64
 }
 
 // moveWeights returns the base generation-probability vector. In

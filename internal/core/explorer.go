@@ -80,29 +80,12 @@ type Explorer struct {
 	kindAccepted [numMoveKinds]int64
 
 	// Speculative batch state (Config.Batch > 1; see batch.go): spec holds
-	// the current round's candidates, shadows the worker explorers scoring
-	// them, specLog the accepted moves shadows still have to replay,
-	// specEpoch the wholesale-reset counter that invalidates replay, and
-	// speculating suppresses front offers while a round is being scored.
+	// the current round's drawn candidates, specApplied records that the
+	// candidate Candidate last scored is still applied, and speculating
+	// suppresses its front offer until the consumer accepts it.
 	spec        []specCand
-	shadows     []*Explorer
-	specLog     []specCand
-	specEpoch   uint64
+	specApplied bool
 	speculating bool
-
-	// Lane batch backend state (lanes.go): the shared-sweep evaluator,
-	// built on first lane-scored round, its run telemetry, and the lazy
-	// scoring cursor — candidates [0, laneScored) of the current round
-	// have verdicts, the next chunk is 1<<laneChunkIdx lanes wide.
-	laneEval     *sched.LaneEval
-	laneStats    LaneStats
-	laneLazy     bool
-	laneK        int
-	laneScored   int
-	laneChunkIdx int
-	// laneStale records that serial chunk evaluations left the installed
-	// graphs speculatively patched; the next lane chunk resyncs first.
-	laneStale bool
 }
 
 // candidatePools caches the mapping scans of the proposal helpers. Each
@@ -288,11 +271,6 @@ func (e *Explorer) reset(m *sched.Mapping) error {
 	e.journal.reset()
 	e.cs.Reset()
 	e.stateTick++
-	// A wholesale install invalidates the shadows' replay log: they must
-	// re-clone instead of replaying moves into a solution that no longer
-	// exists.
-	e.specEpoch++
-	e.specLog = e.specLog[:0]
 	e.offerFront()
 	return nil
 }
@@ -320,10 +298,8 @@ func (e *Explorer) costOf(res sched.Result) float64 {
 // loop.
 func (e *Explorer) offerFront() {
 	if e.front == nil || e.speculating {
-		// Speculative scorings are suppressed (not just on shadows, which
-		// carry no archive, but on the master too): the archive must be
-		// identical for every BatchWorkers value, and which explorer scores
-		// a given candidate is a scheduling accident.
+		// A speculated candidate is offered when it is accepted
+		// (ConsumeCandidate), never when it is merely scored.
 		return
 	}
 	objective.Project(e.cfg.FrontMetrics, e.app, e.arch, e.cur, e.curRes, e.frontCoords)
@@ -536,7 +512,6 @@ func (e *Explorer) Finish() *Result {
 			BestEval:    e.bestRes,
 			InitialEval: e.curRes,
 			MoveStats:   e.MoveStatsSnapshot(),
-			LaneStats:   e.LaneStatsSnapshot(),
 			MetDeadline: e.cfg.Deadline <= 0 || e.bestRes.Makespan <= e.cfg.Deadline,
 			Front:       e.front,
 		}
@@ -549,7 +524,6 @@ func (e *Explorer) Finish() *Result {
 		InitialEval: r.initial,
 		Stats:       e.StatsSnapshot(),
 		MoveStats:   e.MoveStatsSnapshot(),
-		LaneStats:   e.LaneStatsSnapshot(),
 		MetDeadline: e.cfg.Deadline <= 0 || e.bestRes.Makespan <= e.cfg.Deadline,
 		Front:       e.front,
 	}
@@ -557,27 +531,15 @@ func (e *Explorer) Finish() *Result {
 	return res
 }
 
-// releaseEvaluators hands the run's incremental evaluators — the
-// master's and any shadows' — back to the configured recycler so the
-// next run over the same models can adopt them instead of reallocating.
-// Idempotent: Finish may be called more than once, the evaluators are
-// released exactly once.
+// releaseEvaluators hands the run's incremental evaluator back to the
+// configured recycler so the next run over the same models can adopt it
+// instead of reallocating. Idempotent: Finish may be called more than
+// once, the evaluator is released exactly once.
 func (e *Explorer) releaseEvaluators() {
-	rec := e.cfg.Recycler
-	if rec == nil {
-		return
-	}
-	if e.inc != nil {
+	if rec := e.cfg.Recycler; rec != nil && e.inc != nil {
 		rec.PutIncEvaluator(e.inc)
 		e.inc = nil
 	}
-	for _, s := range e.shadows {
-		if s.inc != nil {
-			rec.PutIncEvaluator(s.inc)
-			s.inc = nil
-		}
-	}
-	e.shadows = e.shadows[:0]
 }
 
 // Run executes the exploration and returns the best solution found: Start

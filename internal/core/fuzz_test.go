@@ -17,13 +17,13 @@ import (
 //
 // to search for divergences beyond the seeded corpus.
 func FuzzEvalPathEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(18), uint8(0b011), uint16(400), uint8(0), uint8(0))
-	f.Add(int64(42), uint8(25), uint8(0b111), uint16(700), uint8(1), uint8(1))
-	f.Add(int64(-7), uint8(12), uint8(0b101), uint16(300), uint8(4), uint8(2))
-	f.Add(int64(977), uint8(35), uint8(0b110), uint16(500), uint8(8), uint8(2))
-	f.Add(int64(31), uint8(20), uint8(0b010), uint16(600), uint8(19), uint8(1))
+	f.Add(int64(1), uint8(18), uint8(0b011), uint16(400), uint8(0))
+	f.Add(int64(42), uint8(25), uint8(0b111), uint16(700), uint8(1))
+	f.Add(int64(-7), uint8(12), uint8(0b101), uint16(300), uint8(4))
+	f.Add(int64(977), uint8(35), uint8(0b110), uint16(500), uint8(8))
+	f.Add(int64(31), uint8(20), uint8(0b010), uint16(600), uint8(19))
 
-	f.Fuzz(func(t *testing.T, seed int64, nTasks, knobs uint8, iters uint16, batch, kern uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, nTasks, knobs uint8, iters uint16, batch uint8) {
 		tasks := 6 + int(nTasks)%40
 		rcfg := apps.DefaultRandomConfig()
 		rcfg.Tasks = tasks
@@ -46,17 +46,8 @@ func FuzzEvalPathEquivalence(f *testing.F) {
 		cfg.Deadline = model.FromMillis(15)
 		// Speculative batching must preserve the equivalence too: the batch
 		// width reshuffles the trajectory, but full and incremental must
-		// still agree on it bit for bit. Width also varies the worker count
-		// (batch%3+1) so shadow explorers are exercised.
+		// still agree on it bit for bit.
 		cfg.Batch = int(batch) % 17
-		cfg.BatchWorkers = int(batch)%3 + 1
-		// The batch kernel selects which backend scores the speculative
-		// lanes (shadow explorers vs the lane-parallel sweep). The full
-		// path always falls back to shadows, so fuzzing the kernel input
-		// pits the lane kernel directly against the reference backend —
-		// every lane width the chunking schedule produces for this batch
-		// must preserve the bit-for-bit equivalence.
-		cfg.BatchKernel = BatchKernel(int(kern) % 3)
 
 		resFull, traceFull := runWithMode(t, app, arch, cfg, EvalFull)
 		resInc, traceInc := runWithMode(t, app, arch, cfg, EvalIncremental)

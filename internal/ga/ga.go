@@ -91,6 +91,13 @@ func (g *genome) clone() *genome {
 	}
 }
 
+// copyInto overwrites dst with g, reusing dst's gene slices.
+func (g *genome) copyInto(dst *genome) {
+	dst.hw = append(dst.hw[:0], g.hw...)
+	dst.impl = append(dst.impl[:0], g.impl...)
+	dst.cost, dst.eval, dst.ok = g.cost, g.eval, g.ok
+}
+
 // GA is a resumable genetic-algorithm run: New builds and scores the
 // initial population, each Step executes one generation, and Result reads
 // back the best individual. Explore is New stepped to exhaustion.
@@ -102,9 +109,16 @@ type GA struct {
 	mut  float64
 	rng  *rand.Rand
 	eval *sched.Evaluator
+	dec  *listsched.Decoder
 	scal objective.Scalarizer
+	// scratch receives every fitness decode: the mapping is only scored,
+	// never kept, so one buffer serves the whole run.
+	scratch sched.Mapping
 
-	pop   []*genome
+	pop []*genome
+	// spare is the generation before pop. Nothing references it any more
+	// (best is a clone), so Step recycles its genomes for the next one.
+	spare []*genome
 	best  *genome
 	stall int
 	gen   int
@@ -143,6 +157,7 @@ func New(app *model.App, arch *model.Arch, cfg Config) (*GA, error) {
 		mut:  cfg.MutationRate,
 		rng:  rand.New(rand.NewSource(cfg.Seed)),
 		eval: sched.NewEvaluator(app, arch),
+		dec:  listsched.NewDecoder(app, arch),
 	}
 	if g.mut <= 0 {
 		g.mut = 1.0 / float64(g.n)
@@ -178,7 +193,7 @@ func New(app *model.App, arch *model.Arch, cfg Config) (*GA, error) {
 // layer.
 func (g *GA) fitness(ind *genome) {
 	g.evals++
-	cost, eval, _, err := g.Fitness(ind.hw, ind.impl)
+	cost, eval, err := g.score(&g.scratch, ind.hw, ind.impl)
 	if err != nil {
 		ind.cost, ind.ok = math.Inf(1), false
 		return
@@ -191,15 +206,24 @@ func (g *GA) fitness(ind *genome) {
 // the same mapping under the same scalarizer. Exposed so cross-strategy
 // regression tests can pin that equivalence.
 func (g *GA) Fitness(hw []bool, impl []int) (float64, sched.Result, *sched.Mapping, error) {
-	m, err := listsched.Build(g.app, g.arch, hw, impl)
+	m := &sched.Mapping{}
+	cost, res, err := g.score(m, hw, impl)
 	if err != nil {
 		return 0, sched.Result{}, nil, err
+	}
+	return cost, res, m, nil
+}
+
+// score decodes an assignment into m, reusing its storage, and scores it.
+func (g *GA) score(m *sched.Mapping, hw []bool, impl []int) (float64, sched.Result, error) {
+	if err := g.dec.BuildInto(m, hw, impl); err != nil {
+		return 0, sched.Result{}, err
 	}
 	res, err := g.eval.Evaluate(m)
 	if err != nil {
-		return 0, sched.Result{}, nil, err
+		return 0, sched.Result{}, err
 	}
-	return g.scal.CostOf(g.app, g.arch, m, res), res, m, nil
+	return g.scal.CostOf(g.app, g.arch, m, res), res, nil
 }
 
 // offerFront archives the current best individual's objective vector.
@@ -207,7 +231,7 @@ func (g *GA) offerFront() {
 	if g.front == nil || !g.best.ok {
 		return
 	}
-	m, err := listsched.Build(g.app, g.arch, g.best.hw, g.best.impl)
+	m, err := g.dec.Build(g.best.hw, g.best.impl)
 	if err != nil {
 		return
 	}
@@ -235,15 +259,16 @@ func (g *GA) Step() bool {
 		g.done = true
 		return false
 	}
-	next := make([]*genome, 0, g.cfg.Population)
+	next := g.spare[:0]
 	// Elitism: carry the best individuals over unchanged.
 	for _, ind := range elites(g.pop, g.cfg.Elite) {
-		next = append(next, ind.clone())
+		next = g.appendCopy(next, ind)
 	}
 	for len(next) < g.cfg.Population {
 		a := tournament(g.pop, g.cfg.TournamentK, g.rng)
 		b := tournament(g.pop, g.cfg.TournamentK, g.rng)
-		child := a.clone()
+		next = g.appendCopy(next, a)
+		child := next[len(next)-1]
 		if g.rng.Float64() < g.cfg.CrossoverRate {
 			cut := g.rng.Intn(g.n)
 			copy(child.hw[cut:], b.hw[cut:])
@@ -258,9 +283,8 @@ func (g *GA) Step() bool {
 			}
 		}
 		g.fitness(child)
-		next = append(next, child)
 	}
-	g.pop = next
+	g.spare, g.pop = g.pop, next
 	g.gen++
 	if f := fittest(g.pop); f.cost < g.best.cost {
 		g.best = f.clone()
@@ -276,12 +300,23 @@ func (g *GA) Step() bool {
 	return g.gen < g.cfg.Generations
 }
 
+// appendCopy appends a copy of ind to next, which Step builds in spare's
+// array: slot i reuses the genome spare[i], read before it is overwritten.
+func (g *GA) appendCopy(next []*genome, ind *genome) []*genome {
+	if i := len(next); i < len(g.spare) {
+		c := g.spare[i]
+		ind.copyInto(c)
+		return append(next, c)
+	}
+	return append(next, ind.clone())
+}
+
 // Result reads back the best individual found so far.
 func (g *GA) Result() (*Result, error) {
 	if !g.best.ok {
 		return nil, fmt.Errorf("ga: no feasible individual found")
 	}
-	m, err := listsched.Build(g.app, g.arch, g.best.hw, g.best.impl)
+	m, err := g.dec.Build(g.best.hw, g.best.impl)
 	if err != nil {
 		return nil, err
 	}

@@ -100,3 +100,24 @@ func TestGAEarlyStallStop(t *testing.T) {
 		t.Fatal("stall stop ignored")
 	}
 }
+
+// TestStepRecyclesGenerations pins the steady-state allocation of a
+// generation: children are decoded into one scratch mapping and stored in
+// the genomes of the generation before last, so a Step allocates only
+// small selection buffers, not a mapping and a genome per child.
+func TestStepRecyclesGenerations(t *testing.T) {
+	mcfg := apps.DefaultMotionConfig()
+	app := apps.MotionDetection(mcfg)
+	arch := apps.MotionArch(2000, mcfg)
+	cfg := smallConfig(5)
+	cfg.Generations, cfg.Stall = 1000, 0
+	g, err := New(app, arch, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Step()
+	g.Step()
+	if allocs := testing.AllocsPerRun(20, func() { g.Step() }); allocs > float64(cfg.Population)/4 {
+		t.Fatalf("a generation of %d children allocates %.1f times", cfg.Population, allocs)
+	}
+}

@@ -39,7 +39,8 @@ func Ranks(app *model.App) []model.Time {
 	return rank
 }
 
-// Build turns a spatial assignment into a complete mapping:
+// Decoder turns spatial assignments of one (application, architecture)
+// pair into complete mappings:
 //
 //   - hw[t] requests hardware for task t (forced to software when the task
 //     has no implementation that fits the device, and to hardware when it
@@ -50,22 +51,20 @@ func Ranks(app *model.App) []model.Time {
 //   - hardware tasks are packed into contexts in decreasing-rank order,
 //     opening a new context whenever the capacity would overflow (the
 //     greedy temporal clustering of [6]).
-func Build(app *model.App, arch *model.Arch, hw []bool, impl []int) (*sched.Mapping, error) {
-	if len(arch.Processors) == 0 {
-		return nil, fmt.Errorf("listsched: architecture has no processor")
-	}
-	n := app.N()
-	if len(hw) != n {
-		return nil, fmt.Errorf("listsched: assignment sized %d for %d tasks", len(hw), n)
-	}
-	m := &sched.Mapping{
-		Assign:   make([]sched.Placement, n),
-		Impl:     make([]int, n),
-		SWOrders: make([][]int, len(arch.Processors)),
-		Contexts: make([][]sched.Context, len(arch.RCs)),
-	}
+//
+// The rank order depends only on the application, so it is computed once:
+// Build then allocates only the mapping it returns, and BuildInto nothing
+// once the destination has grown to size.
+type Decoder struct {
+	app    *model.App
+	arch   *model.Arch
+	byRank []int // task ids by decreasing upward rank, ids ascending among equals
+}
+
+// NewDecoder ranks the application once for every later decode.
+func NewDecoder(app *model.App, arch *model.Arch) *Decoder {
 	rank := Ranks(app)
-	byRank := make([]int, n)
+	byRank := make([]int, app.N())
 	for i := range byRank {
 		byRank[i] = i
 	}
@@ -76,8 +75,42 @@ func Build(app *model.App, arch *model.Arch, hw []bool, impl []int) (*sched.Mapp
 		}
 		return byRank[a] < byRank[b]
 	})
+	return &Decoder{app: app, arch: arch, byRank: byRank}
+}
 
-	for _, t := range byRank {
+// Build decodes an assignment into a new mapping.
+func (d *Decoder) Build(hw []bool, impl []int) (*sched.Mapping, error) {
+	m := &sched.Mapping{}
+	if err := d.BuildInto(m, hw, impl); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// BuildInto decodes an assignment into m, overwriting its contents and
+// reusing its storage. On error m holds a partial decode.
+func (d *Decoder) BuildInto(m *sched.Mapping, hw []bool, impl []int) error {
+	app, arch := d.app, d.arch
+	if len(arch.Processors) == 0 {
+		return fmt.Errorf("listsched: architecture has no processor")
+	}
+	n := app.N()
+	if len(hw) != n {
+		return fmt.Errorf("listsched: assignment sized %d for %d tasks", len(hw), n)
+	}
+	m.Assign = resize(m.Assign, n)
+	m.Impl = resize(m.Impl, n)
+	clear(m.Impl)
+	m.SWOrders = resize(m.SWOrders, len(arch.Processors))
+	for p := range m.SWOrders {
+		m.SWOrders[p] = m.SWOrders[p][:0]
+	}
+	m.Contexts = resize(m.Contexts, len(arch.RCs))
+	for r := range m.Contexts {
+		m.Contexts[r] = m.Contexts[r][:0]
+	}
+
+	for _, t := range d.byRank {
 		task := &app.Tasks[t]
 		wantHW := hw[t]
 		if !task.CanHW() {
@@ -88,7 +121,7 @@ func Build(app *model.App, arch *model.Arch, hw []bool, impl []int) (*sched.Mapp
 		}
 		if wantHW && len(arch.RCs) == 0 {
 			if !task.CanSW() {
-				return nil, fmt.Errorf("listsched: task %d is hardware-only but there is no RC", t)
+				return fmt.Errorf("listsched: task %d is hardware-only but there is no RC", t)
 			}
 			wantHW = false
 		}
@@ -101,13 +134,13 @@ func Build(app *model.App, arch *model.Arch, hw []bool, impl []int) (*sched.Mapp
 			if task.HW[im].CLBs > rc.NCLB {
 				// Does not fit the device at all: fall back to software.
 				if !task.CanSW() {
-					return nil, fmt.Errorf("listsched: task %d fits neither side", t)
+					return fmt.Errorf("listsched: task %d fits neither side", t)
 				}
 				wantHW = false
 			} else {
 				cs := m.Contexts[0]
 				if len(cs) == 0 || m.ContextCLBs(app, 0, len(cs)-1)+task.HW[im].CLBs > rc.NCLB {
-					m.Contexts[0] = append(m.Contexts[0], sched.Context{})
+					m.Contexts[0] = openContext(cs)
 				}
 				ci := len(m.Contexts[0]) - 1
 				m.Contexts[0][ci].Tasks = append(m.Contexts[0][ci].Tasks, t)
@@ -120,7 +153,26 @@ func Build(app *model.App, arch *model.Arch, hw []bool, impl []int) (*sched.Mapp
 			m.SWOrders[0] = append(m.SWOrders[0], t)
 		}
 	}
-	return m, nil
+	return nil
+}
+
+// resize returns s with length n, reusing its array when large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// openContext appends an empty context to cs, reusing the task slice a
+// previous decode left in that slot.
+func openContext(cs []sched.Context) []sched.Context {
+	if len(cs) < cap(cs) {
+		cs = cs[:len(cs)+1]
+		cs[len(cs)-1].Tasks = cs[len(cs)-1].Tasks[:0]
+		return cs
+	}
+	return append(cs, sched.Context{})
 }
 
 func clampImpl(task *model.Task, impl []int, t int) int {

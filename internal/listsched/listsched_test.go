@@ -1,6 +1,8 @@
 package listsched
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/apps"
@@ -30,7 +32,7 @@ func TestRanksMonotoneAlongEdges(t *testing.T) {
 func TestBuildAllSoftware(t *testing.T) {
 	app, arch := motion()
 	hw := make([]bool, app.N())
-	m, err := Build(app, arch, hw, nil)
+	m, err := NewDecoder(app, arch).Build(hw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +55,7 @@ func TestBuildAllHardwarePacksContexts(t *testing.T) {
 	for i := range hw {
 		hw[i] = true
 	}
-	m, err := Build(app, arch, hw, nil)
+	m, err := NewDecoder(app, arch).Build(hw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +77,7 @@ func TestBuildRespectsCapability(t *testing.T) {
 	hw := make([]bool, app.N())
 	hw[0] = true  // request impossible hardware
 	hw[1] = false // request impossible software
-	m, err := Build(app, arch, hw, nil)
+	m, err := NewDecoder(app, arch).Build(hw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +95,7 @@ func TestBuildClampsImplGene(t *testing.T) {
 	hw[5] = true
 	impl := make([]int, app.N())
 	impl[5] = 99 // out of range: clamp to smallest
-	m, err := Build(app, arch, hw, impl)
+	m, err := NewDecoder(app, arch).Build(hw, impl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +111,7 @@ func TestBuildOversizedDeviceFallsBack(t *testing.T) {
 	for i := range hw {
 		hw[i] = true
 	}
-	m, err := Build(app, tiny, hw, nil)
+	m, err := NewDecoder(app, tiny).Build(hw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +124,45 @@ func TestBuildOversizedDeviceFallsBack(t *testing.T) {
 
 func TestBuildErrors(t *testing.T) {
 	app, arch := motion()
-	if _, err := Build(app, arch, make([]bool, 3), nil); err == nil {
+	if _, err := NewDecoder(app, arch).Build(make([]bool, 3), nil); err == nil {
 		t.Fatal("wrong-size assignment accepted")
 	}
 	noProc := &model.Arch{RCs: arch.RCs, Bus: arch.Bus}
-	if _, err := Build(app, noProc, make([]bool, app.N()), nil); err == nil {
+	if _, err := NewDecoder(app, noProc).Build(make([]bool, app.N()), nil); err == nil {
 		t.Fatal("processor-less architecture accepted")
+	}
+}
+
+// TestDecoderReuseMatchesBuild decodes a run of random assignments, from
+// all-software to all-hardware, into one reused mapping and checks each
+// against a decode into a new mapping: storage left over from an earlier,
+// differently shaped decode must never leak into a later one.
+func TestDecoderReuseMatchesBuild(t *testing.T) {
+	app, arch := motion()
+	d := NewDecoder(app, arch)
+	r := rand.New(rand.NewSource(3))
+	var scratch sched.Mapping
+	for i := 0; i < 200; i++ {
+		p := r.Float64()
+		hw := make([]bool, app.N())
+		impl := make([]int, app.N())
+		for t := range hw {
+			hw[t] = r.Float64() < p
+			impl[t] = r.Intn(4)
+		}
+		want, werr := d.Build(hw, impl)
+		gerr := d.BuildInto(&scratch, hw, impl)
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("decode %d: Build error %v, BuildInto error %v", i, werr, gerr)
+		}
+		if werr != nil {
+			continue
+		}
+		if got, w := fmt.Sprint(scratch), fmt.Sprint(*want); got != w {
+			t.Fatalf("decode %d: reused mapping\n  %s\ndiffers from fresh\n  %s", i, got, w)
+		}
+		if err := sched.CheckMapping(app, arch, &scratch); err != nil {
+			t.Fatalf("decode %d: %v", i, err)
+		}
 	}
 }

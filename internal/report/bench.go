@@ -31,12 +31,11 @@ type BenchRow struct {
 	Tasks    int    `json:"tasks"`
 	Runs     int    `json:"runs"`
 
-	// Batch, BatchKernel, EarlyStopEpsilon and EarlyStopWindow record the
-	// cell's speculative-batch width, batch scoring backend and adaptive
-	// early-stop parameters (omitted when the features are off — serial
-	// rows stay byte-identical to earlier schema-1 files).
+	// Batch, EarlyStopEpsilon and EarlyStopWindow record the cell's
+	// speculative-batch width and adaptive early-stop parameters (omitted
+	// when the features are off — serial rows stay byte-identical to
+	// earlier schema-1 files).
 	Batch            int     `json:"batch,omitempty"`
-	BatchKernel      string  `json:"batchKernel,omitempty"`
 	EarlyStopEpsilon float64 `json:"earlyStopEpsilon,omitempty"`
 	EarlyStopWindow  int     `json:"earlyStopWindow,omitempty"`
 
@@ -60,17 +59,6 @@ type BenchRow struct {
 	EarlyStopped int              `json:"earlyStopped,omitempty"`
 	MoveProposed map[string]int64 `json:"moveProposed,omitempty"`
 	MoveAccepted map[string]int64 `json:"moveAccepted,omitempty"`
-
-	// The lane batch kernel's telemetry, summed over the cell's runs
-	// (absent for shadow-scored and serial cells): speculation rounds,
-	// candidate lanes staged into them, shared (node, pass) sweep visits,
-	// and per-lane relaxations inside those visits. Lanes/LaneRounds is
-	// the cell's lane occupancy; LaneRelax/LaneSweepNodes the
-	// shared-sweep ratio.
-	LaneRounds     int64 `json:"laneRounds,omitempty"`
-	LaneLanes      int64 `json:"laneLanes,omitempty"`
-	LaneSweepNodes int64 `json:"laneSweepNodes,omitempty"`
-	LaneRelax      int64 `json:"laneRelax,omitempty"`
 
 	// Sched and SchedSlice record the composite cell's scheduling policy
 	// ("rr", "ucb") and UCB slice length; SchedSlices/SchedSteps/SchedReward
@@ -221,13 +209,13 @@ func BenchTable(f *BenchFile) *Table {
 		"best_cost", "best_ms", "mean_ms", "front", "evals", "evals_per_s", "wall_ms",
 		"warm_ms", "hits", "speculated", "discarded",
 		"moves_proposed (kind=n,...)", "moves_accepted (kind=n,...)",
-		"lane_occ", "lane_share", "sched", "arm_steps (name=n,...)", "transfer", "note")
+		"sched", "arm_steps (name=n,...)", "transfer", "note")
 	for i := range f.Results {
 		r := &f.Results[i]
 		if r.Skipped != "" {
 			t.AddRow(r.Scenario, r.Family, r.Size, r.Strategy, r.Tasks, "-",
 				"-", "-", "-", "-", "-", "-", "-", "-", "-", "-", "-", "-", "-", "-", "-",
-				"-", "-", "-",
+				"-",
 				"skipped: "+r.Skipped)
 			continue
 		}
@@ -235,13 +223,6 @@ func BenchTable(f *BenchFile) *Table {
 		if r.WarmWallMS > 0 {
 			warm = fmt.Sprintf("%.2f", r.WarmWallMS)
 			hits = fmt.Sprint(r.CacheHits)
-		}
-		laneOcc, laneShare := "-", "-"
-		if r.LaneRounds > 0 {
-			laneOcc = fmt.Sprintf("%.1f", float64(r.LaneLanes)/float64(r.LaneRounds))
-		}
-		if r.LaneSweepNodes > 0 {
-			laneShare = fmt.Sprintf("%.2f", float64(r.LaneRelax)/float64(r.LaneSweepNodes))
 		}
 		sched, transfer := "-", "-"
 		if r.Sched != "" {
@@ -258,7 +239,7 @@ func BenchTable(f *BenchFile) *Table {
 			r.FrontSize, r.Evaluations, fmt.Sprintf("%.0f", r.EvalsPerSec), r.WallMS,
 			warm, hits, r.Speculated, r.Discarded,
 			moveKindCell(r.MoveProposed), moveKindCell(r.MoveAccepted),
-			laneOcc, laneShare, sched, moveKindCell(r.SchedSteps), transfer, "")
+			sched, moveKindCell(r.SchedSteps), transfer, "")
 	}
 	return t
 }

@@ -87,7 +87,6 @@ func StrategyBudget(f *search.Factory, maxSteps int) RunFunc {
 			EarlyStopped: stats.EarlyStopped,
 			MoveProposed: moveKindMap(stats.MoveStats.Proposed),
 			MoveAccepted: moveKindMap(stats.MoveStats.Accepted),
-			LaneStats:    stats.LaneStats,
 			Sched:        stats.Sched,
 		}, nil
 	}

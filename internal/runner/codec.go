@@ -50,12 +50,13 @@ type outcomeWire struct {
 	EarlyStopped bool             `json:"earlyStopped,omitempty"`
 	MoveProposed map[string]int64 `json:"moveProposed,omitempty"`
 	MoveAccepted map[string]int64 `json:"moveAccepted,omitempty"`
-	// The lane-kernel telemetry follows the same convention: absent for
-	// shadow-scored and serial runs, so their snapshots stay byte-stable.
-	LaneRounds     int64 `json:"laneRounds,omitempty"`
-	LaneLanes      int64 `json:"laneLanes,omitempty"`
-	LaneSweepNodes int64 `json:"laneSweepNodes,omitempty"`
-	LaneRelax      int64 `json:"laneRelax,omitempty"`
+	// The retired lane kernel's telemetry follows the same convention:
+	// absent for every run of this release, decoded from outcomes cached
+	// by earlier ones.
+	LaneRounds int64 `json:"laneRounds,omitempty"`
+	LaneLanes  int64 `json:"laneLanes,omitempty"`
+	LaneVisits int64 `json:"laneSweepNodes,omitempty"`
+	LaneRelax  int64 `json:"laneRelax,omitempty"`
 	// Sched carries the scheduler/transfer telemetry; absent for runs
 	// without it, so pre-PR10 snapshots decode to nil and non-scheduled
 	// outcomes encode byte-identically to earlier releases.
@@ -68,22 +69,22 @@ func EncodeOutcome(o *Outcome) ([]byte, error) {
 		return nil, fmt.Errorf("runner: encoding nil outcome")
 	}
 	w := outcomeWire{
-		Best:           o.Best,
-		Eval:           o.Eval,
-		MetDeadline:    o.MetDeadline,
-		Evaluations:    o.Evaluations,
-		Cost:           o.Cost,
-		HasCost:        o.HasCost,
-		Speculated:     o.Speculated,
-		Discarded:      o.Discarded,
-		EarlyStopped:   o.EarlyStopped,
-		MoveProposed:   o.MoveProposed,
-		MoveAccepted:   o.MoveAccepted,
-		LaneRounds:     o.LaneStats.Rounds,
-		LaneLanes:      o.LaneStats.Lanes,
-		LaneSweepNodes: o.LaneStats.SweepNodes,
-		LaneRelax:      o.LaneStats.LaneRelax,
-		Sched:          o.Sched,
+		Best:         o.Best,
+		Eval:         o.Eval,
+		MetDeadline:  o.MetDeadline,
+		Evaluations:  o.Evaluations,
+		Cost:         o.Cost,
+		HasCost:      o.HasCost,
+		Speculated:   o.Speculated,
+		Discarded:    o.Discarded,
+		EarlyStopped: o.EarlyStopped,
+		MoveProposed: o.MoveProposed,
+		MoveAccepted: o.MoveAccepted,
+		LaneRounds:   o.LaneStats.Rounds,
+		LaneLanes:    o.LaneStats.Lanes,
+		LaneVisits:   o.LaneStats.SweepNodes,
+		LaneRelax:    o.LaneStats.LaneRelax,
+		Sched:        o.Sched,
 	}
 	if o.Front != nil {
 		fw := &frontWire{Dims: o.Front.Dims()}
@@ -118,7 +119,7 @@ func DecodeOutcome(b []byte) (*Outcome, error) {
 		LaneStats: core.LaneStats{
 			Rounds:     w.LaneRounds,
 			Lanes:      w.LaneLanes,
-			SweepNodes: w.LaneSweepNodes,
+			SweepNodes: w.LaneVisits,
 			LaneRelax:  w.LaneRelax,
 		},
 		Sched: w.Sched,

@@ -63,9 +63,11 @@ type Outcome struct {
 	// archive; the engine merges the fronts of all completed runs (in run
 	// order) into Aggregate.Front, re-tagging points with the run index.
 	Front *pareto.NArchive
-	// Evaluations is the number of candidate solutions the run scored (0
-	// when the RunFunc does not report telemetry); the engine sums it
-	// into Aggregate.Evaluations.
+	// Evaluations is the run's search.Stats.Evaluations (0 when the
+	// RunFunc does not report telemetry): for annealing Accepted +
+	// Rejected + Discarded, so a batched run also counts the candidates
+	// it discarded without scoring them. The engine sums it into
+	// Aggregate.Evaluations.
 	Evaluations int
 	// Cost is the best solution's scalarized objective cost. It is
 	// meaningful only when HasCost is set: a zero Cost with HasCost true
@@ -98,8 +100,10 @@ type Outcome struct {
 	// kinds appear.
 	MoveProposed map[string]int64
 	MoveAccepted map[string]int64
-	// LaneStats carries the run's lane batch-kernel telemetry (all zeros
-	// for serial runs, shadow-scored runs, and non-SA strategies).
+	// LaneStats is always zero for runs of this release: the lane batch
+	// kernel that filled it is retired (see core.LaneStats). The codec
+	// still round-trips it, so an outcome cached by an earlier release
+	// keeps its counts.
 	LaneStats core.LaneStats
 	// Sched carries the scheduler/transfer telemetry (per-arm budget
 	// slices, steps and rewards; warm-start donor key and incumbent cost);
@@ -137,7 +141,7 @@ type Aggregate struct {
 	Contexts stats.Summary
 	// DeadlineMet counts runs whose best solution met the deadline.
 	DeadlineMet int
-	// Evaluations sums the per-run scored-candidate counts (0 when the
+	// Evaluations sums the per-run Outcome.Evaluations counts (0 when the
 	// RunFunc does not report them).
 	Evaluations int
 	// Speculated and Discarded sum the per-run batch-evaluation telemetry.
@@ -145,7 +149,8 @@ type Aggregate struct {
 	Discarded  int
 	// EarlyStopped counts runs truncated by the adaptive early-stop rule.
 	EarlyStopped int
-	// LaneStats sums the per-run lane batch-kernel telemetry.
+	// LaneStats is always zero: the engine no longer sums the retired
+	// lane kernel's telemetry (see core.LaneStats).
 	LaneStats core.LaneStats
 	// MoveProposed and MoveAccepted sum the per-run per-move-kind counters
 	// (nil when no run reports any).
@@ -210,10 +215,6 @@ func (a *Aggregate) add(app *model.App, r RunResult) {
 	a.Evaluations += r.Outcome.Evaluations
 	a.Speculated += r.Outcome.Speculated
 	a.Discarded += r.Outcome.Discarded
-	a.LaneStats.Rounds += r.Outcome.LaneStats.Rounds
-	a.LaneStats.Lanes += r.Outcome.LaneStats.Lanes
-	a.LaneStats.SweepNodes += r.Outcome.LaneStats.SweepNodes
-	a.LaneStats.LaneRelax += r.Outcome.LaneStats.LaneRelax
 	if r.Outcome.EarlyStopped {
 		a.EarlyStopped++
 	}

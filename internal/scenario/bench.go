@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/combi"
-	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/objective"
 	"repro/internal/report"
@@ -37,14 +36,6 @@ type MatrixOptions struct {
 	// deterministic — trajectory than serial ones, so batched results are
 	// compared against batched baselines only.
 	Batch int
-	// BatchWorkers bounds the goroutines scoring each speculated batch
-	// (0 = GOMAXPROCS). Pure throughput tuning; results are identical for
-	// any value.
-	BatchWorkers int
-	// BatchKernel selects the batch scoring backend (core.BatchKernelAuto,
-	// the zero value, picks per instance). Like BatchWorkers it never
-	// changes results, only throughput.
-	BatchKernel core.BatchKernel
 	// EarlyStopEpsilon/EarlyStopWindow enable the driver-level adaptive
 	// early stop for every cell (see search.Config); zero disables it.
 	EarlyStopEpsilon float64
@@ -120,10 +111,6 @@ func fillRow(row *report.BenchRow, agg *runner.Aggregate, wall time.Duration) {
 	row.EarlyStopped = agg.EarlyStopped
 	row.MoveProposed = agg.MoveProposed
 	row.MoveAccepted = agg.MoveAccepted
-	row.LaneRounds = agg.LaneStats.Rounds
-	row.LaneLanes = agg.LaneStats.Lanes
-	row.LaneSweepNodes = agg.LaneStats.SweepNodes
-	row.LaneRelax = agg.LaneStats.LaneRelax
 	row.Sched = agg.SchedPolicy
 	row.SchedSlices = agg.SchedSlices
 	row.SchedSteps = agg.SchedSteps
@@ -161,8 +148,6 @@ func RunMatrix(ctx context.Context, scenarios []*Scenario, opts MatrixOptions) (
 		if opts.Batch > 1 {
 			cfg.SA.Batch = opts.Batch
 		}
-		cfg.SA.BatchWorkers = opts.BatchWorkers
-		cfg.SA.BatchKernel = opts.BatchKernel
 		cfg.EarlyStopEpsilon = opts.EarlyStopEpsilon
 		cfg.EarlyStopWindow = opts.EarlyStopWindow
 		cfg.Sched = opts.Sched
@@ -194,7 +179,6 @@ func RunMatrix(ctx context.Context, scenarios []*Scenario, opts MatrixOptions) (
 			}
 			if name == "sa" && opts.Batch > 1 {
 				row.Batch = opts.Batch
-				row.BatchKernel = opts.BatchKernel.String()
 			}
 			if name == "brute" && app.N() > combi.MaxExhaustiveTasks {
 				row.Skipped = fmt.Sprintf("%d tasks > brute bound %d", app.N(), combi.MaxExhaustiveTasks)

@@ -52,7 +52,8 @@ type csrEdge struct {
 // the front of their rows once, and Evaluate scatters only the dynamic
 // sequentialization edges directly into the remaining slots — no per-call
 // adjacency reset, no counting pass, no prefix sum. A row that outgrows its
-// capacity triggers a (rare, amortized) relayout with doubled headroom.
+// capacity triggers a relayout; rows never shrink, so relayouts stop once
+// every row has held its fullest mapping.
 type Evaluator struct {
 	shape
 
@@ -122,9 +123,12 @@ func NewEvaluator(app *model.App, arch *model.Arch) *Evaluator {
 }
 
 // relayout rebuilds the bucketed CSR, giving every row its static prefix
-// plus its current dynamic fill plus headroom extra slots. Live dynamic
-// entries (rowLen beyond the static prefix) are preserved, so it is safe to
-// call mid-emission when a row overflows.
+// plus its current dynamic fill plus headroom extra slots, and never less
+// than the row held before: a row that some mapping filled keeps that room,
+// so the layout only grows and relayouts stay rare instead of recurring
+// whenever mappings with differently shaped rows alternate. Live dynamic
+// entries (rowLen beyond the static prefix) are preserved, so it is safe
+// to call mid-emission when a row overflows.
 func (e *Evaluator) relayout(headroom int32) {
 	newHead := make([]int32, e.v+1)
 	for u := 0; u < e.v; u++ {
@@ -132,7 +136,7 @@ func (e *Evaluator) relayout(headroom int32) {
 		if e.rowLen != nil && e.rowLen[u] > used {
 			used = e.rowLen[u]
 		}
-		newHead[u+1] = newHead[u] + used + headroom
+		newHead[u+1] = newHead[u] + max(used+headroom, e.csrHead[u+1]-e.csrHead[u])
 	}
 	newCSR := make([]csrEdge, newHead[e.v])
 	if e.csr == nil {

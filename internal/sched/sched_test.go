@@ -435,3 +435,54 @@ func TestMappingCountsHelpers(t *testing.T) {
 		t.Fatalf("ContextCLBs = %d", m.ContextCLBs(app, 0, 0))
 	}
 }
+
+// TestEvaluateSteadyStateAllocFree pins the layout growth: once both
+// mappings have been evaluated, alternating between them allocates
+// nothing. Each puts 20 independent tasks in one context and 20 in the
+// next, in opposite orders, so each fills the rows of the tasks the other
+// leaves empty (20 edges from every terminal task of the first context);
+// a relayout must keep that room rather than shrink the rows the mapping
+// at hand does not use.
+func TestEvaluateSteadyStateAllocFree(t *testing.T) {
+	const n = 40
+	app := &model.App{Name: "wide"}
+	for i := 0; i < n; i++ {
+		app.Tasks = append(app.Tasks, model.Task{Name: "t", SW: ms(1), HW: []model.Impl{{CLBs: 10, Time: ms(0.1)}}})
+	}
+	arch := refArch()
+	split := func(first, second int) *Mapping {
+		m := &Mapping{
+			Assign:   make([]Placement, n),
+			Impl:     make([]int, n),
+			SWOrders: make([][]int, 1),
+			Contexts: [][]Context{{{}, {}}},
+		}
+		for t := 0; t < n; t++ {
+			ci := first
+			if t >= n/2 {
+				ci = second
+			}
+			m.Assign[t] = Placement{Kind: model.KindRC, Res: 0, Ctx: ci}
+			m.Contexts[0][ci].Tasks = append(m.Contexts[0][ci].Tasks, t)
+		}
+		return m
+	}
+	a, b := split(0, 1), split(1, 0)
+	for _, m := range []*Mapping{a, b} {
+		if err := CheckMapping(app, arch, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := NewEvaluator(app, arch)
+	evalBoth := func() {
+		for _, m := range []*Mapping{a, b} {
+			if _, err := e.Evaluate(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	evalBoth()
+	if allocs := testing.AllocsPerRun(5, evalBoth); allocs != 0 {
+		t.Fatalf("alternating two evaluated mappings allocates %.1f times", allocs)
+	}
+}

@@ -8,9 +8,8 @@ import (
 
 // TestFingerprintBatchAndEarlyStop pins the memoization contract of the new
 // knobs: serial widths (<=1) leave the fingerprint byte-identical to
-// earlier releases, a batched width separates the cache key, BatchWorkers
-// never appears (pure throughput), and the early-stop knobs separate keys
-// exactly when enabled.
+// earlier releases, a batched width separates the cache key, and the
+// early-stop knobs separate keys exactly when enabled.
 func TestFingerprintBatchAndEarlyStop(t *testing.T) {
 	app, arch := motionSetup(2000)
 	fp := func(mutate func(*Config)) string {
@@ -39,9 +38,6 @@ func TestFingerprintBatchAndEarlyStop(t *testing.T) {
 	batched := fp(func(c *Config) { c.SA.Batch = 8 })
 	if batched == base {
 		t.Fatal("batch=8 shares the serial fingerprint — batched and serial runs would conflate in the cache")
-	}
-	if got := fp(func(c *Config) { c.SA.Batch = 8; c.SA.BatchWorkers = 4 }); got != batched {
-		t.Fatal("BatchWorkers changed the fingerprint — it is pure throughput and must not split the cache")
 	}
 	early := fp(func(c *Config) { c.EarlyStopEpsilon = 0.01; c.EarlyStopWindow = 8 })
 	if early == base {
@@ -97,10 +93,8 @@ func TestBatchedRunStatsDeterministic(t *testing.T) {
 	cfg := fastConfig()
 	cfg.SA.Batch = 8
 
-	run := func(workers int) (float64, Stats) {
-		c := cfg
-		c.SA.BatchWorkers = workers
-		f, err := NewFactory("sa", app, arch, c)
+	run := func() (float64, Stats) {
+		f, err := NewFactory("sa", app, arch, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,10 +105,10 @@ func TestBatchedRunStatsDeterministic(t *testing.T) {
 		return out.Cost, st
 	}
 
-	costA, statsA := run(1)
-	costB, statsB := run(3)
+	costA, statsA := run()
+	costB, statsB := run()
 	if costA != costB || statsA != statsB {
-		t.Fatalf("worker count changed the batched run:\n  w=1 cost %v stats %+v\n  w=3 cost %v stats %+v",
+		t.Fatalf("repeating the batched run changed it:\n  a cost %v stats %+v\n  b cost %v stats %+v",
 			costA, statsA, costB, statsB)
 	}
 	if statsA.Speculated == 0 {

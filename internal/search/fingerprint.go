@@ -51,7 +51,7 @@ type saFields struct {
 	// batched and serial runs must never share cache entries. Serial widths
 	// (<=1) normalize to 0 and omit from the JSON, keeping the fingerprint —
 	// and every previously persisted cache key — byte-identical for serial
-	// runs. BatchWorkers is deliberately absent: it is pure throughput.
+	// runs.
 	Batch int `json:",omitempty"`
 }
 

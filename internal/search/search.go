@@ -17,9 +17,12 @@ import (
 type Stats struct {
 	// Steps counts Step calls that did work.
 	Steps int
-	// Evaluations counts scored candidate solutions (annealing move
-	// evaluations — including speculated-and-discarded batch candidates —
-	// GA fitness calls, decoded seeds / bipartitions).
+	// Evaluations counts candidate solutions: GA fitness calls, decoded
+	// seeds / bipartitions, and for annealing Accepted + Rejected +
+	// Discarded. A batched annealing run thus also counts the speculated
+	// candidates discarded after their round's acceptance, which were
+	// drawn but never scored; evaluations per second overstate batched
+	// scoring throughput by that share (Stats.Discarded).
 	Evaluations int
 	// BestCost is the best scalarized cost observed so far (+Inf before
 	// the first feasible candidate).
@@ -33,8 +36,8 @@ type Stats struct {
 	// MoveStats carries the SA per-move-kind proposal/acceptance counters
 	// (zero for non-SA strategies).
 	MoveStats core.MoveStats
-	// LaneStats carries the SA lane batch kernel's telemetry (zero when
-	// the shadow backend — or no batching — scored the run).
+	// LaneStats is always zero: the lane batch kernel that filled it is
+	// retired (see core.LaneStats).
 	LaneStats core.LaneStats
 	// EarlyStopped reports that the driver's adaptive early-stop rule
 	// truncated the run (see Config.EarlyStopEpsilon).

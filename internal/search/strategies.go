@@ -97,15 +97,15 @@ func (s *saStrategy) Stats() Stats {
 	st := s.e.StatsSnapshot()
 	out := Stats{
 		Steps: s.steps,
-		// Every scored candidate counts, including the speculated-and-
-		// discarded ones — their evaluation work is just as real.
+		// Discarded candidates count although the in-place batch kernel
+		// never scores them: the sum predates that kernel and is part of
+		// the result quality line and of cached outcomes.
 		Evaluations: st.Accepted + st.Rejected + st.Discarded,
 		BestCost:    st.BestCost,
 		Done:        s.done,
 		Speculated:  st.Speculated,
 		Discarded:   st.Discarded,
 		MoveStats:   s.e.MoveStatsSnapshot(),
-		LaneStats:   s.e.LaneStatsSnapshot(),
 	}
 	if s.warm != nil {
 		// A standalone warm-started SA run still reports where its
@@ -197,6 +197,7 @@ type listStrategy struct {
 	deadline model.Time
 
 	eval    *sched.Evaluator
+	dec     *listsched.Decoder
 	orders  [][]int // task ids by descending priority, one per family
 	fastest []int   // per-task fastest-implementation index
 
@@ -231,6 +232,7 @@ func (s *listStrategy) Init(int64) error {
 		}
 	}
 	s.eval = sched.NewEvaluator(s.app, s.arch)
+	s.dec = listsched.NewDecoder(s.app, s.arch)
 	s.i, s.evals, s.best = 0, 0, nil
 	if len(s.metrics) > 0 {
 		s.front = pareto.NewNArchive(len(s.metrics))
@@ -261,7 +263,7 @@ func (s *listStrategy) Step() (bool, error) {
 	if fast {
 		impl = s.fastest
 	}
-	m, err := listsched.Build(s.app, s.arch, hw, impl)
+	m, err := s.dec.Build(hw, impl)
 	if err != nil {
 		// An undecodable assignment (e.g. hardware-only tasks without an
 		// RC) just ends this candidate; the sweep continues.

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/objective"
 	"repro/internal/runner"
@@ -55,15 +54,8 @@ type JobSpec struct {
 	// Batch, when >1, enables speculative batched move evaluation of that
 	// width for SA runs (dsexplore -batch). It changes the annealing
 	// trajectory, so it is part of the cache key through the strategy
-	// fingerprint. BatchWorkers bounds the goroutines scoring each batch
-	// (0 = GOMAXPROCS) — pure throughput, deliberately absent from the
 	// fingerprint.
-	Batch        int `json:"batch,omitempty"`
-	BatchWorkers int `json:"batchWorkers,omitempty"`
-	// BatchKernel selects the batch scoring backend ("auto"/""/
-	// "shadow"/"lanes" — dsexplore -batch-kernel). The kernels are
-	// bit-identical, so like BatchWorkers it stays out of the fingerprint.
-	BatchKernel string `json:"batchKernel,omitempty"`
+	Batch int `json:"batch,omitempty"`
 	// EarlyStopEpsilon/EarlyStopWindow enable the driver-level adaptive
 	// early stop (dsexplore -early-stop / -early-stop-window); both are
 	// fingerprinted since truncation changes results.
@@ -161,14 +153,6 @@ func resolve(spec *JobSpec) (*resolved, error) {
 	if spec.Batch > 1 {
 		r.cfg.SA.Batch = spec.Batch
 	}
-	if spec.BatchWorkers > 0 {
-		r.cfg.SA.BatchWorkers = spec.BatchWorkers
-	}
-	kernel, err := core.ParseBatchKernel(spec.BatchKernel)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	r.cfg.SA.BatchKernel = kernel
 	if spec.EarlyStopEpsilon > 0 && spec.EarlyStopWindow > 0 {
 		r.cfg.EarlyStopEpsilon = spec.EarlyStopEpsilon
 		r.cfg.EarlyStopWindow = spec.EarlyStopWindow

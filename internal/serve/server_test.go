@@ -228,8 +228,10 @@ func TestBadSpecsRejected(t *testing.T) {
 		`{"scenario":"no-such-scenario"}`,
 		`{}`,
 		`{"scenario":"fig2-small","app":{"name":"x"}}`,
-		`{"scenario":"fig2-small","runz":3}`,           // unknown field
-		`{"scenario":"fig2-small","strategy":"bogus"}`, // unknown strategy
+		`{"scenario":"fig2-small","runz":3}`,              // unknown field
+		`{"scenario":"fig2-small","strategy":"bogus"}`,    // unknown strategy
+		`{"scenario":"fig2-small","batchKernel":"lanes"}`, // retired batch knob
+		`{"scenario":"fig2-small","batchWorkers":2}`,      // retired batch knob
 	}
 	for _, body := range cases {
 		for _, path := range []string{"/jobs", "/run"} {
