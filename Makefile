@@ -2,7 +2,7 @@
 # these targets so local runs and CI runs cannot drift apart.
 
 GO ?= go
-BENCH_JSON ?= BENCH_PR12.json
+BENCH_JSON ?= BENCH_PR14.json
 BENCH_MICRO_JSON ?= BENCH_MICRO.json
 BENCH_BASELINE ?= bench/BENCH_BASELINE.json
 BENCH_THRESHOLD ?= 0.20
@@ -17,7 +17,7 @@ SCHED_GATE ?= 0.05
 # and batch=8).
 BATCH ?= 8
 
-.PHONY: all build test race bench bench-json bench-check bench-baseline bench-batch-smoke bench-diff bench-micro-json dsed-smoke fleet-smoke fleet-report docs-check fmt fmt-check vet ci
+.PHONY: all build test race bench bench-json bench-check bench-baseline bench-batch-smoke bench-diff bench-micro-json dsed-smoke fleet-smoke fleet-report perfbench-check docs-check fmt fmt-check vet ci
 
 all: build test
 
@@ -124,6 +124,12 @@ fleet-smoke:
 fleet-report:
 	./scripts/fleet_report.sh
 
+# The benchmark harness is its own module (perfbench/go.mod, which
+# replaces repro with this checkout), so ./... above never builds it. This
+# target vets it and runs its self-tests against the current APIs.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Documentation lint: every package (library and command alike) must carry
 # a package comment ("// Package x ..." or "// Command x ...").
 docs-check:
@@ -146,4 +152,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: fmt-check vet docs-check build race bench bench-check dsed-smoke fleet-smoke
+ci: fmt-check vet docs-check build perfbench-check race bench bench-check dsed-smoke fleet-smoke

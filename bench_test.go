@@ -368,30 +368,31 @@ func BenchmarkPortfolio(b *testing.B) {
 // while producing a bit-identical outcome.
 func TestRunnerScratchPoolingAllocs(t *testing.T) {
 	app, arch := motionSetup(2000)
-	cfg := core.DefaultConfig()
-	cfg.MaxIters = 600
-	cfg.Warmup = 150
-	cfg.QuenchIters = 150
+	cfg := search.DefaultConfig()
+	cfg.SA.MaxIters = 600
+	cfg.SA.Warmup = 150
+	cfg.SA.QuenchIters = 150
 	// The recycler only carries incremental-path state; force that path so
 	// the assertion is meaningful on this small instance.
-	cfg.EvalMode = core.EvalIncremental
+	cfg.SA.EvalMode = core.EvalIncremental
 
-	pooled, err := runner.SA(app, arch, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prep, err := core.Prepare(app, arch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := func(seed int64) *core.Result {
-		c := cfg
-		c.Seed = seed
-		res, err := prep.Explore(c)
+	// runner.Strategy installs its recycler on the factory it is given,
+	// so the fresh runs need a factory of their own.
+	newFactory := func() *search.Factory {
+		f, err := search.NewFactory("sa", app, arch, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return f
+	}
+	pooled := runner.Strategy(newFactory())
+	freshFactory := newFactory()
+	fresh := func(seed int64) *search.Outcome {
+		out, err := search.Run(context.Background(), freshFactory, seed, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
 
 	// Bit-identity: the recycled run must reproduce the fresh run exactly.
@@ -401,8 +402,8 @@ func TestRunnerScratchPoolingAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Eval != want.BestEval {
-		t.Fatalf("recycled run diverged: eval %+v, want %+v", out.Eval, want.BestEval)
+	if out.Eval != want.Eval {
+		t.Fatalf("recycled run diverged: eval %+v, want %+v", out.Eval, want.Eval)
 	}
 	if !reflect.DeepEqual(out.Best, want.Best) {
 		t.Fatal("recycled run found a different best mapping")
@@ -429,15 +430,16 @@ func TestRunnerScratchPoolingAllocs(t *testing.T) {
 // identical between the two; only the wall clock should differ.
 func BenchmarkExploreMany(b *testing.B) {
 	app, arch := motionSetup(800)
-	cfg := core.DefaultConfig()
-	cfg.MaxIters = 1500
-	cfg.Warmup = 300
-	cfg.QuenchIters = 500
-	cfg.Deadline = apps.MotionDeadline
-	fn, err := runner.SA(app, arch, cfg)
+	cfg := search.DefaultConfig()
+	cfg.SA.MaxIters = 1500
+	cfg.SA.Warmup = 300
+	cfg.SA.QuenchIters = 500
+	cfg.SA.Deadline = apps.MotionDeadline
+	f, err := search.NewFactory("sa", app, arch, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
+	fn := runner.Strategy(f)
 	runsPer := 2 * runtime.NumCPU()
 	for _, j := range []int{1, runtime.NumCPU()} {
 		b.Run(fmt.Sprintf("j=%d", j), func(b *testing.B) {

@@ -19,8 +19,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -28,28 +30,51 @@ import (
 	"time"
 
 	"repro/internal/apps"
-	"repro/internal/core"
-	"repro/internal/ga"
 	"repro/internal/objective"
 	"repro/internal/report"
 	"repro/internal/runner"
+	"repro/internal/search"
 )
+
+// errUsage reports a flag error; the flag set has already printed it
+// together with the usage text.
+var errUsage = errors.New("usage")
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("dsecompare: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		switch {
+		case errors.Is(err, flag.ErrHelp):
+			os.Exit(0)
+		case errors.Is(err, errUsage):
+			os.Exit(2)
+		}
+		log.Fatal(err)
+	}
+}
+
+// run parses args, runs both batches and writes the comparison to
+// stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("dsecompare", flag.ContinueOnError)
 	var (
-		nclb     = flag.Int("nclb", 2000, "FPGA capacity in CLBs")
-		saRuns   = flag.Int("sa-runs", 10, "annealing runs (best/average reported)")
-		saIter   = flag.Int("sa-iters", 5000, "annealing iterations per run")
-		gaPop    = flag.Int("ga-pop", 300, "GA population (paper: 300)")
-		gaGens   = flag.Int("ga-gens", 120, "GA generations")
-		gaRuns   = flag.Int("ga-runs", 3, "GA runs (best/average reported)")
-		workers  = flag.Int("j", runtime.NumCPU(), "parallel runs per method")
-		frontCSV = flag.String("front", "", "write the cross-run area/makespan Pareto front to this CSV file")
-		cacheOn  = flag.Bool("cache", false, "memoize run outcomes (identical reruns of either method become cache hits)")
+		nclb     = fs.Int("nclb", 2000, "FPGA capacity in CLBs")
+		saRuns   = fs.Int("sa-runs", 10, "annealing runs (best/average reported)")
+		saIter   = fs.Int("sa-iters", 5000, "annealing iterations per run")
+		gaPop    = fs.Int("ga-pop", 300, "GA population (paper: 300)")
+		gaGens   = fs.Int("ga-gens", 120, "GA generations")
+		gaRuns   = fs.Int("ga-runs", 3, "GA runs (best/average reported)")
+		workers  = fs.Int("j", runtime.NumCPU(), "parallel runs per method")
+		frontCSV = fs.String("front", "", "write the cross-run area/makespan Pareto front to this CSV file")
+		cacheOn  = fs.Bool("cache", false, "memoize run outcomes (identical reruns of either method become cache hits)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
 
 	var cache *runner.ResultCache
 	if *cacheOn {
@@ -63,46 +88,55 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	fmt.Printf("SA vs GA on %q, FPGA %d CLBs (deadline 40 ms, all-SW %v, %d workers)\n\n",
+	fmt.Fprintf(stdout, "SA vs GA on %q, FPGA %d CLBs (deadline 40 ms, all-SW %v, %d workers)\n\n",
 		app.Name, *nclb, app.TotalSW(), *workers)
+
+	// batch runs one method's runs through the multi-run engine.
+	batch := func(name string, cfg search.Config, runs int) (*runner.Aggregate, time.Duration, error) {
+		f, err := search.NewFactory(name, app, arch, cfg)
+		if err != nil {
+			return nil, 0, err
+		}
+		fn, err := runner.WithCache(runner.CacheConfig{Cache: cache, Factory: f})
+		if err != nil {
+			return nil, 0, err
+		}
+		start := time.Now()
+		agg, err := runner.Run(ctx, app, runner.Options{Runs: runs, Workers: *workers}, fn)
+		if err != nil && ctx.Err() == nil {
+			return nil, 0, err
+		}
+		return agg, time.Since(start), nil
+	}
+
+	// One configuration carries both methods' parameters; SA.Deadline
+	// also sets the GA runs' deadline verdicts.
+	cfg := search.DefaultConfig()
+	cfg.SA.MaxIters = *saIter
+	cfg.SA.Deadline = apps.MotionDeadline
+	cfg.GA.Population = *gaPop
+	cfg.GA.Generations = *gaGens
 
 	// Simulated annealing (this paper). The runs collect the in-run
 	// area/makespan fronts, merged across runs by the engine.
-	saCfg := core.DefaultConfig()
-	saCfg.MaxIters = *saIter
-	saCfg.Deadline = apps.MotionDeadline
+	saCfg := cfg
 	saCfg.FrontMetrics = []objective.Metric{objective.HWArea, objective.Makespan}
-	saFn, err := runner.WithCache(runner.CacheConfig{Cache: cache, SA: &saCfg, App: app, Arch: arch})
+	saAgg, saWall, err := batch("sa", saCfg, *saRuns)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	saStart := time.Now()
-	saAgg, err := runner.Run(ctx, app, runner.Options{Runs: *saRuns, Workers: *workers}, saFn)
-	if err != nil && ctx.Err() == nil {
-		log.Fatal(err)
-	}
-	saWall := time.Since(saStart)
 
 	// Genetic algorithm baseline [6].
-	gaCfg := ga.DefaultConfig()
-	gaCfg.Population = *gaPop
-	gaCfg.Generations = *gaGens
-	gaFn, err := runner.WithCache(runner.CacheConfig{Cache: cache, GA: &gaCfg, GADeadline: apps.MotionDeadline, App: app, Arch: arch})
+	gaAgg, gaWall, err := batch("ga", cfg, *gaRuns)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	gaStart := time.Now()
-	gaAgg, err := runner.Run(ctx, app, runner.Options{Runs: *gaRuns, Workers: *workers}, gaFn)
-	if err != nil && ctx.Err() == nil {
-		log.Fatal(err)
-	}
-	gaWall := time.Since(gaStart)
 
 	if ctx.Err() != nil {
 		if saAgg.Completed == 0 {
-			log.Fatal("interrupted before any run completed")
+			return errors.New("interrupted before any run completed")
 		}
-		fmt.Println("interrupted — showing completed runs")
+		fmt.Fprintln(stdout, "interrupted — showing completed runs")
 	}
 
 	tb := report.NewTable("method", "best_ms", "avg_ms", "runs", "total_wall", "wall_per_run")
@@ -117,31 +151,31 @@ func main() {
 	}
 	addRow("adaptive SA (this paper)", saAgg, saWall)
 	addRow(fmt.Sprintf("GA [6] pop=%d", *gaPop), gaAgg, gaWall)
-	if err := tb.Render(os.Stdout); err != nil {
-		log.Fatal(err)
+	if err := tb.Render(stdout); err != nil {
+		return err
 	}
 	if cache != nil {
 		st := cache.Stats()
-		fmt.Printf("\nresult cache: %d hits, %d misses, %d resident (SA %d + GA %d cached runs)\n",
+		fmt.Fprintf(stdout, "\nresult cache: %d hits, %d misses, %d resident (SA %d + GA %d cached runs)\n",
 			st.Hits, st.Misses, st.Entries, saAgg.CacheHits, gaAgg.CacheHits)
 	}
 
 	if saAgg.Completed > 0 && gaAgg.Completed > 0 {
 		saBest := saAgg.BestEval.Makespan
 		gaBest := gaAgg.BestEval.Makespan
-		fmt.Printf("\nSA best %v (run %d) vs GA best %v (run %d) — SA better: %v (paper: 18.1 ms vs 28 ms)\n",
+		fmt.Fprintf(stdout, "\nSA best %v (run %d) vs GA best %v (run %d) — SA better: %v (paper: 18.1 ms vs 28 ms)\n",
 			saBest, saAgg.BestRun, gaBest, gaAgg.BestRun, saBest < gaBest)
 		perSA := saWall / time.Duration(saAgg.Completed)
 		perGA := gaWall / time.Duration(gaAgg.Completed)
 		if perSA > 0 {
-			fmt.Printf("speed ratio (GA/SA per run): %.1f× (paper: ≥24×, ≥an order of magnitude)\n",
+			fmt.Fprintf(stdout, "speed ratio (GA/SA per run): %.1f× (paper: ≥24×, ≥an order of magnitude)\n",
 				float64(perGA)/float64(perSA))
 		}
 	}
 	if *frontCSV != "" && saAgg.Front != nil {
 		f, err := os.Create(*frontCSV)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		ftb := report.NewTable("clbs", "makespan_ms", "run")
 		for _, p := range saAgg.Front.Points() {
@@ -149,21 +183,22 @@ func main() {
 		}
 		if err := ftb.CSV(f); err != nil {
 			f.Close()
-			log.Fatal(err)
+			return err
 		}
 		if err := f.Close(); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("\ncross-run Pareto front (%d points) written to %s\n", saAgg.Front.Len(), *frontCSV)
+		fmt.Fprintf(stdout, "\ncross-run Pareto front (%d points) written to %s\n", saAgg.Front.Len(), *frontCSV)
 	}
 	if pts := saAgg.Archive.Points(); len(pts) > 1 {
-		fmt.Println("\nSA cross-run area/time Pareto archive (occupied CLBs vs execution time):")
+		fmt.Fprintln(stdout, "\nSA cross-run area/time Pareto archive (occupied CLBs vs execution time):")
 		atb := report.NewTable("clbs", "exec", "run")
 		for _, p := range pts {
 			atb.AddRow(p.Impl.CLBs, p.Impl.Time.String(), p.ID)
 		}
-		if err := atb.Render(os.Stdout); err != nil {
-			log.Fatal(err)
+		if err := atb.Render(stdout); err != nil {
+			return err
 		}
 	}
+	return nil
 }

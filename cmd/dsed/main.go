@@ -10,14 +10,13 @@
 // GET /v1/jobs[/{id}[/stream]], DELETE /v1/jobs/{id}, POST /v1/run
 // (synchronous streaming; disconnecting cancels the run),
 // GET /v1/scenarios, GET /v1/cache, GET /v1/metrics (Prometheus text),
-// GET /v1/healthz. The unversioned paths of the original API remain as
-// deprecated aliases.
+// GET /v1/healthz.
 //
 // Usage:
 //
 //	dsed                                    # serve on :8080, cache enabled
 //	dsed -addr :9090 -max-jobs 4
-//	dsed -cache-size 16384 -cache-ttl 1h -policy 2q
+//	dsed -cache-size 16384 -cache-ttl 1h -stale-for 10m
 //	dsed -snapshot /var/lib/dsed/cache.snap -snapshot-interval 5m
 //	dsed -smoke                             # self-test: submit fig2-small twice,
 //	                                        # assert the resubmission is a cache hit,
@@ -51,7 +50,6 @@ import (
 
 	"repro/dse"
 	"repro/internal/fleet"
-	"repro/internal/memo"
 	"repro/internal/runner"
 	"repro/internal/serve"
 )
@@ -120,7 +118,6 @@ func main() {
 		noCache   = flag.Bool("no-cache", false, "disable the memoized result cache")
 		cacheSize = flag.Int("cache-size", 8192, "result-cache capacity (entries)")
 		cacheTTL  = flag.Duration("cache-ttl", 0, "result-cache entry TTL (0 = never expire)")
-		policy    = flag.String("policy", "lru", "cache eviction policy: lru, lfu, or 2q")
 		staleFor  = flag.Duration("stale-for", 0, "with -cache-ttl, keep serving expired entries for this long while a background refresh recomputes (0 = off)")
 		snapPath  = flag.String("snapshot", "", "cache snapshot file: restored on boot, saved every -snapshot-interval and on shutdown (empty = no persistence)")
 		snapEvery = flag.Duration("snapshot-interval", 5*time.Minute, "how often to save the cache snapshot (requires -snapshot)")
@@ -143,25 +140,18 @@ func main() {
 		return
 	}
 
-	pol, err := memo.ParsePolicy(*policy)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dsed: %v\n", err)
-		os.Exit(2)
-	}
-
 	var cache *runner.ResultCache
 	if !*noCache {
 		cache = runner.NewResultCacheWith(runner.ResultCacheOptions{
 			Capacity: *cacheSize,
 			TTL:      *cacheTTL,
 			StaleFor: *staleFor,
-			Policy:   pol,
 		})
 	}
 	srv := serve.New(serve.Options{Cache: cache, MaxJobs: *maxJobs, MaxFinished: *maxDone, Logf: log.Printf})
 
 	if *smoke {
-		if err := runSmoke(srv, pol, *snapPath); err != nil {
+		if err := runSmoke(srv, *snapPath); err != nil {
 			log.Fatalf("smoke: %v", err)
 		}
 		fmt.Println("dsed smoke: PASS")
@@ -231,10 +221,10 @@ func main() {
 		httpSrv.Shutdown(shutdownCtx)
 	}()
 	if agent != nil {
-		log.Printf("serving on %s (cache %v, policy %s, max-jobs %d, fleet %s as %s)",
-			*addr, !*noCache, pol, *maxJobs, *join, fleetWorkerID(*workerID, *addr))
+		log.Printf("serving on %s (cache %v, max-jobs %d, fleet %s as %s)",
+			*addr, !*noCache, *maxJobs, *join, fleetWorkerID(*workerID, *addr))
 	} else {
-		log.Printf("serving on %s (cache %v, policy %s, max-jobs %d)", *addr, !*noCache, pol, *maxJobs)
+		log.Printf("serving on %s (cache %v, max-jobs %d)", *addr, !*noCache, *maxJobs)
 	}
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
@@ -309,7 +299,7 @@ func saveSnapshot(cache *runner.ResultCache, path string) {
 //     per-shard hit counters.
 //
 // snapPath selects the snapshot file; empty uses a temp file.
-func runSmoke(srv *serve.Server, pol memo.Policy, snapPath string) error {
+func runSmoke(srv *serve.Server, snapPath string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 240*time.Second)
 	defer cancel()
 	spec := dse.JobSpec{Scenario: "fig2-small", Strategy: "sa", Runs: 4, MaxSteps: 10}
@@ -358,7 +348,7 @@ func runSmoke(srv *serve.Server, pol memo.Policy, snapPath string) error {
 	saveSnapshot(srv.Cache(), snapPath)
 	closeA()
 
-	cache2 := runner.NewResultCacheWith(runner.ResultCacheOptions{Capacity: 8192, Policy: pol})
+	cache2 := runner.NewResultCache(8192, 0)
 	restoreSnapshot(cache2, snapPath)
 	if cache2.Len() == 0 {
 		return fmt.Errorf("restart: snapshot %s restored 0 entries", snapPath)

@@ -46,9 +46,8 @@ type Client struct {
 	retryWait time.Duration
 }
 
-// apiPrefix is the versioned path prefix the client speaks. The server
-// keeps the unversioned paths as deprecated aliases, but this client
-// always addresses the current /v1 API.
+// apiPrefix is the versioned path prefix the client speaks: the server
+// mounts every endpoint under /v1 only.
 const apiPrefix = "/v1"
 
 // ClientOptions shapes a Client.

@@ -90,8 +90,7 @@ func TestClientErrorsSurfaceServerMessage(t *testing.T) {
 }
 
 // TestClientSpeaksV1 pins that the client addresses the versioned API:
-// requests must carry the /v1 prefix and therefore no Deprecation
-// header comes back.
+// requests must carry the /v1 prefix, the only paths the server mounts.
 func TestClientSpeaksV1(t *testing.T) {
 	var sawPath string
 	srv := serve.New(serve.Options{Cache: runner.NewResultCache(16, 0), Logf: t.Logf})

@@ -101,25 +101,25 @@ type RunResult = runner.RunResult
 // ExploreMany runs ropts.Runs independent annealing explorations over a
 // worker pool (ropts.Workers; 0 selects NumCPU) with the deterministic seed
 // stream opts.Seed′ = ropts.BaseSeed + run. Per-run results and their
-// aggregation order are identical for any worker count. Cancelling ctx
-// stops in-flight runs within one annealing iteration; the partial
-// aggregate of the completed runs is returned alongside ctx.Err().
+// aggregation order are identical for any worker count. It is
+// SearchMany("sa", …) with opts as the annealer's parameters and its
+// Objective and FrontMetrics as the shared objective settings. Cancelling
+// ctx stops in-flight runs within one driver step (64 annealing
+// iterations); the partial aggregate of the completed runs is returned
+// alongside ctx.Err().
 func ExploreMany(ctx context.Context, app *App, arch *Arch, opts Options, ropts RunnerOptions) (*MultiResult, error) {
-	fn, err := runner.SA(app, arch, opts)
-	if err != nil {
-		return nil, err
-	}
-	return runner.Run(ctx, app, ropts, fn)
+	sopts := SearchOptions{Objective: opts.Objective, FrontMetrics: opts.FrontMetrics, SA: opts}
+	return SearchMany(ctx, "sa", app, arch, sopts, ropts)
 }
 
-// ExploreManyGA is ExploreMany for the genetic-algorithm baseline. deadline
-// only affects the aggregate's DeadlineMet count (0 = no constraint).
+// ExploreManyGA is ExploreMany for the genetic-algorithm baseline
+// (SearchMany("ga", …)); cancellation takes up to one generation.
+// deadline only affects the per-run MetDeadline verdicts and the
+// aggregate's DeadlineMet count (0 = no constraint).
 func ExploreManyGA(ctx context.Context, app *App, arch *Arch, opts GAOptions, deadline Time, ropts RunnerOptions) (*MultiResult, error) {
-	fn, err := runner.GA(app, arch, opts, deadline)
-	if err != nil {
-		return nil, err
-	}
-	return runner.Run(ctx, app, ropts, fn)
+	sopts := SearchOptions{Objective: opts.Objective, FrontMetrics: opts.FrontMetrics, GA: opts}
+	sopts.SA.Deadline = deadline
+	return SearchMany(ctx, "ga", app, arch, sopts, ropts)
 }
 
 // GAOptions configures the genetic-algorithm baseline.

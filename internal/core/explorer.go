@@ -110,11 +110,11 @@ type candidatePools struct {
 
 // Prepared caches everything about an (application, architecture) pair that
 // is independent of the run configuration: validation, the transitive
-// closure of the precedence graph, and the fixed topological order. Batched
-// multi-run drivers (internal/runner) prepare once and then spawn one cheap
-// Explorer per seed, hoisting the O(V²) closure construction out of the
-// per-run hot loop. A Prepared is immutable after construction and safe for
-// concurrent use by multiple explorers.
+// closure of the precedence graph, and the fixed topological order. The
+// strategy factory (internal/search) prepares once per batch and then
+// spawns one cheap Explorer per seed, hoisting the O(V²) closure
+// construction out of the per-run hot loop. A Prepared is immutable after
+// construction and safe for concurrent use by multiple explorers.
 type Prepared struct {
 	app       *model.App
 	arch      *model.Arch
@@ -216,15 +216,6 @@ func (p *Prepared) New(cfg Config) (*Explorer, error) {
 		return nil, err
 	}
 	return e, nil
-}
-
-// Explore is the prepared one-call API: build an explorer and run it.
-func (p *Prepared) Explore(cfg Config) (*Result, error) {
-	e, err := p.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return e.Run()
 }
 
 // New validates the inputs and builds an explorer with a random initial

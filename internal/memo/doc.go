@@ -1,22 +1,23 @@
 // Package memo is a sharded, capacity-bounded, optionally TTL'd
-// in-memory result cache with pluggable eviction, singleflight
+// in-memory result cache with per-shard LRU eviction, singleflight
 // de-duplication, stale-while-revalidate, and snapshot persistence.
 //
 // The design follows the shape of production in-memory caches (the
 // samber/hot lineage): the key space is split across 2^k independently
 // locked shards so concurrent Get/Put traffic from a worker pool never
-// serializes on one mutex, each shard bounds its entry count under a
-// replacement policy, and entries may carry an expiry deadline checked
-// lazily on access. On top of the shards, Do provides singleflight
+// serializes on one mutex, each shard bounds its entry count by evicting
+// its least recently used entry, and entries may carry an expiry deadline
+// checked lazily on access. On top of the shards, Do provides singleflight
 // semantics: concurrent callers of the same missing key block on one
 // compute instead of racing N identical computations — exactly what a
 // design-space-exploration service needs when identical jobs arrive
 // together.
 //
-// Eviction is a per-shard policy behind the Eviction interface
-// (victim selection plus admit/touch/remove hooks); LRU, LFU, and a
-// simplified 2Q ship built in (Options.Policy), and Options.NewEviction
-// accepts custom factories. With Options.StaleFor set, an expired entry
+// Each shard keeps its entries on a recency list: a hit (fresh or stale)
+// and a re-Put move the entry to the front, expiry unlinks it, and an
+// insert into a full shard first evicts the entry at the back. LRU is the
+// only order: on the service's own key stream LFU and 2Q hit within 0.14
+// points of it (DESIGN.md §9.1). With Options.StaleFor set, an expired entry
 // keeps serving for that window while one background singleflight
 // refresh revalidates it — a popular key never blocks on recompute.
 // Snapshot/Restore persist the resident entries through a versioned,

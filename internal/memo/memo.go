@@ -58,12 +58,6 @@ type Options struct {
 	// never cached) — stale-while-revalidate. Entries older than
 	// TTL+StaleFor are dropped as before.
 	StaleFor time.Duration
-	// Policy selects the built-in eviction policy (PolicyLRU default).
-	Policy Policy
-	// NewEviction, when non-nil, overrides Policy with a custom per-shard
-	// policy factory; it is called once per shard with the shard's entry
-	// bound.
-	NewEviction func(capacity int) Eviction
 	// Clock overrides time.Now for TTL checks (tests inject a fake).
 	Clock func() time.Time
 }
@@ -107,8 +101,8 @@ func (s *ShardStats) add(o ShardStats) {
 // endpoint labels series by shard index).
 type Stats struct {
 	ShardStats
-	// Policy is the eviction policy name ("lru", "lfu", "2q", or "custom"
-	// for an Options.NewEviction override).
+	// Policy names the eviction order: always "lru" (kept on the wire
+	// for clients and dashboards that read it).
 	Policy string `json:"policy"`
 	// Capacity is the total entry bound across all shards.
 	Capacity int `json:"capacity"`
@@ -136,26 +130,49 @@ func (c *counters) snapshot() ShardStats {
 	}
 }
 
-// entry is one resident key/value pair.
+// entry is one resident key/value pair, linked into its shard's
+// recency list.
 type entry[V any] struct {
-	val V
-	exp time.Time // freshness deadline; zero = never expires
+	key        Key
+	val        V
+	exp        time.Time // freshness deadline; zero = never expires
+	prev, next *entry[V]
 }
 
-// shard is one independently locked slice of the key space. The policy
-// owns the replacement order; the shard owns residency and expiry.
+// shard is one independently locked slice of the key space: the resident
+// entries plus their least-recently-used order, a doubly-linked list
+// closed by the lru sentinel (lru.next is the most recently used entry,
+// lru.prev the eviction victim).
 type shard[V any] struct {
-	mu     sync.Mutex
-	items  map[Key]*entry[V]
-	policy Eviction
-	cap    int
-	n      counters
+	mu    sync.Mutex
+	items map[Key]*entry[V]
+	lru   entry[V]
+	cap   int
+	n     counters
 }
 
-func (s *shard[V]) init(capacity int, newEviction func(int) Eviction) {
+func (s *shard[V]) init(capacity int) {
 	s.items = make(map[Key]*entry[V], capacity)
-	s.policy = newEviction(capacity)
+	s.lru.prev, s.lru.next = &s.lru, &s.lru
 	s.cap = capacity
+}
+
+// pushFront links e in as the most recently used entry.
+func (s *shard[V]) pushFront(e *entry[V]) {
+	e.prev, e.next = &s.lru, s.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// unlink removes e from the recency list.
+func (s *shard[V]) unlink(e *entry[V]) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+}
+
+// touch marks e as the most recently used entry.
+func (s *shard[V]) touch(e *entry[V]) {
+	s.unlink(e)
+	s.pushFront(e)
 }
 
 // lookup state classification.
@@ -174,7 +191,7 @@ type call[V any] struct {
 	err  error
 }
 
-// Cache is a sharded TTL cache with pluggable eviction, singleflight
+// Cache is a sharded TTL cache with per-shard LRU eviction, singleflight
 // computation, stale-while-revalidate, and snapshot persistence (see
 // snapshot.go). All methods are safe for concurrent use. The zero value
 // is not usable; construct with New.
@@ -184,7 +201,6 @@ type Cache[V any] struct {
 	ttl      time.Duration
 	staleFor time.Duration
 	clock    func() time.Time
-	policy   string
 	capacity int
 
 	flightMu sync.Mutex
@@ -214,31 +230,20 @@ func New[V any](opts Options) *Cache[V] {
 	if clock == nil {
 		clock = time.Now
 	}
-	newEviction := opts.NewEviction
-	policy := opts.Policy.String()
-	if newEviction == nil {
-		newEviction = opts.Policy.NewEviction
-	} else {
-		policy = "custom"
-	}
 	c := &Cache[V]{
 		shards:   make([]shard[V], shards),
 		mask:     uint64(shards - 1),
 		ttl:      opts.TTL,
 		staleFor: opts.StaleFor,
 		clock:    clock,
-		policy:   policy,
 		capacity: perShard * shards,
 		flight:   make(map[Key]*call[V]),
 	}
 	for i := range c.shards {
-		c.shards[i].init(perShard, newEviction)
+		c.shards[i].init(perShard)
 	}
 	return c
 }
-
-// Policy returns the eviction policy name.
-func (c *Cache[V]) Policy() string { return c.policy }
 
 // Capacity returns the total entry bound across all shards.
 func (c *Cache[V]) Capacity() int { return c.capacity }
@@ -283,7 +288,7 @@ func (c *Cache[V]) lookup(k Key) (V, lookupState) {
 	if !e.exp.IsZero() {
 		now := c.clock()
 		if now.After(e.exp.Add(c.staleFor)) {
-			s.policy.Remove(k)
+			s.unlink(e)
 			delete(s.items, k)
 			s.mu.Unlock()
 			s.n.expirations.Add(1)
@@ -291,20 +296,20 @@ func (c *Cache[V]) lookup(k Key) (V, lookupState) {
 			return zero, lookupMiss
 		}
 		if now.After(e.exp) {
-			s.policy.Touch(k)
+			s.touch(e)
 			v := e.val
 			s.mu.Unlock()
 			return v, lookupStale
 		}
 	}
-	s.policy.Touch(k)
+	s.touch(e)
 	v := e.val
 	s.mu.Unlock()
 	return v, lookupFresh
 }
 
-// Put inserts (or refreshes) k, evicting the policy's victim when the
-// shard bound is exceeded.
+// Put inserts (or refreshes) k, evicting the shard's least recently used
+// entry when the shard bound is exceeded.
 func (c *Cache[V]) Put(k Key, v V) {
 	var exp time.Time
 	if c.ttl > 0 {
@@ -322,25 +327,22 @@ func (c *Cache[V]) put(k Key, v V, exp time.Time) {
 	if e, ok := s.items[k]; ok {
 		e.val = v
 		e.exp = exp
-		s.policy.Touch(k)
+		s.touch(e)
 		s.mu.Unlock()
 		return
 	}
-	// Evict before admitting: the victim is chosen among the resident
-	// entries, so a policy can never select the newcomer itself (LFU and
-	// 2Q would otherwise refuse admission — a fresh entry is both least
-	// frequent and newest in the admission queue).
+	// Evict before admitting, so the victim is always a resident entry
+	// and never the newcomer.
 	evicted := 0
 	for len(s.items) >= s.cap {
-		victim, ok := s.policy.Victim()
-		if !ok {
-			break
-		}
-		delete(s.items, victim)
+		victim := s.lru.prev
+		s.unlink(victim)
+		delete(s.items, victim.key)
 		evicted++
 	}
-	s.items[k] = &entry[V]{val: v, exp: exp}
-	s.policy.Admit(k)
+	e := &entry[V]{key: k, val: v, exp: exp}
+	s.items[k] = e
+	s.pushFront(e)
 	s.mu.Unlock()
 	if evicted > 0 {
 		s.n.evictions.Add(uint64(evicted))
@@ -483,7 +485,7 @@ func (c *Cache[V]) Len() int {
 // Stats snapshots the counters: per-shard breakdowns plus their sum.
 func (c *Cache[V]) Stats() Stats {
 	st := Stats{
-		Policy:   c.policy,
+		Policy:   "lru",
 		Capacity: c.capacity,
 		Shards:   make([]ShardStats, len(c.shards)),
 	}

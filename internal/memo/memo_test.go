@@ -1,9 +1,12 @@
 package memo
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -45,25 +48,234 @@ func TestGetPut(t *testing.T) {
 	}
 }
 
-func TestLRUEviction(t *testing.T) {
-	// One shard, capacity 2: inserting a third key evicts the least
-	// recently used.
-	c := New[string](Options{Capacity: 2, Shards: 1})
-	ka, kb, kc := KeyOf("a"), KeyOf("b"), KeyOf("c")
-	c.Put(ka, "a")
-	c.Put(kb, "b")
-	c.Get(ka) // a is now more recent than b
-	c.Put(kc, "c")
-	if _, ok := c.Get(kb); ok {
-		t.Fatal("LRU entry b survived eviction")
+// lruOrder lists shard 0's keys from the next victim to the most
+// recently used entry, failing the test unless the recency list links
+// exactly the resident entries.
+func lruOrder(t *testing.T, c *Cache[int]) []Key {
+	t.Helper()
+	s := &c.shards[0]
+	var order []Key
+	for e := s.lru.prev; e != &s.lru; e = e.prev {
+		if s.items[e.key] != e {
+			t.Fatalf("listed key %x is not resident", e.key[:4])
+		}
+		order = append(order, e.key)
 	}
-	for _, k := range []Key{ka, kc} {
-		if _, ok := c.Get(k); !ok {
-			t.Fatalf("recent entry evicted")
+	if len(order) != len(s.items) {
+		t.Fatalf("recency list links %d entries, shard holds %d", len(order), len(s.items))
+	}
+	return order
+}
+
+// TestLRUEviction drives one shard through each point that moves the
+// replacement order — fresh hits, stale hits and re-puts touch; expiry
+// unlinks; a full shard evicts its least recently used entry before
+// admitting — and checks the resulting order, victim first.
+func TestLRUEviction(t *testing.T) {
+	const ttl = 100 * time.Second
+	cases := []struct {
+		name     string
+		capacity int
+		ops      func(c *Cache[int], clock *fakeClock, ks []Key)
+		order    []int // key indices, next victim first
+		evicted  uint64
+		expired  uint64
+	}{
+		{
+			name:     "fresh hit touches",
+			capacity: 2,
+			ops: func(c *Cache[int], clock *fakeClock, ks []Key) {
+				c.Put(ks[0], 0)
+				c.Put(ks[1], 1)
+				c.Get(ks[0]) // 0 is now more recent than 1
+				c.Put(ks[2], 2)
+			},
+			order:   []int{0, 2},
+			evicted: 1,
+		},
+		{
+			name:     "re-put and stale hit touch",
+			capacity: 3,
+			ops: func(c *Cache[int], clock *fakeClock, ks []Key) {
+				c.Put(ks[0], 0)
+				c.Put(ks[1], 1)
+				c.Put(ks[2], 2)
+				c.Put(ks[0], 10)
+				clock.Advance(ttl + time.Second) // every entry is stale now
+				c.Get(ks[1])
+			},
+			order: []int{2, 0, 1},
+		},
+		{
+			// Half the entries leave by expiry; the survivors, touched
+			// in a fixed pattern, must then be evicted in recency order
+			// and the freed slots must fill without evicting.
+			name:     "expiry unlinks then eviction drains survivors",
+			capacity: 8,
+			ops: func(c *Cache[int], clock *fakeClock, ks []Key) {
+				for i := 0; i < 8; i += 2 {
+					c.Put(ks[i], i)
+				}
+				clock.Advance(ttl / 2)
+				for i := 1; i < 8; i += 2 {
+					c.Put(ks[i], i)
+				}
+				c.Get(ks[3])
+				c.Get(ks[1])
+				// Past the even keys' stale window, inside the odd keys' TTL.
+				clock.Advance(ttl * 4 / 5)
+				for i := 0; i < 8; i += 2 {
+					c.Get(ks[i]) // expires the entry
+				}
+				for i := 8; i < 14; i++ {
+					c.Put(ks[i], i)
+				}
+			},
+			order:   []int{3, 1, 8, 9, 10, 11, 12, 13},
+			evicted: 2, // 5, then 7
+			expired: 4,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := newFakeClock()
+			c := New[int](Options{Capacity: tc.capacity, Shards: 1, TTL: ttl, StaleFor: ttl / 4, Clock: clock.Now})
+			ks := make([]Key, 16)
+			for i := range ks {
+				ks[i] = KeyOf(fmt.Sprintf("k%d", i))
+			}
+			tc.ops(c, clock, ks)
+			got := lruOrder(t, c)
+			if len(got) != len(tc.order) {
+				t.Fatalf("%d entries resident, want %d", len(got), len(tc.order))
+			}
+			for i, want := range tc.order {
+				if got[i] != ks[want] {
+					t.Fatalf("order position %d holds %x, want key %d", i, got[i][:4], want)
+				}
+			}
+			st := c.Stats()
+			if st.Evictions != tc.evicted || st.Expirations != tc.expired {
+				t.Fatalf("evictions %d, expirations %d; want %d, %d", st.Evictions, st.Expirations, tc.evicted, tc.expired)
+			}
+		})
+	}
+}
+
+// TestPolicyRemoveConsistency drives a shard's LRU list directly through
+// admit/touch/remove/victim cycles, checking that removal of arbitrary
+// keys never corrupts victim selection.
+func TestPolicyRemoveConsistency(t *testing.T) {
+	t.Run("lru", func(t *testing.T) {
+		c := New[int](Options{Capacity: 8, Shards: 1})
+		s := &c.shards[0]
+		ks := make([]Key, 8)
+		for i := range ks {
+			ks[i] = KeyOf(fmt.Sprintf("k%d", i))
+		}
+		for i, k := range ks {
+			e := &entry[int]{key: k, val: i}
+			s.items[k] = e
+			s.pushFront(e)
+		}
+		for i, k := range ks {
+			for j := 0; j < i; j++ {
+				s.touch(s.items[k])
+			}
+		}
+		// Remove half the keys explicitly.
+		for i := 0; i < 4; i++ {
+			k := ks[i*2]
+			s.unlink(s.items[k])
+			delete(s.items, k)
+		}
+		lruOrder(t, c) // the list still links exactly the resident entries
+		// Victims must drain exactly the remaining keys, least recently
+		// touched first, each once.
+		want := []int{1, 3, 5, 7}
+		for n := 0; s.lru.prev != &s.lru; n++ {
+			victim := s.lru.prev
+			if n >= len(want) {
+				t.Fatalf("victim %x beyond the %d remaining keys", victim.key[:4], len(want))
+			}
+			if victim.key != ks[want[n]] {
+				t.Fatalf("victim %d is %x, want key %d", n, victim.key[:4], want[n])
+			}
+			s.unlink(victim)
+			delete(s.items, victim.key)
+		}
+		if len(s.items) != 0 {
+			t.Fatalf("%d entries left after draining the list", len(s.items))
+		}
+	})
+}
+
+// TestStatsReportPolicy checks the policy name, capacity and shard count
+// surface through Stats.
+func TestStatsReportPolicy(t *testing.T) {
+	st := New[int](Options{Capacity: 64, Shards: 4}).Stats()
+	if st.Policy != "lru" {
+		t.Fatalf("policy = %q", st.Policy)
+	}
+	if st.Capacity < 64 {
+		t.Fatalf("capacity = %d", st.Capacity)
+	}
+	if len(st.Shards) != 4 {
+		t.Fatalf("shards = %d", len(st.Shards))
+	}
+}
+
+// TestLRUReplayGolden replays a fixed Zipf-skewed stream of 5,000 draws
+// over 1,000 keys through a 480-entry, 16-shard cache, mixing Get, Do and
+// re-Put, then runs a phase in which a fake clock advances so entries go
+// stale and expire. The counters and the snapshot bytes (which keys
+// survived, with which values and deadlines) are pinned, so any change
+// to the replacement order, the touch points or the expiry path shows.
+func TestLRUReplayGolden(t *testing.T) {
+	clock := newFakeClock()
+	c := New[int](Options{Capacity: 480, TTL: 300 * time.Second, StaleFor: 200 * time.Second, Clock: clock.Now})
+	keys := make([]Key, 1000)
+	for i := range keys {
+		keys[i] = KeyOf(fmt.Sprintf("k%d", i))
+	}
+	zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.2, 1, uint64(len(keys)-1))
+	ctx := context.Background()
+	for i := 0; i < 5000; i++ {
+		k := keys[zipf.Uint64()]
+		if i >= 4000 {
+			// The TTL phase. Do would revalidate a stale entry on a
+			// background goroutine, so lookups here use Get.
+			clock.Advance(time.Second)
+			if i%2 == 1 {
+				c.Put(k, i)
+			} else if _, ok := c.Get(k); !ok {
+				c.Put(k, i)
+			}
+			continue
+		}
+		switch i % 3 {
+		case 0:
+			if _, ok := c.Get(k); !ok {
+				c.Put(k, i)
+			}
+		case 1:
+			if _, _, err := c.Do(ctx, k, func() (int, error) { return i, nil }); err != nil {
+				t.Fatal(err)
+			}
+		case 2:
+			c.Put(k, i)
 		}
 	}
-	if ev := c.Stats().Evictions; ev != 1 {
-		t.Fatalf("evictions = %d, want 1", ev)
+	var snap bytes.Buffer
+	if err := c.Snapshot(&snap, encInt); err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	got := fmt.Sprintf("hits %d misses %d evictions %d expirations %d stale %d entries %d snapshot %x",
+		st.Hits, st.Misses, st.Evictions, st.Expirations, st.StaleServes, st.Entries, sha256.Sum256(snap.Bytes()))
+	const want = "hits 2738 misses 429 evictions 106 expirations 40 stale 28 entries 472 snapshot 258fcb746e2bfc624bcf7b4df1bd85eabd06efa17673e3f0f42c3043446b809e"
+	if got != want {
+		t.Fatalf("replay changed:\n  got  %s\n  want %s", got, want)
 	}
 }
 

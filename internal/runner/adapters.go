@@ -4,51 +4,8 @@ import (
 	"context"
 
 	"repro/internal/core"
-	"repro/internal/ga"
-	"repro/internal/model"
 	"repro/internal/search"
 )
-
-// stopFromCtx combines a run config's own Stop hook with context
-// cancellation. The hook only fires when the context is actually cancelled,
-// so uncancelled runs stay bit-for-bit deterministic.
-func stopFromCtx(ctx context.Context, prev func() bool) func() bool {
-	return func() bool {
-		if ctx.Err() != nil {
-			return true
-		}
-		return prev != nil && prev()
-	}
-}
-
-// SA builds the RunFunc of a simulated-annealing batch: cfg is the shared
-// template, each run overrides only the seed. App and arch validation and
-// the precedence-closure construction happen once here, not once per run.
-func SA(app *model.App, arch *model.Arch, cfg core.Config) (RunFunc, error) {
-	prep, err := core.Prepare(app, arch)
-	if err != nil {
-		return nil, err
-	}
-	// Recycle the instance-sized evaluator scratch across the batch's
-	// runs (see scratch.go) — pure throughput, bit-identical results.
-	rec := recyclerFor(app, arch)
-	return func(ctx context.Context, run int, seed int64) (*Outcome, error) {
-		c := cfg
-		c.Seed = seed
-		c.Stop = stopFromCtx(ctx, cfg.Stop)
-		c.Recycler = rec
-		res, err := prep.Explore(c)
-		if err != nil {
-			return nil, err
-		}
-		// A run truncated by cancellation returned its barely-annealed
-		// best-so-far; keep it out of the completed-run statistics.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return &Outcome{Best: res.Best, Eval: res.BestEval, MetDeadline: res.MetDeadline, Front: res.Front}, nil
-	}, nil
-}
 
 // Strategy builds the RunFunc of a batch over any strategy of the unified
 // search engine ("sa", "ga", "list", "brute", "portfolio", "bandit"): each run
@@ -106,36 +63,4 @@ func moveKindMap(counts [core.NumMoveKinds]int64) map[string]int64 {
 		m[core.MoveKindName(k)] = v
 	}
 	return m
-}
-
-// GA builds the RunFunc of a genetic-algorithm baseline batch. deadline is
-// the real-time constraint used for the MetDeadline report (0 = none); the
-// GA scores fitness through the shared objective layer (by default the
-// fixed-architecture cost: makespan plus the context tie-break — the same
-// cost the annealer minimizes).
-func GA(app *model.App, arch *model.Arch, cfg ga.Config, deadline model.Time) (RunFunc, error) {
-	if err := app.Validate(); err != nil {
-		return nil, err
-	}
-	if err := arch.Validate(); err != nil {
-		return nil, err
-	}
-	return func(ctx context.Context, run int, seed int64) (*Outcome, error) {
-		c := cfg
-		c.Seed = seed
-		c.Stop = stopFromCtx(ctx, cfg.Stop)
-		res, err := ga.Explore(app, arch, c)
-		if err != nil {
-			return nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return &Outcome{
-			Best:        res.Best,
-			Eval:        res.BestEval,
-			MetDeadline: deadline <= 0 || res.BestEval.Makespan <= deadline,
-			Front:       res.Front,
-		}, nil
-	}, nil
 }

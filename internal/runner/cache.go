@@ -3,16 +3,11 @@ package runner
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strconv"
 	"sync"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/ga"
 	"repro/internal/memo"
-	"repro/internal/model"
-	"repro/internal/objective"
 	"repro/internal/search"
 )
 
@@ -36,8 +31,8 @@ type ResultCache struct {
 }
 
 // ResultCacheOptions sizes and shapes a ResultCache: capacity, shard
-// count, eviction policy, and the TTL / stale-while-revalidate windows.
-// The zero value selects the memo defaults (LRU, no expiry).
+// count, and the TTL / stale-while-revalidate windows. The zero value
+// selects the memo defaults (no expiry).
 type ResultCacheOptions struct {
 	// Capacity bounds the total cached outcome count (<=0 selects
 	// memo.DefaultCapacity).
@@ -50,8 +45,6 @@ type ResultCacheOptions struct {
 	// additional window while a background singleflight refresh
 	// revalidates them (stale-while-revalidate).
 	StaleFor time.Duration
-	// Policy selects the eviction policy (memo.PolicyLRU default).
-	Policy memo.Policy
 }
 
 // NewResultCacheWith creates a cache shaped by opts.
@@ -61,14 +54,12 @@ func NewResultCacheWith(opts ResultCacheOptions) *ResultCache {
 		Shards:   opts.Shards,
 		TTL:      opts.TTL,
 		StaleFor: opts.StaleFor,
-		Policy:   opts.Policy,
 	})}
 }
 
 // NewResultCache creates a cache bounded to capacity entries (<=0 selects
-// memo.DefaultCapacity) whose entries expire after ttl (0 = never), with
-// the default LRU policy. Use NewResultCacheWith for policy and
-// stale-while-revalidate control.
+// memo.DefaultCapacity) whose entries expire after ttl (0 = never). Use
+// NewResultCacheWith for shard and stale-while-revalidate control.
 func NewResultCache(capacity int, ttl time.Duration) *ResultCache {
 	return NewResultCacheWith(ResultCacheOptions{Capacity: capacity, TTL: ttl})
 }
@@ -131,159 +122,49 @@ func StrategyKey(f *search.Factory, maxSteps int) KeyFunc {
 	}
 }
 
-// SAKey builds the KeyFunc of a legacy runner.SA batch over the same key
-// derivation (tagged "sa-core" so the legacy driver and the stepped
-// strategy engine never share entries — their results are bit-identical
-// by contract, but the contract is enforced by tests, not construction).
-func SAKey(app *model.App, arch *model.Arch, cfg core.Config) KeyFunc {
-	if cfg.Schedule != nil || cfg.Stop != nil || cfg.Trace != nil || cfg.Objective != nil {
-		return uncacheable
-	}
-	fp := "sa-core|" +
-		strconv.FormatFloat(cfg.Quality, 'g', -1, 64) + "|" +
-		strconv.Itoa(cfg.Warmup) + "|" +
-		strconv.Itoa(cfg.MaxIters) + "|" +
-		strconv.FormatInt(int64(cfg.Deadline), 10) + "|" +
-		strconv.FormatBool(cfg.ExploreArch) + "|" +
-		strconv.FormatFloat(cfg.PenaltyWeight, 'g', -1, 64) + "|" +
-		strconv.FormatBool(cfg.AdaptiveMoves) + "|" +
-		strconv.Itoa(cfg.QuenchIters) + "|" +
-		strconv.FormatBool(cfg.EnableCtxSplit) + "|" +
-		metricsTag(cfg.FrontMetrics)
-	appD, archD := app.Digest(), arch.Digest()
-	return func(run int, seed int64) (memo.Key, bool) {
-		return memo.KeyOf(appD, archD, fp, strconv.FormatInt(seed, 10)), true
-	}
-}
-
-// GAKey builds the KeyFunc of a legacy runner.GA batch (tagged
-// "ga-core", mirroring SAKey).
-func GAKey(app *model.App, arch *model.Arch, cfg ga.Config, deadline model.Time) KeyFunc {
-	if cfg.Stop != nil || cfg.Objective != nil {
-		return uncacheable
-	}
-	fp := "ga-core|" +
-		strconv.Itoa(cfg.Population) + "|" +
-		strconv.Itoa(cfg.Generations) + "|" +
-		strconv.Itoa(cfg.Stall) + "|" +
-		strconv.FormatFloat(cfg.CrossoverRate, 'g', -1, 64) + "|" +
-		strconv.FormatFloat(cfg.MutationRate, 'g', -1, 64) + "|" +
-		strconv.Itoa(cfg.Elite) + "|" +
-		strconv.Itoa(cfg.TournamentK) + "|" +
-		strconv.FormatInt(int64(deadline), 10) + "|" +
-		metricsTag(cfg.FrontMetrics)
-	appD, archD := app.Digest(), arch.Digest()
-	return func(run int, seed int64) (memo.Key, bool) {
-		return memo.KeyOf(appD, archD, fp, strconv.FormatInt(seed, 10)), true
-	}
-}
-
-// metricsTag encodes a front-metric list for the legacy key fingerprint.
-func metricsTag(ms []objective.Metric) string {
-	var b []byte
-	for _, m := range ms {
-		b = append(b, m.String()...)
-		b = append(b, ',')
-	}
-	return string(b)
-}
-
 // CacheConfig describes one memoized run source for WithCache: the
-// cache itself plus exactly one source — a strategy-engine factory
-// (Factory + MaxSteps), a legacy annealing batch (SA + App/Arch), a
-// legacy genetic batch (GA + GADeadline + App/Arch), or an arbitrary
-// RunFunc with its own key derivation (Fn + Key).
+// cache plus a strategy-engine factory run for at most MaxSteps driver
+// steps per run.
 type CacheConfig struct {
 	// Cache is the memoized result cache; nil disables caching (the
 	// resolved RunFunc computes every run).
 	Cache *ResultCache
 
 	// Factory + MaxSteps select a budgeted strategy-engine batch
-	// (StrategyBudget behind StrategyKey) — the primitive dsed, dsebench,
-	// and dsesweep replay.
+	// (StrategyBudget behind StrategyKey).
 	Factory  *search.Factory
 	MaxSteps int
-
-	// SA selects a legacy annealing batch over App/Arch (runner.SA behind
-	// SAKey).
-	SA *core.Config
-	// GA selects a legacy genetic batch over App/Arch with the given
-	// deadline (runner.GA behind GAKey).
-	GA         *ga.Config
-	GADeadline model.Time
-	// App and Arch are the models of an SA or GA source.
-	App  *model.App
-	Arch *model.Arch
-
-	// Fn + Key lift an arbitrary RunFunc over the cache with a custom key
-	// derivation.
-	Fn  RunFunc
-	Key KeyFunc
 }
 
-// WithCache resolves cfg into a cache-wrapped RunFunc — the single entry
-// point behind which the per-driver Cached* constructors collapsed. A
-// hit returns a deep copy of the stored outcome (flagged FromCache)
-// without computing; a miss computes, stores a deep copy, and returns
-// the original; concurrent identical misses compute once (singleflight);
-// errors — including the cancellation errors truncated runs return — are
-// never cached. With cfg.Cache nil the source runs uncached.
+// WithCache resolves cfg into a cache-wrapped RunFunc, the single
+// cached entry point. A hit returns a deep copy of the stored outcome
+// (flagged FromCache) without computing; a miss computes, stores a deep
+// copy, and returns the original; concurrent identical misses compute
+// once (singleflight); errors — including the cancellation errors
+// truncated runs return — are never cached. With cfg.Cache nil the
+// source runs uncached.
 func WithCache(cfg CacheConfig) (RunFunc, error) {
-	sources := 0
-	for _, set := range []bool{cfg.Factory != nil, cfg.SA != nil, cfg.GA != nil, cfg.Fn != nil} {
-		if set {
-			sources++
-		}
+	if cfg.Factory == nil {
+		return nil, errors.New("runner: WithCache needs a Factory")
 	}
-	if sources != 1 {
-		return nil, fmt.Errorf("runner: WithCache needs exactly one source (Factory, SA, GA, or Fn), got %d", sources)
+	keyFor := StrategyKey(cfg.Factory, cfg.MaxSteps)
+	fn := cached(cfg.Cache, keyFor, StrategyBudget(cfg.Factory, cfg.MaxSteps))
+	if cfg.Cache == nil {
+		return fn, nil
 	}
-	switch {
-	case cfg.Factory != nil:
-		keyFor := StrategyKey(cfg.Factory, cfg.MaxSteps)
-		fn := cached(cfg.Cache, keyFor, StrategyBudget(cfg.Factory, cfg.MaxSteps))
-		if cfg.Cache != nil {
-			// Every successful outcome — fresh or replayed from a restored
-			// snapshot — is offered to the transfer-donor index, so later
-			// jobs on the same instance pair can warm-start from it (see
-			// transfer.go).
-			appD, archD := cfg.Factory.App().Digest(), cfg.Factory.Arch().Digest()
-			inner, cache := fn, cfg.Cache
-			fn = func(ctx context.Context, run int, seed int64) (*Outcome, error) {
-				out, err := inner(ctx, run, seed)
-				if err == nil {
-					if k, ok := keyFor(run, seed); ok {
-						cache.offerDonor(appD, archD, k.Hex(), out)
-					}
-				}
-				return out, err
+	// Every successful outcome — fresh or replayed from a restored
+	// snapshot — is offered to the transfer-donor index, so later jobs on
+	// the same instance pair can warm-start from it (see transfer.go).
+	appD, archD := cfg.Factory.App().Digest(), cfg.Factory.Arch().Digest()
+	return func(ctx context.Context, run int, seed int64) (*Outcome, error) {
+		out, err := fn(ctx, run, seed)
+		if err == nil {
+			if k, ok := keyFor(run, seed); ok {
+				cfg.Cache.offerDonor(appD, archD, k.Hex(), out)
 			}
 		}
-		return fn, nil
-	case cfg.SA != nil:
-		if cfg.App == nil || cfg.Arch == nil {
-			return nil, fmt.Errorf("runner: WithCache SA source needs App and Arch")
-		}
-		fn, err := SA(cfg.App, cfg.Arch, *cfg.SA)
-		if err != nil {
-			return nil, err
-		}
-		return cached(cfg.Cache, SAKey(cfg.App, cfg.Arch, *cfg.SA), fn), nil
-	case cfg.GA != nil:
-		if cfg.App == nil || cfg.Arch == nil {
-			return nil, fmt.Errorf("runner: WithCache GA source needs App and Arch")
-		}
-		fn, err := GA(cfg.App, cfg.Arch, *cfg.GA, cfg.GADeadline)
-		if err != nil {
-			return nil, err
-		}
-		return cached(cfg.Cache, GAKey(cfg.App, cfg.Arch, *cfg.GA, cfg.GADeadline), fn), nil
-	default:
-		if cfg.Key == nil {
-			return nil, fmt.Errorf("runner: WithCache Fn source needs a Key derivation")
-		}
-		return cached(cfg.Cache, cfg.Key, cfg.Fn), nil
-	}
+		return out, err
+	}, nil
 }
 
 // cached wraps fn with the memoized result cache under keyFor. A nil

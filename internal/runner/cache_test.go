@@ -148,7 +148,7 @@ func TestCancelledRunNotCached(t *testing.T) {
 	keyFor := func(run int, seed int64) (memo.Key, bool) {
 		return memo.KeyOf("fixed-key"), true
 	}
-	fn := mustWithCache(t, CacheConfig{Cache: cache, Fn: inner, Key: keyFor})
+	fn := cached(cache, keyFor, inner)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -162,7 +162,7 @@ func TestCancelledRunNotCached(t *testing.T) {
 	ok := func(ctx context.Context, run int, seed int64) (*Outcome, error) {
 		return &Outcome{Best: &sched.Mapping{}, HasCost: true, Cost: 1}, nil
 	}
-	fn = mustWithCache(t, CacheConfig{Cache: cache, Fn: ok, Key: keyFor})
+	fn = cached(cache, keyFor, ok)
 	out, err := fn(context.Background(), 0, 1)
 	if err != nil || out.FromCache {
 		t.Fatalf("retry after cancellation: %+v, %v", out, err)
@@ -191,7 +191,7 @@ func TestWaiterSurvivesLeaderCancellation(t *testing.T) {
 			return &Outcome{Best: &sched.Mapping{}, HasCost: true, Cost: 7}, nil
 		}
 	}
-	fn := mustWithCache(t, CacheConfig{Cache: cache, Fn: inner, Key: keyFor})
+	fn := cached(cache, keyFor, inner)
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderErr := make(chan error, 1)

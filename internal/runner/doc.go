@@ -1,5 +1,5 @@
 // Package runner is the parallel multi-run exploration engine: it executes
-// N independent exploration runs (simulated annealing or the GA baseline)
+// N independent exploration runs (any strategy of the search engine)
 // across a pool of workers, one deterministic seed stream per run, and
 // aggregates their results as they stream in.
 //
@@ -14,7 +14,7 @@
 //     statistics, the best-solution tie-breaks and the Pareto archive are
 //     byte-identical between Workers=1 and Workers=NumCPU.
 //
-// Cancellation is cooperative: the context is forwarded into each run's
-// Stop hook, so an in-flight annealing run winds down within one iteration
-// and the batch returns the aggregate of every run that completed.
+// Cancellation is cooperative: each run checks the context between driver
+// steps (64 annealing iterations, or one GA generation), and the batch
+// returns the aggregate of every run that completed.
 package runner

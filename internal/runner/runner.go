@@ -71,9 +71,9 @@ type Outcome struct {
 	Evaluations int
 	// Cost is the best solution's scalarized objective cost. It is
 	// meaningful only when HasCost is set: a zero Cost with HasCost true
-	// is a genuine zero-cost solution, while HasCost false (the legacy
-	// SA/GA adapters, which never report it) means "unreported" — the two
-	// used to be conflated in a single float.
+	// is a genuine zero-cost solution, while HasCost false (a RunFunc that
+	// does not report a cost) means "unreported" — the two used to be
+	// conflated in a single float.
 	Cost float64
 	// HasCost reports whether Cost carries the run's scalarized objective
 	// cost. When every outcome of a batch reports it, the engine selects
@@ -96,8 +96,7 @@ type Outcome struct {
 	EarlyStopped bool
 	// MoveProposed and MoveAccepted count per-move-kind proposals and
 	// consumed acceptances, keyed by core.MoveKindName; nil when the run
-	// reports none (non-SA strategies, legacy adapters). Only non-zero
-	// kinds appear.
+	// reports none (non-SA strategies). Only non-zero kinds appear.
 	MoveProposed map[string]int64
 	MoveAccepted map[string]int64
 	// LaneStats is always zero for runs of this release: the lane batch
@@ -173,11 +172,11 @@ type Aggregate struct {
 	TransferKey  string
 	TransferCost float64
 	// Best is the overall best mapping, with its evaluation and origin.
-	// When the runs report scalarized costs (Outcome.HasCost — the
-	// strategy-engine adapters do) the winner is the lowest-cost run, so
+	// When the runs report scalarized costs (Outcome.HasCost — Strategy
+	// and StrategyBudget runs do) the winner is the lowest-cost run, so
 	// the selection agrees with whatever objective the batch optimizes;
-	// legacy batches fall back to lowest makespan. Ties go to the lowest
-	// run index either way.
+	// runs that report no cost fall back to lowest makespan. Ties go to
+	// the lowest run index either way.
 	Best     *sched.Mapping
 	BestEval sched.Result
 	BestRun  int

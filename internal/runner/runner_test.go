@@ -12,11 +12,11 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
-	"repro/internal/ga"
 	"repro/internal/model"
 	"repro/internal/objective"
 	"repro/internal/pareto"
 	"repro/internal/sched"
+	"repro/internal/search"
 )
 
 func motionSetup(nclb int) (*model.App, *model.Arch) {
@@ -26,16 +26,16 @@ func motionSetup(nclb int) (*model.App, *model.Arch) {
 
 func fastSA(t *testing.T, app *model.App, arch *model.Arch) RunFunc {
 	t.Helper()
-	cfg := core.DefaultConfig()
-	cfg.MaxIters = 600
-	cfg.Warmup = 150
-	cfg.QuenchIters = 200
-	cfg.Deadline = apps.MotionDeadline
-	fn, err := SA(app, arch, cfg)
+	cfg := search.DefaultConfig()
+	cfg.SA.MaxIters = 600
+	cfg.SA.Warmup = 150
+	cfg.SA.QuenchIters = 200
+	cfg.SA.Deadline = apps.MotionDeadline
+	f, err := search.NewFactory("sa", app, arch, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fn
+	return Strategy(f)
 }
 
 // runBatch executes a batch and returns the aggregate plus the stream of
@@ -250,18 +250,19 @@ func TestHWArea(t *testing.T) {
 	}
 }
 
-// TestGABatch smoke-tests the GA adapter through the engine.
+// TestGABatch smoke-tests the GA strategy through the engine.
 func TestGABatch(t *testing.T) {
 	app, arch := motionSetup(2000)
-	gcfg := ga.DefaultConfig()
-	gcfg.Population = 24
-	gcfg.Generations = 6
-	gcfg.Stall = 3
-	fn, err := GA(app, arch, gcfg, apps.MotionDeadline)
+	cfg := search.DefaultConfig()
+	cfg.GA.Population = 24
+	cfg.GA.Generations = 6
+	cfg.GA.Stall = 3
+	cfg.SA.Deadline = apps.MotionDeadline
+	f, err := search.NewFactory("ga", app, arch, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := Run(context.Background(), app, Options{Runs: 3, Workers: 3, BaseSeed: 1}, fn)
+	agg, err := Run(context.Background(), app, Options{Runs: 3, Workers: 3, BaseSeed: 1}, Strategy(f))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,31 +150,16 @@ func TestResultRestoreCorruptDegradesCold(t *testing.T) {
 	}
 }
 
-// TestWithCacheValidation pins the one-entry-point contract: exactly one
-// work source, and each source's required companions.
+// TestWithCacheValidation pins the one-entry-point contract: a factory
+// is the only work source, and WithCache refuses a config without one.
 func TestWithCacheValidation(t *testing.T) {
 	app, arch := testInstance(t)
 	f := testFactory(t, app, arch)
 	cache := NewResultCache(0, time.Minute)
 
-	cases := []struct {
-		name string
-		cfg  CacheConfig
-	}{
-		{"no source", CacheConfig{Cache: cache}},
-		{"two sources", CacheConfig{Cache: cache, Factory: f, Fn: func(ctx context.Context, run int, seed int64) (*Outcome, error) { return nil, nil }}},
-		{"fn without key", CacheConfig{Cache: cache, Fn: func(ctx context.Context, run int, seed int64) (*Outcome, error) { return nil, nil }}},
-		{"sa without instance", func() CacheConfig {
-			sa := search.DefaultConfig().SA
-			return CacheConfig{Cache: cache, SA: &sa}
-		}()},
+	if _, err := WithCache(CacheConfig{Cache: cache}); err == nil {
+		t.Error("WithCache accepted a config without a factory")
 	}
-	for _, tc := range cases {
-		if _, err := WithCache(tc.cfg); err == nil {
-			t.Errorf("%s: WithCache accepted an invalid config", tc.name)
-		}
-	}
-
 	if _, err := WithCache(CacheConfig{Cache: cache, Factory: f}); err != nil {
 		t.Errorf("valid factory config rejected: %v", err)
 	}

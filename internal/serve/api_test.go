@@ -12,8 +12,8 @@ import (
 )
 
 // TestV1AndLegacyAliases pins the versioning contract: every endpoint
-// answers identically under /v1 and at its legacy path, and only the
-// legacy path carries the deprecation signals.
+// answers under /v1 without deprecation signals, and the unversioned
+// aliases of the original API are gone.
 func TestV1AndLegacyAliases(t *testing.T) {
 	_, ts := testServer(t, runner.NewResultCache(16, 0))
 
@@ -22,7 +22,6 @@ func TestV1AndLegacyAliases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v1Body, _ := io.ReadAll(v1.Body)
 		v1.Body.Close()
 		if v1.StatusCode != http.StatusOK {
 			t.Fatalf("GET /v1%s = %d", path, v1.StatusCode)
@@ -35,19 +34,9 @@ func TestV1AndLegacyAliases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacyBody, _ := io.ReadAll(legacy.Body)
 		legacy.Body.Close()
-		if legacy.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s = %d", path, legacy.StatusCode)
-		}
-		if dep := legacy.Header.Get("Deprecation"); dep != "true" {
-			t.Fatalf("GET %s Deprecation = %q, want \"true\"", path, dep)
-		}
-		if link := legacy.Header.Get("Link"); !strings.Contains(link, "/v1"+path) || !strings.Contains(link, "successor-version") {
-			t.Fatalf("GET %s Link = %q, want successor-version pointing at /v1%s", path, link, path)
-		}
-		if string(v1Body) != string(legacyBody) {
-			t.Fatalf("GET %s body differs between /v1 and legacy:\n%s\nvs\n%s", path, v1Body, legacyBody)
+		if legacy.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s = %d, want 404: the unversioned alias is gone", path, legacy.StatusCode)
 		}
 	}
 }

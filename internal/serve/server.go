@@ -149,49 +149,20 @@ func (s *Server) WaitIdle(ctx context.Context) error {
 	}
 }
 
-// APIVersion is the current (and only) versioned API prefix. Every
-// endpoint lives under /v1; the unversioned paths of the original API
-// remain as deprecated aliases that answer identically but carry a
-// Deprecation header pointing at their successor.
-const APIVersion = "v1"
-
-// Handler mounts the API: each route once under /v1 and once at its
-// legacy unversioned path.
+// Handler mounts the API. Every endpoint lives under /v1.
 func (s *Server) Handler() http.Handler {
-	routes := []struct {
-		pattern string
-		h       http.HandlerFunc
-	}{
-		{"GET /healthz", s.handleHealthz},
-		{"GET /scenarios", s.handleScenarios},
-		{"GET /cache", s.handleCache},
-		{"GET /metrics", s.handleMetrics},
-		{"POST /jobs", s.handleSubmit},
-		{"GET /jobs", s.handleList},
-		{"GET /jobs/{id}", s.handleStatus},
-		{"GET /jobs/{id}/stream", s.handleStream},
-		{"DELETE /jobs/{id}", s.handleCancel},
-		{"POST /run", s.handleRunSync},
-	}
 	mux := http.NewServeMux()
-	for _, rt := range routes {
-		method, path, _ := strings.Cut(rt.pattern, " ")
-		mux.Handle(method+" /"+APIVersion+path, rt.h)
-		mux.Handle(rt.pattern, deprecatedAlias(path, rt.h))
-	}
+	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
+	mux.HandleFunc("GET /v1/scenarios", s.handleScenarios)
+	mux.HandleFunc("GET /v1/cache", s.handleCache)
+	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
+	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
+	mux.HandleFunc("GET /v1/jobs", s.handleList)
+	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
+	mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStream)
+	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
+	mux.HandleFunc("POST /v1/run", s.handleRunSync)
 	return mux
-}
-
-// deprecatedAlias serves a legacy unversioned route with the standard
-// deprecation signals (draft-ietf-httpapi-deprecation-header): a
-// Deprecation header plus a Link to the successor path.
-func deprecatedAlias(path string, h http.HandlerFunc) http.Handler {
-	successor := "/" + APIVersion + path
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h(w, r)
-	})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
