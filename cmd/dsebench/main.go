@@ -21,20 +21,23 @@
 // of its key) and the row records the warm wall time and hit count — the
 // cold-vs-warm trajectory BENCH_PR5.json archives.
 //
-// -sched selects the composite cells' scheduling policy (rr or ucb) and
-// -sched-slice the UCB budget-slice length; -transfer warm-starts
-// warmable cells from the best cached outcome on the same instance pair.
-// -sched-gate 0.05 compares the matrix's bandit rows against its
-// portfolio rows — the bandit must match or beat the round-robin
-// portfolio on at least half the scenarios and never be more than 5%
-// worse, else exit 3 (the `make bench-check` adaptive-scheduling leg).
-//
+// The shared search flags (-batch, -early-stop, -early-stop-window,
+// -sched-slice, -transfer; see search.Overrides) apply to every cell:
 // -batch runs the SA cells with speculative batched move evaluation (a
 // different but deterministic trajectory, so batched results compare only
-// against batched baselines); -early-stop/-early-stop-window enable the
-// adaptive early stop. -append merges this invocation's rows into an
-// existing -json file, so a matrix can be assembled in slices; -baseline
-// then gates the whole merged file, not just this invocation's rows.
+// against batched baselines), -early-stop enables the adaptive early stop,
+// -sched-slice sets the bandit's UCB budget-slice length, and -transfer
+// warm-starts warmable cells from the best cached outcome on the same
+// instance pair. Each composite kind keeps its own policy: portfolio is
+// round-robin, bandit is UCB1. -sched-gate 0.05 compares the matrix's
+// bandit rows against its portfolio rows — the bandit must match or beat
+// the round-robin portfolio on at least half the scenarios and never be
+// more than 5% worse, else exit 3 (the `make bench-check`
+// adaptive-scheduling leg).
+//
+// -append merges this invocation's rows into an existing -json file, so
+// a matrix can be assembled in slices; -baseline then gates the whole
+// merged file, not just this invocation's rows.
 // -diff OLD.json NEW.json runs nothing: it prints the per-cell evals/s
 // and best-cost deltas between two result files (`make bench-diff`).
 //
@@ -55,97 +58,92 @@ package main
 
 import (
 	"context"
-	"flag"
+	"errors"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
 	"strings"
 
 	"repro/internal/apps"
+	"repro/internal/cli"
 	"repro/internal/prof"
 	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/scenario"
+	"repro/internal/search"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("dsebench: ")
+func main() { cli.Main("dsebench", run) }
+
+// run parses args, runs (or diffs) the matrix and writes the report to
+// stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := cli.NewFlagSet("dsebench")
+	var opts scenario.MatrixOptions
+	opts.RegisterFlags(fs)
 	var (
-		list       = flag.Bool("list", false, "print the scenario catalog and exit")
-		sel        = flag.String("scenarios", "", "comma-separated scenario or family names (empty = whole corpus)")
-		strategies = flag.String("strategies", "sa,list", "comma-separated strategy names (sa,ga,list,brute,portfolio,bandit)")
-		runs       = flag.Int("runs", 0, "independent runs per cell (0 = the scenario's budget)")
-		workers    = flag.Int("j", runtime.NumCPU(), "parallel runs per cell")
-		seed       = flag.Int64("seed", 0, "base of the per-run seed streams")
-		maxSteps   = flag.Int("max-steps", 0, "cap driver steps per run (0 = scenario budget)")
-		smoke      = flag.Bool("smoke", false, "smoke mode: tiny/small scenarios only, 2 runs per cell")
-		jsonPath   = flag.String("json", "", "write results as JSON to this file")
-		csvPath    = flag.String("csv", "", "write results as CSV to this file")
-		baseline   = flag.String("baseline", "", "compare best costs against this JSON baseline")
-		threshold  = flag.Float64("threshold", 0.20, "relative best-cost worsening that counts as a regression")
-		cacheOn    = flag.Bool("cache", false, "memoize run outcomes and rerun each cell cache-warm (records warm_ms and hits)")
-		cacheSize  = flag.Int("cache-size", 8192, "result-cache capacity in entries (with -cache)")
-		verbose    = flag.Bool("v", false, "print each cell as it completes")
-		batch      = flag.Int("batch", 0, "speculative batch width for SA cells (<=1 = serial)")
-		earlyStop  = flag.Float64("early-stop", 0, "adaptive early stop: end a run when best cost improves < this fraction over -early-stop-window steps (0 = off)")
-		earlyStopW = flag.Int("early-stop-window", 32, "sliding-window length (driver steps) of -early-stop")
-		appendJSON = flag.Bool("append", false, "merge rows into an existing -json file instead of overwriting it")
-		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the matrix to this file")
-		diffOld    = flag.String("diff", "", "diff mode: print per-cell evals/s and best-cost deltas from this old result file to the NEW.json positional argument; no cells are run")
-		schedPol   = flag.String("sched", "", "composite-cell scheduling policy: rr or ucb (empty = each kind's default: portfolio=rr, bandit=ucb)")
-		schedSlice = flag.Int("sched-slice", 0, "UCB budget-slice length in driver steps (0 = engine default)")
-		transfer   = flag.Bool("transfer", false, "warm-start warmable cells from the best cached outcome on the same instance pair (implies -cache's result cache, without the warm rerun)")
-		schedGate  = flag.Float64("sched-gate", 0, "gate: bandit best cost must match or beat portfolio on >= half the scenarios and never be more than this fraction worse (0 = off; matrix must contain both strategies); exit 3 on failure")
+		list       = fs.Bool("list", false, "print the scenario catalog and exit")
+		sel        = fs.String("scenarios", "", "comma-separated scenario or family names (empty = whole corpus)")
+		strategies = fs.String("strategies", "sa,list", "comma-separated strategy names (sa,ga,list,brute,portfolio,bandit)")
+		runs       = fs.Int("runs", 0, "independent runs per cell (0 = the scenario's budget)")
+		workers    = fs.Int("j", runtime.NumCPU(), "parallel runs per cell")
+		seed       = fs.Int64("seed", 0, "base of the per-run seed streams")
+		maxSteps   = fs.Int("max-steps", 0, "cap driver steps per run (0 = scenario budget)")
+		smoke      = fs.Bool("smoke", false, "smoke mode: tiny/small scenarios only, 2 runs per cell")
+		jsonPath   = fs.String("json", "", "write results as JSON to this file")
+		csvPath    = fs.String("csv", "", "write results as CSV to this file")
+		baseline   = fs.String("baseline", "", "compare best costs against this JSON baseline")
+		threshold  = fs.Float64("threshold", 0.20, "relative best-cost worsening that counts as a regression")
+		cacheOn    = fs.Bool("cache", false, "memoize run outcomes and rerun each cell cache-warm (records warm_ms and hits)")
+		cacheSize  = fs.Int("cache-size", 8192, "result-cache capacity in entries (with -cache or -transfer)")
+		verbose    = fs.Bool("v", false, "print each cell as it completes")
+		appendJSON = fs.Bool("append", false, "merge rows into an existing -json file instead of overwriting it")
+		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile of the matrix to this file")
+		diffOld    = fs.String("diff", "", "diff mode: print per-cell evals/s and best-cost deltas from this old result file to the NEW.json positional argument; no cells are run")
+		schedGate  = fs.Float64("sched-gate", 0, "gate: bandit best cost must match or beat portfolio on >= half the scenarios and never be more than this fraction worse (0 = off; matrix must contain both strategies); exit 3 on failure")
 	)
-	flag.Parse()
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 
 	if *list {
-		printCatalog()
-		return
+		return printCatalog(stdout)
 	}
 	if *diffOld != "" {
-		if flag.NArg() != 1 {
-			log.Fatal("usage: dsebench -diff OLD.json NEW.json")
+		if fs.NArg() != 1 {
+			return errors.New("usage: dsebench -diff OLD.json NEW.json")
 		}
 		oldFile, err := report.LoadBench(*diffOld)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		newFile, err := report.LoadBench(flag.Arg(0))
+		newFile, err := report.LoadBench(fs.Arg(0))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%s -> %s\n", *diffOld, flag.Arg(0))
-		report.DiffBench(os.Stdout, oldFile, newFile)
-		return
+		fmt.Fprintf(stdout, "%s -> %s\n", *diffOld, fs.Arg(0))
+		report.DiffBench(stdout, oldFile, newFile)
+		return nil
+	}
+	// The effective knobs, for the file's params (and an early error on a
+	// bad value).
+	var eff search.Config
+	if err := opts.Apply(&eff); err != nil {
+		return err
 	}
 
 	scens, err := scenario.Select(*sel)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	stopProfile := prof.Start(*cpuprofile, "")
 	defer stopProfile()
 
-	opts := scenario.MatrixOptions{
-		Strategies: scenario.SplitComma(*strategies),
-		Runs:       *runs,
-		Workers:    *workers,
-		BaseSeed:   *seed,
-		MaxSteps:   *maxSteps,
-		Batch:      *batch,
-	}
-	if *earlyStop > 0 {
-		opts.EarlyStopEpsilon = *earlyStop
-		opts.EarlyStopWindow = *earlyStopW
-	}
-	opts.Sched = *schedPol
-	opts.SchedSlice = *schedSlice
-	opts.Transfer = *transfer
-	if *cacheOn || *transfer {
+	opts.Strategies = scenario.SplitComma(*strategies)
+	opts.Runs, opts.Workers, opts.BaseSeed, opts.MaxSteps = *runs, *workers, *seed, *maxSteps
+	if *cacheOn || opts.Transfer {
 		// -transfer needs the result cache as its donor index, but only
 		// -cache asks for the warm verification rerun.
 		opts.Cache = runner.NewResultCache(*cacheSize, 0)
@@ -166,15 +164,15 @@ func main() {
 		}
 	}
 	if len(scens) == 0 {
-		log.Fatal("no scenarios selected")
+		return errors.New("no scenarios selected")
 	}
 	if *verbose {
 		opts.Progress = func(r report.BenchRow) {
 			if r.Skipped != "" {
-				fmt.Printf("%-24s %-10s skipped (%s)\n", r.Scenario, r.Strategy, r.Skipped)
+				fmt.Fprintf(stdout, "%-24s %-10s skipped (%s)\n", r.Scenario, r.Strategy, r.Skipped)
 				return
 			}
-			fmt.Printf("%-24s %-10s cost %.4f  best %.3f ms  %d evals  %.0f evals/s  %.0f ms\n",
+			fmt.Fprintf(stdout, "%-24s %-10s cost %.4f  best %.3f ms  %d evals  %.0f evals/s  %.0f ms\n",
 				r.Scenario, r.Strategy, r.BestCost, r.BestMakespanMS, r.Evaluations, r.EvalsPerSec, r.WallMS)
 		}
 	}
@@ -185,11 +183,8 @@ func main() {
 	// RunMatrix returns the completed cells alongside a cancellation or
 	// per-cell error; persist and render what finished before failing, so
 	// an interrupted overnight matrix is not thrown away.
-	if runErr != nil {
-		if len(rows) == 0 {
-			log.Fatal(runErr)
-		}
-		log.Printf("stopping after %d completed cell(s): %v", len(rows), runErr)
+	if runErr != nil && len(rows) == 0 {
+		return runErr
 	}
 
 	file := &report.BenchFile{
@@ -202,24 +197,21 @@ func main() {
 		},
 		Results: rows,
 	}
-	if *batch > 1 {
-		file.Params["batch"] = fmt.Sprint(*batch)
+	if eff.SA.Batch > 1 {
+		file.Params["batch"] = fmt.Sprint(eff.SA.Batch)
 	}
-	if *earlyStop > 0 {
-		file.Params["earlyStop"] = fmt.Sprintf("%g/%d", *earlyStop, *earlyStopW)
+	if eff.EarlyStopEpsilon > 0 {
+		file.Params["earlyStop"] = fmt.Sprintf("%g/%d", eff.EarlyStopEpsilon, eff.EarlyStopWindow)
 	}
-	if *schedPol != "" {
-		file.Params["sched"] = *schedPol
+	if eff.SchedSlice > 0 {
+		file.Params["schedSlice"] = fmt.Sprint(eff.SchedSlice)
 	}
-	if *schedSlice > 0 {
-		file.Params["schedSlice"] = fmt.Sprint(*schedSlice)
-	}
-	if *transfer {
+	if opts.Transfer {
 		file.Params["transfer"] = "true"
 	}
-	fmt.Println()
-	if err := report.BenchTable(file).Render(os.Stdout); err != nil {
-		log.Fatal(err)
+	fmt.Fprintln(stdout)
+	if err := report.BenchTable(file).Render(stdout); err != nil {
+		return err
 	}
 	// out is what -json persists and -baseline gates: this invocation's
 	// rows, or — with -append — the whole merged file, so a matrix
@@ -251,45 +243,38 @@ func main() {
 				}
 				out = merged
 			} else if !os.IsNotExist(err) {
-				log.Fatal(err)
+				return err
 			}
 		}
 		if err := report.SaveBench(*jsonPath, out); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("\nwrote %s (%d cells)\n", *jsonPath, len(out.Results))
+		fmt.Fprintf(stdout, "\nwrote %s (%d cells)\n", *jsonPath, len(out.Results))
 	}
 	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			log.Fatal(err)
+		if err := cli.WriteFile(*csvPath, report.BenchTable(file).CSV); err != nil {
+			return err
 		}
-		if err := report.BenchTable(file).CSV(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *csvPath)
+		fmt.Fprintf(stdout, "wrote %s\n", *csvPath)
 	}
 	if runErr != nil {
 		// Partial results persisted above; a truncated matrix must not be
 		// baseline-gated (missing cells would read as regressions).
-		os.Exit(1)
+		return fmt.Errorf("stopped after %d completed cell(s): %w", len(rows), runErr)
 	}
 
 	if *baseline != "" {
 		base, err := report.LoadBench(*baseline)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		regs := report.CompareBench(base, out, *threshold)
 		if len(regs) > 0 {
-			fmt.Printf("\n%d regression(s) vs %s (threshold %.0f%%):\n", len(regs), *baseline, *threshold*100)
+			fmt.Fprintf(stdout, "\n%d regression(s) vs %s (threshold %.0f%%):\n", len(regs), *baseline, *threshold*100)
 			for _, r := range regs {
-				fmt.Println("  " + r.String())
+				fmt.Fprintln(stdout, "  "+r.String())
 			}
-			os.Exit(3)
+			return cli.ErrGate
 		}
 		gated := 0
 		for _, r := range base.Results {
@@ -297,36 +282,37 @@ func main() {
 				gated++
 			}
 		}
-		fmt.Printf("\nno regressions vs %s (threshold %.0f%%, %d gated cells)\n",
+		fmt.Fprintf(stdout, "\nno regressions vs %s (threshold %.0f%%, %d gated cells)\n",
 			*baseline, *threshold*100, gated)
 	}
 	if *schedGate > 0 {
 		g, ok := report.CompareSched(out, "bandit", "portfolio", *schedGate)
 		if !ok {
-			fmt.Printf("\nsched gate FAILED (bandit vs portfolio, tolerance %.0f%%): %d/%d wins",
+			fmt.Fprintf(stdout, "\nsched gate FAILED (bandit vs portfolio, tolerance %.0f%%): %d/%d wins",
 				*schedGate*100, g.Wins, g.Cells)
 			if g.Cells == 0 {
-				fmt.Print(" — no comparable cells (run both strategies)")
+				fmt.Fprint(stdout, " — no comparable cells (run both strategies)")
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 			for _, v := range g.Violations {
-				fmt.Println("  " + v.String())
+				fmt.Fprintln(stdout, "  "+v.String())
 			}
-			os.Exit(3)
+			return cli.ErrGate
 		}
-		fmt.Printf("\nsched gate ok: bandit matched or beat portfolio on %d/%d scenario(s), none worse than %.0f%%\n",
+		fmt.Fprintf(stdout, "\nsched gate ok: bandit matched or beat portfolio on %d/%d scenario(s), none worse than %.0f%%\n",
 			g.Wins, g.Cells, *schedGate*100)
 	}
+	return nil
 }
 
 // printCatalog renders the registered corpus, instantiating each scenario
 // for its task/resource counts.
-func printCatalog() {
+func printCatalog(stdout io.Writer) error {
 	tb := report.NewTable("name", "family", "size", "tasks", "arch", "deadline", "runs", "stresses")
 	for _, s := range scenario.All() {
 		app, arch, err := s.Instantiate()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		deadline := "-"
 		if s.DeadlineMS > 0 {
@@ -335,9 +321,10 @@ func printCatalog() {
 		shape := fmt.Sprintf("%dp+%drc", len(arch.Processors), len(arch.RCs))
 		tb.AddRow(s.Name, s.Family, s.Size.String(), app.N(), shape, deadline, s.Budget.Runs, s.Stresses)
 	}
-	if err := tb.Render(os.Stdout); err != nil {
-		log.Fatal(err)
+	if err := tb.Render(stdout); err != nil {
+		return err
 	}
-	fmt.Printf("\n%d scenarios in %d families: %s\n",
+	fmt.Fprintf(stdout, "\n%d scenarios in %d families: %s\n",
 		len(scenario.Names()), len(scenario.Families()), strings.Join(scenario.Families(), ", "))
+	return nil
 }

@@ -20,48 +20,32 @@ package main
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"os/signal"
 	"runtime"
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/cli"
 	"repro/internal/objective"
 	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/search"
 )
 
-// errUsage reports a flag error; the flag set has already printed it
-// together with the usage text.
-var errUsage = errors.New("usage")
-
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("dsecompare: ")
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		switch {
-		case errors.Is(err, flag.ErrHelp):
-			os.Exit(0)
-		case errors.Is(err, errUsage):
-			os.Exit(2)
-		}
-		log.Fatal(err)
-	}
-}
+func main() { cli.Main("dsecompare", run) }
 
 // run parses args, runs both batches and writes the comparison to
 // stdout.
 func run(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("dsecompare", flag.ContinueOnError)
+	fs := cli.NewFlagSet("dsecompare")
+	var ov search.Overrides
+	fs.IntVar(&ov.SAIters, "sa-iters", 5000, "annealing iterations per run")
 	var (
 		nclb     = fs.Int("nclb", 2000, "FPGA capacity in CLBs")
 		saRuns   = fs.Int("sa-runs", 10, "annealing runs (best/average reported)")
-		saIter   = fs.Int("sa-iters", 5000, "annealing iterations per run")
 		gaPop    = fs.Int("ga-pop", 300, "GA population (paper: 300)")
 		gaGens   = fs.Int("ga-gens", 120, "GA generations")
 		gaRuns   = fs.Int("ga-runs", 3, "GA runs (best/average reported)")
@@ -69,11 +53,8 @@ func run(args []string, stdout io.Writer) error {
 		frontCSV = fs.String("front", "", "write the cross-run area/makespan Pareto front to this CSV file")
 		cacheOn  = fs.Bool("cache", false, "memoize run outcomes (identical reruns of either method become cache hits)")
 	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return err
-		}
-		return errUsage
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
 
 	var cache *runner.ResultCache
@@ -112,10 +93,12 @@ func run(args []string, stdout io.Writer) error {
 	// One configuration carries both methods' parameters; SA.Deadline
 	// also sets the GA runs' deadline verdicts.
 	cfg := search.DefaultConfig()
-	cfg.SA.MaxIters = *saIter
 	cfg.SA.Deadline = apps.MotionDeadline
 	cfg.GA.Population = *gaPop
 	cfg.GA.Generations = *gaGens
+	if err := ov.Apply(&cfg); err != nil {
+		return err
+	}
 
 	// Simulated annealing (this paper). The runs collect the in-run
 	// area/makespan fronts, merged across runs by the engine.
@@ -173,19 +156,11 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	if *frontCSV != "" && saAgg.Front != nil {
-		f, err := os.Create(*frontCSV)
-		if err != nil {
-			return err
-		}
 		ftb := report.NewTable("clbs", "makespan_ms", "run")
 		for _, p := range saAgg.Front.Points() {
 			ftb.AddRow(int(p.V[0]), p.V[1], p.ID)
 		}
-		if err := ftb.CSV(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := cli.WriteFile(*frontCSV, ftb.CSV); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "\ncross-run Pareto front (%d points) written to %s\n", saAgg.Front.Len(), *frontCSV)

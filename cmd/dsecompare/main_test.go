@@ -7,6 +7,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/cli"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/compare_golden.txt from the current output")
@@ -77,8 +79,8 @@ func TestCompareGolden(t *testing.T) {
 // is a usage error and -h asks for help, and neither runs a batch.
 func TestFlagErrors(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-no-such-flag"}, &out); err != errUsage {
-		t.Fatalf("unknown flag: err = %v, want errUsage", err)
+	if err := run([]string{"-no-such-flag"}, &out); err != cli.ErrUsage {
+		t.Fatalf("unknown flag: err = %v, want cli.ErrUsage", err)
 	}
 	if err := run([]string{"-h"}, &out); err != flag.ErrHelp {
 		t.Fatalf("-h: err = %v, want flag.ErrHelp", err)

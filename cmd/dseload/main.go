@@ -283,7 +283,8 @@ func buildSequence(mix []MixEntry, n, seeds int, mixSeed int64, strategy string,
 		}
 		out[i] = dse.JobSpec{
 			Scenario: name, Strategy: strategy, Runs: runs,
-			MaxSteps: maxSteps, SAIters: saIters, Seed: seed,
+			MaxSteps: maxSteps, Seed: seed,
+			Overrides: dse.JobOverrides{SAIters: saIters},
 		}
 	}
 	return out

@@ -19,9 +19,8 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -30,101 +29,83 @@ import (
 	"time"
 
 	"repro/internal/apps"
-	"repro/internal/core"
-	"repro/internal/objective"
+	"repro/internal/cli"
 	"repro/internal/prof"
 	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/search"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("dsesweep: ")
+func main() { cli.Main("dsesweep", run) }
+
+// run parses args, sweeps the device sizes and writes the table (and
+// optionally the plot and CSV) to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := cli.NewFlagSet("dsesweep")
+	var ov search.Overrides
+	ov.RegisterFlags(fs)
+	fs.IntVar(&ov.SAIters, "iters", 5000, "annealing iterations per run")
+	fs.Float64Var(&ov.WArea, "w-area", 0, "objective weight on occupied hardware area (cost units per CLB)")
+	fs.Float64Var(&ov.WReconf, "w-reconf", 0, "objective weight on reconfiguration time (cost units per ms, initial+dynamic)")
 	var (
-		sizesFlag  = flag.String("sizes", "100,200,400,600,800,1200,1600,2000,3000,4000,5000,7000,10000", "comma-separated FPGA sizes (CLBs)")
-		runs       = flag.Int("runs", 100, "annealing runs per size (paper: 100)")
-		iters      = flag.Int("iters", 5000, "annealing iterations per run")
-		workers    = flag.Int("j", runtime.NumCPU(), "parallel annealing runs")
-		baseSeed   = flag.Int64("seed", 0, "base of the per-run seed stream (run i uses seed+i)")
-		splits     = flag.Bool("splits", false, "enable the context-splitting extension move (paper mode: off)")
-		csvPath    = flag.String("csv", "", "write results to this CSV file")
-		noplot     = flag.Bool("noplot", false, "suppress the ASCII plot")
-		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
-		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
-		strategy   = flag.String("strategy", "sa", "search strategy per run: sa, ga, list, brute, portfolio, bandit")
-		schedPol   = flag.String("sched", "", "composite-strategy scheduling policy: rr or ucb (empty = the kind's default)")
-		schedSlice = flag.Int("sched-slice", 0, "UCB budget-slice length in driver steps (0 = engine default)")
-		transfer   = flag.Bool("transfer", false, "warm-start each sweep point from the best cached outcome on the same instance pair (needs -cache; earlier points seed later ones of the same size)")
-		wArea      = flag.Float64("w-area", 0, "objective weight on occupied hardware area (cost units per CLB)")
-		wReconf    = flag.Float64("w-reconf", 0, "objective weight on reconfiguration time (cost units per ms, initial+dynamic)")
-		cacheOn    = flag.Bool("cache", false, "memoize run outcomes across sweep points (repeated sizes/seeds become cache hits)")
-		batch      = flag.Int("batch", 0, "speculative batch width for SA moves (<=1 = serial; changes the trajectory deterministically)")
-		earlyStop  = flag.Float64("early-stop", 0, "adaptive early stop: end a run when best cost improves < this fraction over -early-stop-window steps (0 = off)")
-		earlyStopW = flag.Int("early-stop-window", 32, "sliding-window length (driver steps) of -early-stop")
+		sizesFlag  = fs.String("sizes", "100,200,400,600,800,1200,1600,2000,3000,4000,5000,7000,10000", "comma-separated FPGA sizes (CLBs)")
+		runs       = fs.Int("runs", 100, "annealing runs per size (paper: 100)")
+		workers    = fs.Int("j", runtime.NumCPU(), "parallel annealing runs")
+		baseSeed   = fs.Int64("seed", 0, "base of the per-run seed stream (run i uses seed+i)")
+		splits     = fs.Bool("splits", false, "enable the context-splitting extension move (paper mode: off)")
+		csvPath    = fs.String("csv", "", "write results to this CSV file")
+		noplot     = fs.Bool("noplot", false, "suppress the ASCII plot")
+		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
+		memprofile = fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
+		strategy   = fs.String("strategy", "sa", "search strategy per run: sa, ga, list, brute, portfolio, bandit")
+		cacheOn    = fs.Bool("cache", false, "memoize run outcomes across sweep points (repeated sizes/seeds become cache hits)")
 	)
-	flag.Parse()
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 
 	stopProfiles := prof.Start(*cpuprofile, *memprofile)
 	defer stopProfiles()
 
 	sizes, err := parseSizes(*sizesFlag)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	mcfg := apps.DefaultMotionConfig()
 	app := apps.MotionDetection(mcfg)
+	scfg := search.DefaultConfig()
+	scfg.SA.Deadline = apps.MotionDeadline
+	scfg.SA.EnableCtxSplit = *splits
+	if err := ov.Apply(&scfg); err != nil {
+		return err
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
 	var cache *runner.ResultCache
-	if *cacheOn {
+	if *cacheOn || ov.Transfer {
+		// -transfer draws its donors from the result cache. Distinct sizes
+		// are distinct arch digests, so a point only inherits from runs of
+		// its own size.
 		cache = runner.NewResultCache(0, 0)
 	}
 
-	fmt.Printf("Figure 3 — device-size sweep on %q (%d runs/size, %d iterations, %d workers, splits=%v, strategy %s)\n\n",
-		app.Name, *runs, *iters, *workers, *splits, *strategy)
+	fmt.Fprintf(stdout, "Figure 3 — device-size sweep on %q (%d runs/size, %d iterations, %d workers, splits=%v, strategy %s)\n\n",
+		app.Name, *runs, scfg.SA.MaxIters, *workers, *splits, *strategy)
 
 	tb := report.NewTable("nclb", "exec_ms", "init_reconf_ms", "dyn_reconf_ms", "contexts", "met_40ms", "best_ms", "p95_ms")
 	var xs, yExec, yCtx, yRcI, yRcD []float64
 	start := time.Now()
 	for _, nclb := range sizes {
 		arch := apps.MotionArch(nclb, mcfg)
-		cfg := core.DefaultConfig()
-		cfg.MaxIters = *iters
-		cfg.Deadline = apps.MotionDeadline
-		cfg.EnableCtxSplit = *splits
-		cfg.Batch = *batch
-		scfg := search.DefaultConfig()
-		scfg.SA = cfg
-		scfg.Sched = *schedPol
-		scfg.SchedSlice = *schedSlice
-		if *earlyStop > 0 {
-			scfg.EarlyStopEpsilon = *earlyStop
-			scfg.EarlyStopWindow = *earlyStopW
-		}
-		if *wArea != 0 || *wReconf != 0 {
-			scal := objective.FixedArch()
-			scal.Weights[objective.HWArea] = *wArea
-			scal.Weights[objective.InitialReconfig] = *wReconf
-			scal.Weights[objective.DynamicReconfig] = *wReconf
-			scfg.Objective = &scal
-		}
 		factory, err := search.NewFactory(*strategy, app, arch, scfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		if *transfer {
-			// Warm-start from the best cached donor on this (app, arch)
-			// pair; must precede WithCache so the donor key reaches the
-			// cache keys. Distinct sizes are distinct arch digests, so a
-			// point only inherits from runs of its own size.
-			runner.ApplyTransfer(factory, cache)
-		}
-		fn, err := runner.WithCache(runner.CacheConfig{Cache: cache, Factory: factory})
+		fn, err := runner.WithCache(runner.CacheConfig{Cache: cache, Factory: factory, Transfer: ov.Transfer})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		agg, err := runner.Run(ctx, app, runner.Options{
 			Runs:     *runs,
@@ -132,7 +113,7 @@ func main() {
 			BaseSeed: *baseSeed,
 		}, fn)
 		if err != nil && ctx.Err() == nil {
-			log.Fatal(err)
+			return err
 		}
 		if agg.Completed == 0 {
 			break // interrupted before the first run of this point finished
@@ -155,42 +136,38 @@ func main() {
 		}
 	}
 	if ctx.Err() != nil {
-		fmt.Println("interrupted — showing completed sweep points")
+		fmt.Fprintln(stdout, "interrupted — showing completed sweep points")
 	}
 
-	if err := tb.Render(os.Stdout); err != nil {
-		log.Fatal(err)
+	if err := tb.Render(stdout); err != nil {
+		return err
 	}
-	fmt.Printf("\ntotal wall time: %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "\ntotal wall time: %v\n", time.Since(start).Round(time.Millisecond))
 	if cache != nil {
 		st := cache.Stats()
-		fmt.Printf("result cache: %d hits, %d misses, %d resident\n", st.Hits, st.Misses, st.Entries)
+		fmt.Fprintf(stdout, "result cache: %d hits, %d misses, %d resident\n", st.Hits, st.Misses, st.Entries)
 	}
 
 	if !*noplot && len(xs) > 1 {
-		fmt.Println("\nexecution time / reconfiguration times (ms) and contexts vs FPGA size:")
-		err := report.Plot(os.Stdout, 78, 16,
+		fmt.Fprintln(stdout, "\nexecution time / reconfiguration times (ms) and contexts vs FPGA size:")
+		err := report.Plot(stdout, 78, 16,
 			report.Series{Name: "execution time (ms)", X: xs, Y: yExec},
 			report.Series{Name: "number of contexts", X: xs, Y: yCtx},
 			report.Series{Name: "initial reconfiguration (ms)", X: xs, Y: yRcI},
 			report.Series{Name: "dynamic reconfiguration (ms)", X: xs, Y: yRcD},
 		)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
 	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			log.Fatal(err)
+		if err := cli.WriteFile(*csvPath, tb.CSV); err != nil {
+			return err
 		}
-		defer f.Close()
-		if err := tb.CSV(f); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("results written to %s\n", *csvPath)
+		fmt.Fprintf(stdout, "results written to %s\n", *csvPath)
 	}
+	return nil
 }
 
 func parseSizes(s string) ([]int, error) {

@@ -6,50 +6,54 @@
 // With -strategy portfolio or -strategy bandit the run goes through the
 // composite scheduler instead, and the report is the per-arm budget
 // table — slices, steps and accumulated reward per member strategy,
-// plus the policy ("rr" round-robin or "ucb" deterministic UCB1) and,
-// when the run was transfer-seeded, the donor key and incumbent cost.
+// plus the kind's policy (the portfolio's "rr" round-robin or the
+// bandit's "ucb" deterministic UCB1) and, when the run was
+// transfer-seeded, the donor key and incumbent cost.
 //
 // Usage:
 //
 //	dsetrace [-nclb 2000] [-iters 5000] [-warmup 1200] [-seed 1]
 //	         [-quality 0.05] [-csv trace.csv] [-noplot]
-//	dsetrace -strategy bandit [-sched ucb] [-sched-slice 8] [-max-steps 400]
+//	dsetrace -strategy bandit [-sched-slice 8] [-max-steps 400]
+//	dsetrace -strategy portfolio [-max-steps 400]
 package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
-	"log"
-	"os"
+	"io"
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/report"
 	"repro/internal/search"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("dsetrace: ")
-	var (
-		nclb    = flag.Int("nclb", 2000, "FPGA capacity in CLBs")
-		iters   = flag.Int("iters", 5000, "annealing iterations")
-		warmup  = flag.Int("warmup", 1200, "infinite-temperature warmup iterations")
-		seed    = flag.Int64("seed", 1, "random seed")
-		quality = flag.Float64("quality", 0.05, "Lam schedule quality (λ)")
-		csvPath = flag.String("csv", "", "write the per-iteration trace to this CSV file")
-		noplot  = flag.Bool("noplot", false, "suppress the ASCII plots")
-		splits  = flag.Bool("splits", false, "enable the context-splitting extension move")
+func main() { cli.Main("dsetrace", run) }
 
-		strategy   = flag.String("strategy", "sa", "sa traces one annealing run (the paper figure); portfolio/bandit print the scheduler arm table instead")
-		schedPol   = flag.String("sched", "", "composite-strategy scheduling policy: rr or ucb (empty = the kind's default)")
-		schedSlice = flag.Int("sched-slice", 0, "UCB budget-slice length in driver steps (0 = engine default)")
-		maxSteps   = flag.Int("max-steps", 0, "cap driver steps of the composite run (0 = to exhaustion)")
+// run parses args, traces one run and writes the report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := cli.NewFlagSet("dsetrace")
+	var (
+		nclb    = fs.Int("nclb", 2000, "FPGA capacity in CLBs")
+		iters   = fs.Int("iters", 5000, "annealing iterations")
+		warmup  = fs.Int("warmup", 1200, "infinite-temperature warmup iterations")
+		seed    = fs.Int64("seed", 1, "random seed")
+		quality = fs.Float64("quality", 0.05, "Lam schedule quality (λ)")
+		csvPath = fs.String("csv", "", "write the per-iteration trace to this CSV file")
+		noplot  = fs.Bool("noplot", false, "suppress the ASCII plots")
+		splits  = fs.Bool("splits", false, "enable the context-splitting extension move")
+
+		strategy   = fs.String("strategy", "sa", "sa traces one annealing run (the paper figure); portfolio/bandit print the scheduler arm table instead")
+		schedSlice = fs.Int("sched-slice", 0, "UCB budget-slice length of the bandit in driver steps (0 = engine default)")
+		maxSteps   = fs.Int("max-steps", 0, "cap driver steps of the composite run (0 = to exhaustion)")
 	)
-	flag.Parse()
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 
 	mcfg := apps.DefaultMotionConfig()
 	app := apps.MotionDetection(mcfg)
@@ -64,8 +68,7 @@ func main() {
 	cfg.EnableCtxSplit = *splits
 
 	if *strategy != "sa" {
-		traceScheduler(app, arch, cfg, *strategy, *schedPol, *schedSlice, *seed, *maxSteps)
-		return
+		return traceScheduler(stdout, app, arch, cfg, *strategy, search.Overrides{SchedSlice: *schedSlice}, *seed, *maxSteps)
 	}
 
 	var its, ctxs, exec []float64
@@ -78,23 +81,23 @@ func main() {
 	start := time.Now()
 	res, err := core.Explore(app, arch, cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	elapsed := time.Since(start)
 
-	fmt.Printf("Figure 2 — typical run on %q, FPGA %d CLBs\n\n", app.Name, *nclb)
-	fmt.Printf("  all-software execution time : %v (paper: 76.4 ms)\n", app.TotalSW())
-	fmt.Printf("  initial random solution     : %v (paper: 67.9 ms)\n", res.InitialEval.Makespan)
-	fmt.Printf("  final best execution time   : %v (paper: 18.1 ms)\n", res.BestEval.Makespan)
-	fmt.Printf("  final contexts              : %d (paper: 3)\n", res.BestEval.Contexts)
-	fmt.Printf("  40 ms constraint met        : %v\n", res.MetDeadline)
-	fmt.Printf("  breakdown: sw=%v hw=%v comm=%v reconfig(init)=%v reconfig(dyn)=%v\n",
+	fmt.Fprintf(stdout, "Figure 2 — typical run on %q, FPGA %d CLBs\n\n", app.Name, *nclb)
+	fmt.Fprintf(stdout, "  all-software execution time : %v (paper: 76.4 ms)\n", app.TotalSW())
+	fmt.Fprintf(stdout, "  initial random solution     : %v (paper: 67.9 ms)\n", res.InitialEval.Makespan)
+	fmt.Fprintf(stdout, "  final best execution time   : %v (paper: 18.1 ms)\n", res.BestEval.Makespan)
+	fmt.Fprintf(stdout, "  final contexts              : %d (paper: 3)\n", res.BestEval.Contexts)
+	fmt.Fprintf(stdout, "  40 ms constraint met        : %v\n", res.MetDeadline)
+	fmt.Fprintf(stdout, "  breakdown: sw=%v hw=%v comm=%v reconfig(init)=%v reconfig(dyn)=%v\n",
 		res.BestEval.ComputeSW, res.BestEval.ComputeHW, res.BestEval.Comm,
 		res.BestEval.InitialReconfig, res.BestEval.DynamicReconfig)
-	fmt.Printf("  iterations=%d accepted=%d rejected=%d infeasible=%d wall=%v (paper: <10 s)\n\n",
+	fmt.Fprintf(stdout, "  iterations=%d accepted=%d rejected=%d infeasible=%d wall=%v (paper: <10 s)\n\n",
 		res.Stats.Iters, res.Stats.Accepted, res.Stats.Rejected, res.Stats.Infeasible, elapsed.Round(time.Millisecond))
 
-	fmt.Println("move mix (proposed / accepted per kind):")
+	fmt.Fprintln(stdout, "move mix (proposed / accepted per kind):")
 	mt := report.NewTable("move", "proposed", "accepted", "accept_rate")
 	for k := 0; k < core.NumMoveKinds; k++ {
 		prop, acc := res.MoveStats.Proposed[k], res.MoveStats.Accepted[k]
@@ -107,19 +110,19 @@ func main() {
 		}
 		mt.AddRow(core.MoveKindName(k), prop, acc, rate)
 	}
-	if err := mt.Render(os.Stdout); err != nil {
-		log.Fatal(err)
+	if err := mt.Render(stdout); err != nil {
+		return err
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 
 	if !*noplot && len(its) > 0 {
-		fmt.Println("execution time (ms) vs iteration:")
-		if err := report.Plot(os.Stdout, 78, 16, report.Series{Name: "execution time (ms)", X: its, Y: exec}); err != nil {
-			log.Fatal(err)
+		fmt.Fprintln(stdout, "execution time (ms) vs iteration:")
+		if err := report.Plot(stdout, 78, 16, report.Series{Name: "execution time (ms)", X: its, Y: exec}); err != nil {
+			return err
 		}
-		fmt.Println("\nnumber of contexts vs iteration:")
-		if err := report.Plot(os.Stdout, 78, 10, report.Series{Name: "contexts", X: its, Y: ctxs}); err != nil {
-			log.Fatal(err)
+		fmt.Fprintln(stdout, "\nnumber of contexts vs iteration:")
+		if err := report.Plot(stdout, 78, 10, report.Series{Name: "contexts", X: its, Y: ctxs}); err != nil {
+			return err
 		}
 	}
 
@@ -128,52 +131,49 @@ func main() {
 		for i := range its {
 			tb.AddRow(int(its[i]), exec[i], int(ctxs[i]))
 		}
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			log.Fatal(err)
+		if err := cli.WriteFile(*csvPath, tb.CSV); err != nil {
+			return err
 		}
-		defer f.Close()
-		if err := tb.CSV(f); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("trace written to %s\n", *csvPath)
+		fmt.Fprintf(stdout, "trace written to %s\n", *csvPath)
 	}
+	return nil
 }
 
 // traceScheduler drives one non-sa strategy run through the unified
 // engine and reports the composite scheduler's per-arm budget
 // accounting (nothing to report for plain single strategies).
-func traceScheduler(app *model.App, arch *model.Arch, saCfg core.Config, name, policy string, slice int, seed int64, maxSteps int) {
+func traceScheduler(stdout io.Writer, app *model.App, arch *model.Arch, saCfg core.Config, name string, ov search.Overrides, seed int64, maxSteps int) error {
 	scfg := search.DefaultConfig()
 	scfg.SA = saCfg
-	scfg.Sched = policy
-	scfg.SchedSlice = slice
+	if err := ov.Apply(&scfg); err != nil {
+		return err
+	}
 	factory, err := search.NewFactory(name, app, arch, scfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	start := time.Now()
 	out, st, err := search.RunStats(context.Background(), factory, seed, maxSteps)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	elapsed := time.Since(start)
 
-	fmt.Printf("strategy %s: %q on %q\n\n", name, app.Name, arch.Name)
-	fmt.Printf("  best execution time   : %v (cost %.4f)\n", out.Eval.Makespan, out.Cost)
-	fmt.Printf("  %v constraint met  : %v\n", saCfg.Deadline, out.MetDeadline)
-	fmt.Printf("  driver steps          : %d (%d evaluations, wall %v)\n\n",
+	fmt.Fprintf(stdout, "strategy %s: %q on %q\n\n", name, app.Name, arch.Name)
+	fmt.Fprintf(stdout, "  best execution time   : %v (cost %.4f)\n", out.Eval.Makespan, out.Cost)
+	fmt.Fprintf(stdout, "  %v constraint met  : %v\n", saCfg.Deadline, out.MetDeadline)
+	fmt.Fprintf(stdout, "  driver steps          : %d (%d evaluations, wall %v)\n\n",
 		st.Steps, st.Evaluations, elapsed.Round(time.Millisecond))
 
 	if st.Sched == nil {
-		fmt.Printf("strategy %s reports no scheduler telemetry (not a composite)\n", name)
-		return
+		fmt.Fprintf(stdout, "strategy %s reports no scheduler telemetry (not a composite)\n", name)
+		return nil
 	}
 	head := fmt.Sprintf("scheduler policy %s", st.Sched.Policy)
 	if st.Sched.Slice > 0 {
 		head += fmt.Sprintf(", slice %d steps", st.Sched.Slice)
 	}
-	fmt.Println(head + " — per-arm budget accounting:")
+	fmt.Fprintln(stdout, head+" — per-arm budget accounting:")
 	tb := report.NewTable("arm", "slices", "steps", "reward", "mean_reward")
 	for _, a := range st.Sched.Arms {
 		mean := "-"
@@ -182,10 +182,11 @@ func traceScheduler(app *model.App, arch *model.Arch, saCfg core.Config, name, p
 		}
 		tb.AddRow(a.Name, a.Slices, a.Steps, fmt.Sprintf("%.4f", a.Reward), mean)
 	}
-	if err := tb.Render(os.Stdout); err != nil {
-		log.Fatal(err)
+	if err := tb.Render(stdout); err != nil {
+		return err
 	}
 	if st.Sched.TransferKey != "" {
-		fmt.Printf("\ntransfer donor %s (incumbent cost %.4f)\n", st.Sched.TransferKey, st.Sched.TransferCost)
+		fmt.Fprintf(stdout, "\ntransfer donor %s (incumbent cost %.4f)\n", st.Sched.TransferKey, st.Sched.TransferCost)
 	}
+	return nil
 }

@@ -34,8 +34,9 @@ package main
 
 import (
 	"context"
-	"flag"
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -44,7 +45,7 @@ import (
 
 	"repro/dse"
 	"repro/internal/apps"
-	"repro/internal/core"
+	"repro/internal/cli"
 	"repro/internal/model"
 	"repro/internal/objective"
 	"repro/internal/pareto"
@@ -55,38 +56,39 @@ import (
 	"repro/internal/search"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("dsexplore: ")
+func main() { cli.Main("dsexplore", run) }
+
+// run parses args, explores locally or on a dsed server, and writes the
+// report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := cli.NewFlagSet("dsexplore")
+	var ov search.Overrides
+	ov.RegisterFlags(fs)
+	fs.IntVar(&ov.SAIters, "iters", 5000, "annealing iterations")
+	fs.Float64Var(&ov.Quality, "quality", 0.05, "Lam schedule quality (λ): smaller = slower, better")
+	fs.Float64Var(&ov.WArea, "w-area", 0, "objective weight on occupied hardware area (cost units per CLB)")
+	fs.Float64Var(&ov.WReconf, "w-reconf", 0, "objective weight on reconfiguration time (cost units per ms, initial+dynamic)")
 	var (
-		appPath    = flag.String("app", "", "application JSON file")
-		archPath   = flag.String("arch", "", "architecture JSON file")
-		motion     = flag.Bool("motion", false, "use the built-in motion-detection benchmark")
-		nclb       = flag.Int("nclb", 2000, "FPGA capacity for the built-in architecture")
-		iters      = flag.Int("iters", 5000, "annealing iterations")
-		seed       = flag.Int64("seed", 1, "random seed (base of the seed stream when -runs > 1)")
-		runs       = flag.Int("runs", 1, "independent annealing runs (best reported)")
-		workers    = flag.Int("j", runtime.NumCPU(), "parallel runs when -runs > 1")
-		quality    = flag.Float64("quality", 0.05, "Lam schedule quality (λ): smaller = slower, better")
-		deadlineMS = flag.Float64("deadline", 0, "real-time constraint in ms (0 = none)")
-		gantt      = flag.Bool("gantt", false, "print the schedule as a Gantt listing")
-		assign     = flag.Bool("assign", true, "print the per-task assignment table")
-		dumpApp    = flag.String("dump-app", "", "write the built-in application JSON here and exit")
-		dumpArch   = flag.String("dump-arch", "", "write the built-in architecture JSON here and exit")
-		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the exploration to this file")
-		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
-		strategy   = flag.String("strategy", "sa", "search strategy: sa, ga, list, brute, portfolio, bandit")
-		schedPol   = flag.String("sched", "", "composite-strategy scheduling policy: rr or ucb (empty = the kind's default: portfolio=rr, bandit=ucb)")
-		schedSlice = flag.Int("sched-slice", 0, "UCB budget-slice length in driver steps (0 = engine default)")
-		transfer   = flag.Bool("transfer", false, "with -server: warm-start the job from the server's best cached outcome on the same instance pair")
-		wArea      = flag.Float64("w-area", 0, "objective weight on occupied hardware area (cost units per CLB)")
-		wReconf    = flag.Float64("w-reconf", 0, "objective weight on reconfiguration time (cost units per ms, initial+dynamic)")
-		server     = flag.String("server", "", "submit the job to this dsed server (e.g. http://localhost:8080) instead of running locally")
-		batch      = flag.Int("batch", 0, "speculative batch width for SA moves (<=1 = serial; changes the trajectory deterministically)")
-		earlyStop  = flag.Float64("early-stop", 0, "adaptive early stop: end a run when best cost improves < this fraction over -early-stop-window steps (0 = off)")
-		earlyStopW = flag.Int("early-stop-window", 32, "sliding-window length (driver steps) of -early-stop")
+		appPath    = fs.String("app", "", "application JSON file")
+		archPath   = fs.String("arch", "", "architecture JSON file")
+		motion     = fs.Bool("motion", false, "use the built-in motion-detection benchmark")
+		nclb       = fs.Int("nclb", 2000, "FPGA capacity for the built-in architecture")
+		seed       = fs.Int64("seed", 1, "random seed (base of the seed stream when -runs > 1)")
+		runs       = fs.Int("runs", 1, "independent annealing runs (best reported)")
+		workers    = fs.Int("j", runtime.NumCPU(), "parallel runs when -runs > 1")
+		deadlineMS = fs.Float64("deadline", 0, "real-time constraint in ms (0 = none)")
+		gantt      = fs.Bool("gantt", false, "print the schedule as a Gantt listing")
+		assign     = fs.Bool("assign", true, "print the per-task assignment table")
+		dumpApp    = fs.String("dump-app", "", "write the built-in application JSON here and exit")
+		dumpArch   = fs.String("dump-arch", "", "write the built-in architecture JSON here and exit")
+		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile of the exploration to this file")
+		memprofile = fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
+		strategy   = fs.String("strategy", "sa", "search strategy: sa, ga, list, brute, portfolio, bandit")
+		server     = fs.String("server", "", "submit the job to this dsed server (e.g. http://localhost:8080) instead of running locally")
 	)
-	flag.Parse()
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 
 	stopProfiles := prof.Start(*cpuprofile, *memprofile)
 	defer stopProfiles()
@@ -94,14 +96,18 @@ func main() {
 	mcfg := apps.DefaultMotionConfig()
 	if *dumpApp != "" || *dumpArch != "" {
 		if *dumpApp != "" {
-			writeJSON(*dumpApp, func(f *os.File) error { return model.WriteApp(f, apps.MotionDetection(mcfg)) })
-			fmt.Printf("wrote %s\n", *dumpApp)
+			if err := cli.WriteFile(*dumpApp, func(w io.Writer) error { return model.WriteApp(w, apps.MotionDetection(mcfg)) }); err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "wrote %s\n", *dumpApp)
 		}
 		if *dumpArch != "" {
-			writeJSON(*dumpArch, func(f *os.File) error { return model.WriteArch(f, apps.MotionArch(*nclb, mcfg)) })
-			fmt.Printf("wrote %s\n", *dumpArch)
+			if err := cli.WriteFile(*dumpArch, func(w io.Writer) error { return model.WriteArch(w, apps.MotionArch(*nclb, mcfg)) }); err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "wrote %s\n", *dumpArch)
 		}
-		return
+		return nil
 	}
 
 	var (
@@ -118,69 +124,49 @@ func main() {
 		}
 	default:
 		if *appPath == "" || *archPath == "" {
-			log.Fatal("need both -app and -arch (or -motion)")
+			return errors.New("need both -app and -arch (or -motion)")
 		}
 		if app, err = model.LoadApp(*appPath); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if arch, err = model.LoadArch(*archPath); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
+	// One Overrides value configures both paths: the local config below
+	// and the -server spec, which dsed applies to the same defaults.
+	scfg := search.DefaultConfig()
+	scfg.SA.Deadline = model.FromMillis(*deadlineMS)
+	scfg.FrontMetrics = []objective.Metric{objective.HWArea, objective.Makespan}
+	if err := ov.Apply(&scfg); err != nil {
+		return err
+	}
 	if *server != "" {
-		spec := dse.JobSpec{
+		return runRemote(stdout, *server, dse.JobSpec{
 			App: app, Arch: arch,
 			Strategy: *strategy, Runs: *runs, Seed: *seed, Workers: *workers,
-			SAIters: *iters, Quality: *quality, DeadlineMS: *deadlineMS,
-			WArea: *wArea, WReconf: *wReconf,
-			Batch: *batch, EarlyStopEpsilon: *earlyStop, EarlyStopWindow: *earlyStopW,
-			Sched: *schedPol, SchedSlice: *schedSlice, Transfer: *transfer,
-		}
-		runRemote(*server, spec)
-		return
+			DeadlineMS: *deadlineMS, Overrides: ov,
+		})
 	}
-
-	cfg := core.DefaultConfig()
-	cfg.MaxIters = *iters
-	cfg.Seed = *seed
-	cfg.Quality = *quality
-	cfg.Deadline = model.FromMillis(*deadlineMS)
-	cfg.Batch = *batch
-
-	scfg := search.DefaultConfig()
-	scfg.SA = cfg
-	scfg.FrontMetrics = []objective.Metric{objective.HWArea, objective.Makespan}
-	scfg.Sched = *schedPol
-	scfg.SchedSlice = *schedSlice
-	if *transfer {
+	if ov.Transfer {
 		// A local dsexplore invocation holds no result cache to donate
 		// from; transfer is meaningful against a dsed server.
 		log.Print("warning: -transfer has no effect without -server (no local result cache)")
 	}
-	if *earlyStop > 0 {
-		scfg.EarlyStopEpsilon = *earlyStop
-		scfg.EarlyStopWindow = *earlyStopW
-	}
-	if *wArea != 0 || *wReconf != 0 {
-		scal := objective.FixedArch()
-		scal.Weights[objective.HWArea] = *wArea
-		scal.Weights[objective.InitialReconfig] = *wReconf
-		scal.Weights[objective.DynamicReconfig] = *wReconf
-		scfg.Objective = &scal
-	}
 	factory, err := search.NewFactory(*strategy, app, arch, scfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("application %q (%d tasks) on %q, strategy %s\n\n", app.Name, app.N(), arch.Name, *strategy)
+	fmt.Fprintf(stdout, "application %q (%d tasks) on %q, strategy %s\n\n", app.Name, app.N(), arch.Name, *strategy)
 
 	var (
 		best  *sched.Mapping
 		b     sched.Result
 		front *pareto.NArchive
 	)
+	deadline := scfg.SA.Deadline
 	start := time.Now()
 	if *runs > 1 {
 		ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -191,53 +177,53 @@ func main() {
 			BaseSeed: *seed,
 		}, runner.Strategy(factory))
 		if err != nil && ctx.Err() == nil {
-			log.Fatal(err)
+			return err
 		}
 		if agg.Completed == 0 {
-			log.Fatal("interrupted before any run completed")
+			return errors.New("interrupted before any run completed")
 		}
 		elapsed := time.Since(start)
 		best, b, front = agg.Best, agg.BestEval, agg.Front
-		fmt.Printf("  runs completed          : %d/%d (%d workers)\n", agg.Completed, agg.Requested, *workers)
-		fmt.Printf("  execution time          : mean %.3f ms, median %.3f ms, p95 %.3f ms\n",
+		fmt.Fprintf(stdout, "  runs completed          : %d/%d (%d workers)\n", agg.Completed, agg.Requested, *workers)
+		fmt.Fprintf(stdout, "  execution time          : mean %.3f ms, median %.3f ms, p95 %.3f ms\n",
 			agg.MakespanMS.Mean(), agg.MakespanMS.Median(), agg.MakespanMS.Quantile(0.95))
-		fmt.Printf("  best execution time     : %v (run %d, seed %d)\n", b.Makespan, agg.BestRun, agg.BestSeed)
-		if cfg.Deadline > 0 {
-			fmt.Printf("  constraint %v met    : %d/%d runs\n", cfg.Deadline, agg.DeadlineMet, agg.Completed)
+		fmt.Fprintf(stdout, "  best execution time     : %v (run %d, seed %d)\n", b.Makespan, agg.BestRun, agg.BestSeed)
+		if deadline > 0 {
+			fmt.Fprintf(stdout, "  constraint %v met    : %d/%d runs\n", deadline, agg.DeadlineMet, agg.Completed)
 		}
-		fmt.Printf("  contexts                : mean %.2f, best %d\n", agg.Contexts.Mean(), b.Contexts)
-		fmt.Printf("  area/time archive       : %d non-dominated points\n", agg.Archive.Len())
-		fmt.Printf("  optimizer wall time     : %v total, %v per run\n\n",
+		fmt.Fprintf(stdout, "  contexts                : mean %.2f, best %d\n", agg.Contexts.Mean(), b.Contexts)
+		fmt.Fprintf(stdout, "  area/time archive       : %d non-dominated points\n", agg.Archive.Len())
+		fmt.Fprintf(stdout, "  optimizer wall time     : %v total, %v per run\n\n",
 			elapsed.Round(time.Millisecond),
 			(elapsed / time.Duration(agg.Completed)).Round(time.Millisecond))
 	} else {
 		out, err := search.Run(context.Background(), factory, *seed, 0)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		elapsed := time.Since(start)
 		best, b, front = out.Best, out.Eval, out.Front
-		fmt.Printf("  best execution time     : %v (cost %.4f)\n", b.Makespan, out.Cost)
-		if cfg.Deadline > 0 {
-			fmt.Printf("  constraint %v met    : %v\n", cfg.Deadline, out.MetDeadline)
+		fmt.Fprintf(stdout, "  best execution time     : %v (cost %.4f)\n", b.Makespan, out.Cost)
+		if deadline > 0 {
+			fmt.Fprintf(stdout, "  constraint %v met    : %v\n", deadline, out.MetDeadline)
 		}
-		fmt.Printf("  contexts                : %d\n", b.Contexts)
-		fmt.Printf("  optimizer wall time     : %v\n", elapsed.Round(time.Millisecond))
+		fmt.Fprintf(stdout, "  contexts                : %d\n", b.Contexts)
+		fmt.Fprintf(stdout, "  optimizer wall time     : %v\n", elapsed.Round(time.Millisecond))
 	}
-	fmt.Printf("  compute sw/hw           : %v / %v\n", b.ComputeSW, b.ComputeHW)
-	fmt.Printf("  bus communication       : %v\n", b.Comm)
-	fmt.Printf("  reconfiguration         : initial %v + dynamic %v\n\n", b.InitialReconfig, b.DynamicReconfig)
+	fmt.Fprintf(stdout, "  compute sw/hw           : %v / %v\n", b.ComputeSW, b.ComputeHW)
+	fmt.Fprintf(stdout, "  bus communication       : %v\n", b.Comm)
+	fmt.Fprintf(stdout, "  reconfiguration         : initial %v + dynamic %v\n\n", b.InitialReconfig, b.DynamicReconfig)
 
 	if front != nil && front.Len() > 0 {
-		fmt.Println("area/makespan Pareto front (non-dominated solutions visited):")
+		fmt.Fprintln(stdout, "area/makespan Pareto front (non-dominated solutions visited):")
 		tb := report.NewTable("clbs", "makespan_ms")
 		for _, p := range front.Points() {
 			tb.AddRow(int(p.V[0]), p.V[1])
 		}
-		if err := tb.Render(os.Stdout); err != nil {
-			log.Fatal(err)
+		if err := tb.Render(stdout); err != nil {
+			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	if *assign {
@@ -258,42 +244,42 @@ func main() {
 					best.Impl[t], im.CLBs, im.Time.String())
 			}
 		}
-		if err := tb.Render(os.Stdout); err != nil {
-			log.Fatal(err)
+		if err := tb.Render(stdout); err != nil {
+			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	if *gantt {
 		e := sched.NewEvaluator(app, arch)
 		if _, err := e.Evaluate(best); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		tb := report.NewTable("lane", "start", "end", "activity")
 		for _, en := range sched.Gantt(e, best) {
 			tb.AddRow(en.Lane, en.Start.String(), en.End.String(), en.Label)
 		}
-		if err := tb.Render(os.Stdout); err != nil {
-			log.Fatal(err)
+		if err := tb.Render(stdout); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
 // runRemote ships the instance to a dsed server as a synchronous
 // streaming job, prints each completed run as it arrives, and closes with
-// the server-side summary (cache hits included). The spec carries every
-// result-shaping knob of the local path (strategy, budget, quality,
-// objective weights, deadline), so the remote run optimizes the same
+// the server-side summary (cache hits included). The spec carries the
+// same Overrides as the local path, so the remote run optimizes the same
 // cost as the identical local invocation. Interrupting drops the
 // connection, which cancels the remote computation.
-func runRemote(base string, spec dse.JobSpec) {
+func runRemote(stdout io.Writer, base string, spec dse.JobSpec) error {
 	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stopSig()
 	client := dse.NewClient(base)
 	if err := client.Health(ctx); err != nil {
-		log.Fatalf("server %s unreachable: %v", base, err)
+		return fmt.Errorf("server %s unreachable: %w", base, err)
 	}
-	fmt.Printf("application %q (%d tasks) on %q, strategy %s — served by %s\n\n",
+	fmt.Fprintf(stdout, "application %q (%d tasks) on %q, strategy %s — served by %s\n\n",
 		spec.App.Name, spec.App.N(), spec.Arch.Name, spec.Strategy, base)
 	start := time.Now()
 	summary, err := client.RunJob(ctx, spec, func(ev dse.JobEvent) {
@@ -301,35 +287,25 @@ func runRemote(base string, spec dse.JobSpec) {
 		if ev.Cached {
 			cached = "  [cache]"
 		}
-		fmt.Printf("  run %3d (seed %d): cost %.4f, %.3f ms, %d contexts%s\n",
+		fmt.Fprintf(stdout, "  run %3d (seed %d): cost %.4f, %.3f ms, %d contexts%s\n",
 			ev.Run, ev.Seed, ev.Cost, ev.MakespanMS, ev.Contexts, cached)
 	})
 	if err != nil {
 		if summary == nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("\ninterrupted (%v) — partial summary:\n", err)
+		fmt.Fprintf(stdout, "\ninterrupted (%v) — partial summary:\n", err)
 	}
-	fmt.Printf("\n  runs completed          : %d/%d\n", summary.Completed, summary.Requested)
-	fmt.Printf("  best cost               : %.4f (run %d, seed %d)\n", summary.BestCost, summary.BestRun, summary.BestSeed)
-	fmt.Printf("  best execution time     : %.3f ms (mean %.3f ms)\n", summary.BestMakespanMS, summary.MeanMakespanMS)
-	fmt.Printf("  area/makespan front     : %d non-dominated points\n", summary.FrontSize)
-	fmt.Printf("  evaluations             : %d (%d runs from cache)\n", summary.Evaluations, summary.CacheHits)
+	fmt.Fprintf(stdout, "\n  runs completed          : %d/%d\n", summary.Completed, summary.Requested)
+	fmt.Fprintf(stdout, "  best cost               : %.4f (run %d, seed %d)\n", summary.BestCost, summary.BestRun, summary.BestSeed)
+	fmt.Fprintf(stdout, "  best execution time     : %.3f ms (mean %.3f ms)\n", summary.BestMakespanMS, summary.MeanMakespanMS)
+	fmt.Fprintf(stdout, "  area/makespan front     : %d non-dominated points\n", summary.FrontSize)
+	fmt.Fprintf(stdout, "  evaluations             : %d (%d runs from cache)\n", summary.Evaluations, summary.CacheHits)
 	if summary.TransferRuns > 0 {
-		fmt.Printf("  transfer donor          : %s (cost %.4f, %d runs seeded)\n",
+		fmt.Fprintf(stdout, "  transfer donor          : %s (cost %.4f, %d runs seeded)\n",
 			summary.TransferKey, summary.TransferCost, summary.TransferRuns)
 	}
-	fmt.Printf("  server wall time        : %.1f ms (round trip %v)\n",
+	fmt.Fprintf(stdout, "  server wall time        : %.1f ms (round trip %v)\n",
 		summary.WallMS, time.Since(start).Round(time.Millisecond))
-}
-
-func writeJSON(path string, write func(*os.File) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	if err := write(f); err != nil {
-		log.Fatal(err)
-	}
+	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/search"
 	"repro/internal/serve"
 )
 
@@ -20,6 +21,9 @@ type (
 	// JobSpec describes one exploration job submitted to a dsed server:
 	// a named scenario or inline App/Arch models, plus strategy/budget.
 	JobSpec = serve.JobSpec
+	// JobOverrides are the search knobs a JobSpec embeds, e.g.
+	// JobSpec{Scenario: "fig2-small", Overrides: JobOverrides{Batch: 8}}.
+	JobOverrides = search.Overrides
 	// JobStatus is a job's server-side state.
 	JobStatus = serve.JobStatus
 	// JobSummary is the aggregate of a finished job.

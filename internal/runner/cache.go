@@ -134,6 +134,12 @@ type CacheConfig struct {
 	// (StrategyBudget behind StrategyKey).
 	Factory  *search.Factory
 	MaxSteps int
+
+	// Transfer warm-starts the factory from Cache's best donor on the
+	// same instance pair, when there is one (see transfer.go). WithCache
+	// installs the donor before it derives the cache keys, so the donor
+	// key is part of every run's key.
+	Transfer bool
 }
 
 // WithCache resolves cfg into a cache-wrapped RunFunc, the single
@@ -146,6 +152,9 @@ type CacheConfig struct {
 func WithCache(cfg CacheConfig) (RunFunc, error) {
 	if cfg.Factory == nil {
 		return nil, errors.New("runner: WithCache needs a Factory")
+	}
+	if cfg.Transfer {
+		applyTransfer(cfg.Factory, cfg.Cache)
 	}
 	keyFor := StrategyKey(cfg.Factory, cfg.MaxSteps)
 	fn := cached(cfg.Cache, keyFor, StrategyBudget(cfg.Factory, cfg.MaxSteps))

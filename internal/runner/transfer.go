@@ -5,23 +5,14 @@ import "repro/internal/search"
 // Transfer warm-start: the result cache doubles as a donor index. Every
 // successful strategy-engine run over (app, arch) — whatever its seed,
 // budget, strategy or objective — is offered as a potential donor for
-// later jobs on the same instance pair. ApplyTransfer looks the best
-// donor up and injects its solution into a factory as the scheduler's
-// initial incumbent. The donor's memo key is folded into the receiving
-// factory's fingerprint, so a warm-started run caches under a distinct
-// key and stays a pure function of its fingerprinted inputs; with no
-// donor (or -transfer=off, which simply skips ApplyTransfer) the
-// fingerprint is byte-identical to pre-transfer releases.
-
-// TransferSource provides warm-start donors by instance pair. The
-// canonical implementation is *ResultCache; a nil *ResultCache is a
-// valid, always-empty source.
-type TransferSource interface {
-	// Donor returns the best known donor outcome for the (application
-	// digest, architecture digest) pair: its memo key, a private copy of
-	// the outcome, and whether one exists.
-	Donor(appDigest, archDigest string) (key string, out *Outcome, ok bool)
-}
+// later jobs on the same instance pair. WithCache with
+// CacheConfig.Transfer looks the best donor up and injects its solution
+// into the factory as the scheduler's initial incumbent, before it
+// derives the cache keys. The donor's memo key is folded into the
+// receiving factory's fingerprint, so a warm-started run caches under a
+// distinct key and stays a pure function of its fingerprinted inputs;
+// with no donor (or without Transfer) the fingerprint is byte-identical
+// to pre-transfer releases.
 
 // donorEntry is one instance pair's current best donor.
 type donorEntry struct {
@@ -61,8 +52,9 @@ func (rc *ResultCache) offerDonor(appD, archD, key string, out *Outcome) {
 	rc.donors[idx] = donorEntry{key: key, warm: warm, out: cloneOutcome(out)}
 }
 
-// Donor implements TransferSource. Safe on a nil receiver — servers
-// hand their possibly-nil *ResultCache straight in.
+// Donor returns the best known donor outcome for the (application
+// digest, architecture digest) pair: its memo key, a private copy of the
+// outcome, and whether one exists. A nil cache has no donors.
 func (rc *ResultCache) Donor(appDigest, archDigest string) (string, *Outcome, bool) {
 	if rc == nil {
 		return "", nil, false
@@ -86,17 +78,14 @@ func (rc *ResultCache) DonorCount() int {
 	return len(rc.donors)
 }
 
-// ApplyTransfer injects the best available donor for the factory's
-// instance pair as a warm start, returning whether one was installed.
-// Call it BEFORE WithCache/StrategyKey so the donor key is part of the
-// run's fingerprint — and therefore its cache key. A nil source, a
-// missing donor, or a non-warmable strategy kind leaves the factory
-// untouched (false).
-func ApplyTransfer(f *search.Factory, src TransferSource) bool {
-	if f == nil || src == nil {
-		return false
-	}
-	key, out, ok := src.Donor(f.App().Digest(), f.Arch().Digest())
+// applyTransfer injects the best available donor for the factory's
+// instance pair as a warm start, returning whether one was installed. It
+// runs before StrategyKey so the donor key is part of the run's
+// fingerprint — and therefore its cache key. A nil cache, a missing
+// donor, or a non-warmable strategy kind leaves the factory untouched
+// (false).
+func applyTransfer(f *search.Factory, rc *ResultCache) bool {
+	key, out, ok := rc.Donor(f.App().Digest(), f.Arch().Digest())
 	if !ok || out == nil || out.Best == nil || !out.HasCost {
 		return false
 	}

@@ -11,8 +11,9 @@ import (
 
 // TestDonorRecordingAndApplyTransfer: running a batch through WithCache
 // populates the donor index; a later factory on the same instance pair
-// warm-starts from it, and the donor key skews the receiving factory's
-// fingerprint (and therefore its cache key).
+// warm-starts from it — through applyTransfer and through
+// WithCache{Transfer: true} alike — and the donor key skews the receiving
+// factory's fingerprint (and therefore its cache key).
 func TestDonorRecordingAndApplyTransfer(t *testing.T) {
 	app, arch := testInstance(t)
 	f := testFactory(t, app, arch)
@@ -39,8 +40,8 @@ func TestDonorRecordingAndApplyTransfer(t *testing.T) {
 
 	warm := testFactory(t, app, arch)
 	coldFP, _ := warm.Fingerprint()
-	if !ApplyTransfer(warm, cache) {
-		t.Fatal("ApplyTransfer found no donor")
+	if !applyTransfer(warm, cache) {
+		t.Fatal("applyTransfer found no donor")
 	}
 	warmFP, _ := warm.Fingerprint()
 	if warmFP == coldFP {
@@ -49,9 +50,15 @@ func TestDonorRecordingAndApplyTransfer(t *testing.T) {
 	if !strings.Contains(warmFP, key) {
 		t.Fatalf("fingerprint %q does not carry donor key %q", warmFP, key)
 	}
+	// WithCache with Transfer installs the same donor before it keys the
+	// runs: a fresh factory ends up with the same warm fingerprint.
+	viaCache := testFactory(t, app, arch)
+	wfn := mustWithCache(t, CacheConfig{Cache: cache, Factory: viaCache, Transfer: true})
+	if fp, _ := viaCache.Fingerprint(); fp != warmFP {
+		t.Fatalf("WithCache{Transfer} fingerprint %q, want %q", fp, warmFP)
+	}
 	// The warm run reports its donor in the outcome telemetry, and the
 	// aggregate folds it.
-	wfn := mustWithCache(t, CacheConfig{Cache: cache, Factory: warm})
 	agg, err := Run(context.Background(), app, Options{Runs: 2, Workers: 2, BaseSeed: 40}, wfn)
 	if err != nil {
 		t.Fatal(err)
@@ -137,25 +144,22 @@ func TestDonorTiePrefersColdOutcome(t *testing.T) {
 	}
 }
 
-// TestApplyTransferNilAndMissing: a nil cache — including a typed-nil
-// *ResultCache passed through the interface, the shape a server with
-// caching disabled produces — and a missing donor both leave the
-// factory untouched.
+// TestApplyTransferNilAndMissing: a nil cache — the shape a server with
+// caching disabled produces — and a missing donor both leave the factory
+// untouched, whether asked directly or through WithCache{Transfer: true}.
 func TestApplyTransferNilAndMissing(t *testing.T) {
 	app, arch := testInstance(t)
 	f := testFactory(t, app, arch)
 	before, _ := f.Fingerprint()
 
-	var rc *ResultCache
-	if ApplyTransfer(f, rc) { // typed-nil interface value
+	if applyTransfer(f, nil) {
 		t.Fatal("nil cache produced a donor")
 	}
-	if ApplyTransfer(f, nil) {
-		t.Fatal("nil interface produced a donor")
-	}
-	if ApplyTransfer(f, NewResultCache(8, 0)) { // empty index
+	if applyTransfer(f, NewResultCache(8, 0)) { // empty index
 		t.Fatal("empty cache produced a donor")
 	}
+	mustWithCache(t, CacheConfig{Cache: nil, Factory: f, Transfer: true})
+	mustWithCache(t, CacheConfig{Cache: NewResultCache(8, 0), Factory: f, Transfer: true})
 	after, _ := f.Fingerprint()
 	if before != after {
 		t.Fatal("failed transfer attempts mutated the fingerprint")
@@ -226,7 +230,7 @@ func TestWarmRunCachesUnderDistinctKey(t *testing.T) {
 	}
 
 	warm := testFactory(t, app, arch)
-	if !ApplyTransfer(warm, cache) {
+	if !applyTransfer(warm, cache) {
 		t.Fatal("no donor")
 	}
 	ck, _ := StrategyKey(cold, 0)(0, 7)
@@ -243,5 +247,3 @@ func TestWarmRunCachesUnderDistinctKey(t *testing.T) {
 		t.Fatal("warm run answered from the cold run's cache entry")
 	}
 }
-
-var _ TransferSource = (*ResultCache)(nil)

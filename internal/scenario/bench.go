@@ -30,28 +30,11 @@ type MatrixOptions struct {
 	// MaxSteps caps driver steps per run when positive, overriding the
 	// scenario budget (dsebench -max-steps, for quick bounded sweeps).
 	MaxSteps int
-	// Batch, when >1, runs every SA cell with speculative batched move
-	// evaluation of that width (core.Config.Batch); non-SA strategies
-	// ignore it. Batched cells follow a different — equally valid, equally
-	// deterministic — trajectory than serial ones, so batched results are
-	// compared against batched baselines only.
-	Batch int
-	// EarlyStopEpsilon/EarlyStopWindow enable the driver-level adaptive
-	// early stop for every cell (see search.Config); zero disables it.
-	EarlyStopEpsilon float64
-	EarlyStopWindow  int
-	// Sched selects the composite-cell scheduling policy (search.SchedRR,
-	// search.SchedUCB; empty keeps each kind's default) and SchedSlice the
-	// UCB budget-slice length in driver steps (0 = search.DefaultSchedSlice).
-	// Non-composite cells ignore both.
-	Sched      string
-	SchedSlice int
-	// Transfer, with Cache, warm-starts every warmable cell from the best
-	// cached outcome on the same (app, arch) pair — including outcomes
-	// recorded by earlier cells of the same matrix. The donor key is part
-	// of each warm cell's fingerprint, so transfer-seeded results cache
-	// under distinct keys and stay deterministic.
-	Transfer bool
+	// Overrides apply the shared search knobs to every cell (batched
+	// cells compare against batched baselines only). Transfer, with
+	// Cache, warm-starts every warmable cell from the best cached outcome
+	// on its (app, arch) pair, earlier cells of the same matrix included.
+	search.Overrides
 	// Cache, when non-nil, memoizes per-run outcomes under the
 	// deterministic run key, so repeated cells (and repeated matrix
 	// invocations sharing the cache) are served without recomputation.
@@ -145,13 +128,9 @@ func RunMatrix(ctx context.Context, scenarios []*Scenario, opts MatrixOptions) (
 		}
 		cfg := s.SearchConfig()
 		cfg.FrontMetrics = frontMetrics
-		if opts.Batch > 1 {
-			cfg.SA.Batch = opts.Batch
+		if err := opts.Apply(&cfg); err != nil {
+			return rows, err
 		}
-		cfg.EarlyStopEpsilon = opts.EarlyStopEpsilon
-		cfg.EarlyStopWindow = opts.EarlyStopWindow
-		cfg.Sched = opts.Sched
-		cfg.SchedSlice = opts.SchedSlice
 		runs := s.Budget.Runs
 		if opts.Runs > 0 {
 			runs = opts.Runs
@@ -174,11 +153,11 @@ func RunMatrix(ctx context.Context, scenarios []*Scenario, opts MatrixOptions) (
 				Strategy:         name,
 				Tasks:            app.N(),
 				Runs:             runs,
-				EarlyStopEpsilon: opts.EarlyStopEpsilon,
-				EarlyStopWindow:  opts.EarlyStopWindow,
+				EarlyStopEpsilon: cfg.EarlyStopEpsilon,
+				EarlyStopWindow:  cfg.EarlyStopWindow,
 			}
-			if name == "sa" && opts.Batch > 1 {
-				row.Batch = opts.Batch
+			if name == "sa" && cfg.SA.Batch > 1 {
+				row.Batch = cfg.SA.Batch
 			}
 			if name == "brute" && app.N() > combi.MaxExhaustiveTasks {
 				row.Skipped = fmt.Sprintf("%d tasks > brute bound %d", app.N(), combi.MaxExhaustiveTasks)
@@ -189,13 +168,7 @@ func RunMatrix(ctx context.Context, scenarios []*Scenario, opts MatrixOptions) (
 			if err != nil {
 				return rows, fmt.Errorf("scenario %s, strategy %s: %w", s.Name, name, err)
 			}
-			if opts.Transfer && opts.Cache != nil {
-				// Warm-start from the best cached donor on this instance
-				// pair, if any; must precede WithCache so the donor key is
-				// folded into the cell's cache keys.
-				runner.ApplyTransfer(factory, opts.Cache)
-			}
-			fn, err := runner.WithCache(runner.CacheConfig{Cache: opts.Cache, Factory: factory, MaxSteps: maxSteps})
+			fn, err := runner.WithCache(runner.CacheConfig{Cache: opts.Cache, Factory: factory, MaxSteps: maxSteps, Transfer: opts.Transfer})
 			if err != nil {
 				return rows, fmt.Errorf("scenario %s, strategy %s: %w", s.Name, name, err)
 			}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/runner"
+	"repro/internal/search"
 )
 
 // TestTransferWarmStartReachesDonorFast is the transfer acceptance test:
@@ -45,7 +46,7 @@ func TestTransferWarmStartReachesDonorFast(t *testing.T) {
 		BaseSeed:   99, // a different seed stream: no cold cache entry to coast on
 		MaxSteps:   coldSteps / 4,
 		Cache:      cache,
-		Transfer:   true,
+		Overrides:  search.Overrides{Transfer: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +87,7 @@ func TestTransferWarmStartReachesDonorFast(t *testing.T) {
 		BaseSeed:   99,
 		MaxSteps:   coldSteps / 4,
 		Cache:      cache2,
-		Transfer:   true,
+		Overrides:  search.Overrides{Transfer: true},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -120,18 +120,13 @@ func (f *Factory) Fingerprint() (fp string, ok bool) {
 	// byte-identical to those of earlier releases.
 	//
 	// The scheduler and transfer fields follow the same normalization
-	// discipline: Sched is emitted only when the effective policy differs
-	// from the kind's default (so a default or explicit "rr" portfolio —
-	// and every non-composite strategy — fingerprints byte-identically to
-	// pre-scheduler releases), SchedSlice is emitted as its resolved value
-	// exactly when the effective policy is ucb (slice length changes ucb
-	// trajectories; "default 8" and "explicit 8" are the same run and must
-	// share a key), and TransferKey names the warm-start donor so warm and
-	// cold runs never collide in the cache.
-	policy, slice := f.schedPolicy()
-	if f.def.composite && policy == f.def.defaultPolicy {
-		policy = ""
-	}
+	// discipline: the policy belongs to the kind, so the Kind field names
+	// it; SchedSlice is emitted as its resolved value exactly when the
+	// policy is ucb (slice length changes ucb trajectories; "default 8"
+	// and "explicit 8" are the same run and must share a key), and
+	// TransferKey names the warm-start donor so warm and cold runs never
+	// collide in the cache.
+	_, slice := f.schedPolicy()
 	v := struct {
 		Kind             string
 		Objective        objective.Scalarizer
@@ -142,7 +137,6 @@ func (f *Factory) Fingerprint() (fp string, ok bool) {
 		SAChunk          int
 		EarlyStopEpsilon float64 `json:",omitempty"`
 		EarlyStopWindow  int     `json:",omitempty"`
-		Sched            string  `json:",omitempty"`
 		SchedSlice       int     `json:",omitempty"`
 		TransferKey      string  `json:",omitempty"`
 	}{
@@ -155,7 +149,6 @@ func (f *Factory) Fingerprint() (fp string, ok bool) {
 		SAChunk:          f.cfg.SAChunk,
 		EarlyStopEpsilon: f.cfg.EarlyStopEpsilon,
 		EarlyStopWindow:  f.cfg.EarlyStopWindow,
-		Sched:            policy,
 		SchedSlice:       slice,
 		TransferKey:      f.WarmStartKey(),
 	}

@@ -11,9 +11,9 @@ import (
 
 // FuzzEvalPathEquivalence extends the core fuzz of the same name one
 // layer up: randomized instances and budgets are driven through the
-// composite scheduler — random policy (rr/ucb), random slice length —
-// with the SA members pinned to each evaluation path in turn, and the
-// outcomes must be bit-identical. A divergence here that the core fuzz
+// composite scheduler — the portfolio (rr) or the bandit (ucb) by the
+// policy byte, random slice length — with the SA members pinned to each
+// evaluation path in turn, and the outcomes must be bit-identical. A divergence here that the core fuzz
 // misses would implicate the scheduler's budget accounting (the arm
 // sequence feeding different iteration counts into the two paths). The
 // same input is also replayed to pin scheduler determinism. Run with
@@ -40,6 +40,10 @@ func FuzzEvalPathEquivalence(f *testing.F) {
 		}
 		arch := apps.MotionArch(1500, apps.DefaultMotionConfig())
 		steps := 4 + int(budget)%96
+		kind := "portfolio" // rr
+		if policy%2 == 1 {
+			kind = "bandit" // ucb
+		}
 
 		run := func(mode core.EvalMode) (float64, Stats) {
 			cfg := DefaultConfig()
@@ -50,13 +54,8 @@ func FuzzEvalPathEquivalence(f *testing.F) {
 			cfg.GA.Population = 16
 			cfg.GA.Generations = 6
 			cfg.GA.Stall = 3
-			if policy%2 == 0 {
-				cfg.Sched = SchedRR
-			} else {
-				cfg.Sched = SchedUCB
-			}
 			cfg.SchedSlice = int(slice % 32)
-			fac, err := NewFactory("portfolio", app, arch, cfg)
+			fac, err := NewFactory(kind, app, arch, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

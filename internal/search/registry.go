@@ -22,9 +22,9 @@ type definition struct {
 	// Factory.SetWarmStart); for the rest a warm start is a silent no-op
 	// and must not skew fingerprints.
 	warmable bool
-	// defaultPolicy is the scheduling policy a composite kind uses when
-	// Config.Sched is empty.
-	defaultPolicy string
+	// policy is a composite kind's scheduling policy: SchedRR for
+	// "portfolio", SchedUCB for "bandit".
+	policy string
 	// validate checks one instance (per member for composites) at factory
 	// construction, hoisting the work out of the per-run path.
 	validate func(f *Factory) error
@@ -110,17 +110,17 @@ func init() {
 		build:    buildBrute,
 	})
 	register(definition{
-		name:          "portfolio",
-		composite:     true,
-		warmable:      true,
-		defaultPolicy: SchedRR,
-		build:         buildScheduler,
+		name:      "portfolio",
+		composite: true,
+		warmable:  true,
+		policy:    SchedRR,
+		build:     buildScheduler,
 	})
 	register(definition{
-		name:          "bandit",
-		composite:     true,
-		warmable:      true,
-		defaultPolicy: SchedUCB,
-		build:         buildScheduler,
+		name:      "bandit",
+		composite: true,
+		warmable:  true,
+		policy:    SchedUCB,
+		build:     buildScheduler,
 	})
 }

@@ -26,12 +26,6 @@ const (
 // the bandit can reallocate many times within a typical step budget.
 const DefaultSchedSlice = 8
 
-// ValidSchedPolicy reports whether s names a scheduling policy ("" selects
-// the strategy kind's default).
-func ValidSchedPolicy(s string) bool {
-	return s == "" || s == SchedRR || s == SchedUCB
-}
-
 // ArmStats is the per-member telemetry of a scheduler run.
 type ArmStats struct {
 	// Name is the member strategy name ("sa", "ga", "list", "brute").

@@ -126,18 +126,16 @@ func TestFingerprintPrePR10ByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFingerprintSchedNormalization: the scheduler knobs fold into the
-// fingerprint exactly when they change the run — explicit defaults alias
-// onto the same key, different policies/slices onto different keys, and
-// non-composite strategies ignore the knobs entirely.
+// TestFingerprintSchedNormalization: the slice knob folds into the
+// fingerprint exactly when it changes the run — the bandit's explicit
+// default slice aliases the implicit one, other slices skew it, and the
+// round-robin portfolio and non-composite strategies ignore the knob.
 func TestFingerprintSchedNormalization(t *testing.T) {
 	app := apps.JPEG(rand.New(rand.NewSource(77)))
 	arch := apps.MotionArch(2000, apps.DefaultMotionConfig())
-	fp := func(name string, mut func(*Config)) string {
+	fp := func(name string, slice int) string {
 		cfg := fastConfig()
-		if mut != nil {
-			mut(&cfg)
-		}
+		cfg.SchedSlice = slice
 		f, err := NewFactory(name, app, arch, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -149,37 +147,30 @@ func TestFingerprintSchedNormalization(t *testing.T) {
 		return s
 	}
 
-	base := fp("portfolio", nil)
-	if got := fp("portfolio", func(c *Config) { c.Sched = SchedRR }); got != base {
-		t.Fatalf("explicit rr must alias the default portfolio fingerprint:\n%s\n%s", got, base)
+	portfolio := fp("portfolio", 0)
+	for _, slice := range []int{4, DefaultSchedSlice, 16} {
+		if got := fp("portfolio", slice); got != portfolio {
+			t.Fatalf("slice %d skewed the rr portfolio fingerprint:\n%s\n%s", slice, got, portfolio)
+		}
 	}
-	ucb := fp("portfolio", func(c *Config) { c.Sched = SchedUCB })
-	if ucb == base {
-		t.Fatal("ucb portfolio must not share the rr fingerprint")
+
+	bandit := fp("bandit", 0)
+	if bandit == portfolio {
+		t.Fatal("bandit must not share the portfolio fingerprint")
 	}
-	if got := fp("portfolio", func(c *Config) { c.Sched = SchedUCB; c.SchedSlice = DefaultSchedSlice }); got != ucb {
+	if got := fp("bandit", DefaultSchedSlice); got != bandit {
 		t.Fatal("explicit default slice must alias the implicit one")
 	}
-	if got := fp("portfolio", func(c *Config) { c.Sched = SchedUCB; c.SchedSlice = 16 }); got == ucb {
-		t.Fatal("slice length must skew ucb fingerprints")
+	if got := fp("bandit", 16); got == bandit {
+		t.Fatal("slice length must skew bandit fingerprints")
+	}
+	if fp("bandit", 4) == fp("bandit", 16) {
+		t.Fatal("distinct slices must not share a bandit fingerprint")
 	}
 
-	bandit := fp("bandit", nil)
-	if got := fp("bandit", func(c *Config) { c.Sched = SchedUCB }); got != bandit {
-		t.Fatal("explicit ucb must alias the default bandit fingerprint")
-	}
-	if got := fp("bandit", func(c *Config) { c.Sched = SchedRR }); got == bandit {
-		t.Fatal("bandit forced to rr must not share the ucb fingerprint")
-	}
-
-	// Non-composite kinds ignore the scheduler knobs.
-	sa := fp("sa", nil)
-	if got := fp("sa", func(c *Config) { c.Sched = SchedUCB; c.SchedSlice = 32 }); got != sa {
+	// Non-composite kinds ignore the scheduler knob.
+	if got, sa := fp("sa", 32), fp("sa", 0); got != sa {
 		t.Fatal("sched knobs must not skew non-composite fingerprints")
-	}
-
-	if _, err := NewFactory("portfolio", app, arch, func() Config { c := fastConfig(); c.Sched = "bogus"; return c }()); err == nil {
-		t.Fatal("unknown sched policy accepted")
 	}
 }
 
@@ -323,18 +314,15 @@ func TestBanditDeterministicTrajectory(t *testing.T) {
 	}
 }
 
-// TestSchedRRIsDefaultPortfolio: an explicit -sched rr portfolio is the
-// default portfolio, bit for bit — outcome and telemetry.
+// TestSchedRRIsDefaultPortfolio: each composite kind owns its policy —
+// the portfolio runs rr, the bandit ucb at the default slice — and a
+// rerun of either reproduces its outcome and telemetry bit for bit.
 func TestSchedRRIsDefaultPortfolio(t *testing.T) {
 	app := apps.JPEG(rand.New(rand.NewSource(77)))
 	arch := apps.MotionArch(1500, apps.DefaultMotionConfig())
 
-	run := func(mut func(*Config)) (*Outcome, Stats) {
-		cfg := fastConfig()
-		if mut != nil {
-			mut(&cfg)
-		}
-		f, err := NewFactory("portfolio", app, arch, cfg)
+	run := func(name string) (*Outcome, Stats) {
+		f, err := NewFactory(name, app, arch, fastConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,16 +332,21 @@ func TestSchedRRIsDefaultPortfolio(t *testing.T) {
 		}
 		return out, st
 	}
-	defOut, defSt := run(nil)
-	rrOut, rrSt := run(func(c *Config) { c.Sched = SchedRR })
-	if defOut.Cost != rrOut.Cost || defOut.Eval != rrOut.Eval {
-		t.Fatalf("explicit rr diverged from default portfolio: %v vs %v", rrOut.Cost, defOut.Cost)
-	}
-	if !reflect.DeepEqual(defSt.Sched, rrSt.Sched) {
-		t.Fatalf("rr sched stats diverged: %+v vs %+v", defSt.Sched, rrSt.Sched)
-	}
-	if defSt.Sched.Policy != SchedRR {
-		t.Fatalf("default portfolio policy %q, want rr", defSt.Sched.Policy)
+	for _, c := range []struct {
+		name, policy string
+		slice        int
+	}{{"portfolio", SchedRR, 0}, {"bandit", SchedUCB, DefaultSchedSlice}} {
+		out, st := run(c.name)
+		if st.Sched == nil || st.Sched.Policy != c.policy || st.Sched.Slice != c.slice {
+			t.Fatalf("%s: sched telemetry %+v, want policy %q slice %d", c.name, st.Sched, c.policy, c.slice)
+		}
+		reOut, reSt := run(c.name)
+		if out.Cost != reOut.Cost || out.Eval != reOut.Eval {
+			t.Fatalf("%s: rerun diverged: %v vs %v", c.name, reOut.Cost, out.Cost)
+		}
+		if !reflect.DeepEqual(st.Sched, reSt.Sched) {
+			t.Fatalf("%s: rerun sched stats diverged: %+v vs %+v", c.name, st.Sched, reSt.Sched)
+		}
 	}
 }
 

@@ -110,17 +110,10 @@ type Config struct {
 	// Portfolio names the member strategies of the composite strategies
 	// ("portfolio", "bandit"). Empty selects DefaultPortfolio.
 	Portfolio []string
-	// Sched selects the scheduling policy of the composite strategies:
-	// SchedRR (blind round-robin) or SchedUCB (deterministic UCB1 over
-	// observed improvement rate). Empty selects the kind's default — rr
-	// for "portfolio", ucb for "bandit" — and is ignored by non-composite
-	// strategies. The policy changes results, so it is fingerprinted
-	// (normalized so defaults reproduce pre-scheduler fingerprints
-	// byte-identically).
-	Sched string
 	// SchedSlice is the number of consecutive member steps per UCB1 slice
-	// (<=0 selects DefaultSchedSlice; ignored under rr). Fingerprinted
-	// whenever the effective policy is ucb.
+	// of the "bandit" kind (<=0 selects DefaultSchedSlice; ignored by the
+	// round-robin "portfolio" and by non-composite kinds). Fingerprinted
+	// for the bandit.
 	SchedSlice int
 	// SAChunk is the number of annealing iterations per SA Step (default
 	// 64) — the granularity at which the portfolio interleaves SA with
@@ -184,9 +177,6 @@ func NewFactory(name string, app *model.App, arch *model.Arch, cfg Config) (*Fac
 	f := &Factory{name: name, def: def, app: app, arch: arch, cfg: cfg, scal: cfg.scalarizer()}
 	members := []string{name}
 	if def.composite {
-		if !ValidSchedPolicy(cfg.Sched) {
-			return nil, fmt.Errorf("search: unknown sched policy %q (have %q, %q)", cfg.Sched, SchedRR, SchedUCB)
-		}
 		var err error
 		if members, err = f.memberNames(); err != nil {
 			return nil, err
@@ -220,17 +210,11 @@ func (f *Factory) memberNames() ([]string, error) {
 	return members, nil
 }
 
-// schedPolicy resolves the effective scheduling policy and slice length of
-// a composite kind ("", 0 for the rest — their fingerprints must not move
+// schedPolicy resolves the scheduling policy and slice length of a
+// composite kind ("", 0 for the rest — their fingerprints must not move
 // with scheduler knobs they ignore).
 func (f *Factory) schedPolicy() (policy string, slice int) {
-	if !f.def.composite {
-		return "", 0
-	}
-	policy = f.cfg.Sched
-	if policy == "" {
-		policy = f.def.defaultPolicy
-	}
+	policy = f.def.policy
 	if policy != SchedUCB {
 		return policy, 0
 	}

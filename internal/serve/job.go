@@ -35,54 +35,23 @@ type JobSpec struct {
 	// MaxSteps caps driver steps per run (0 = the scenario's budget, or
 	// run to exhaustion for inline models).
 	MaxSteps int `json:"maxSteps,omitempty"`
-	// SAIters overrides the annealing iteration budget when positive —
-	// part of the job's budget identity, so it participates in the cache
-	// key through the strategy fingerprint.
-	SAIters int `json:"saIters,omitempty"`
-	// Quality overrides the Lam schedule quality λ when positive
-	// (dsexplore -quality).
-	Quality float64 `json:"quality,omitempty"`
-	// WArea and WReconf, when non-zero, add objective weights on occupied
-	// hardware area (cost units per CLB) and on reconfiguration time
-	// (cost units per ms, initial+dynamic) — the dsexplore -w-area /
-	// -w-reconf knobs. Like every objective setting they are part of the
-	// cache key through the strategy fingerprint.
-	WArea   float64 `json:"wArea,omitempty"`
-	WReconf float64 `json:"wReconf,omitempty"`
 	// Workers bounds the per-job worker pool (0 = NumCPU).
 	Workers int `json:"workers,omitempty"`
-	// Batch, when >1, enables speculative batched move evaluation of that
-	// width for SA runs (dsexplore -batch). It changes the annealing
-	// trajectory, so it is part of the cache key through the strategy
-	// fingerprint.
-	Batch int `json:"batch,omitempty"`
-	// EarlyStopEpsilon/EarlyStopWindow enable the driver-level adaptive
-	// early stop (dsexplore -early-stop / -early-stop-window); both are
-	// fingerprinted since truncation changes results.
-	EarlyStopEpsilon float64 `json:"earlyStopEpsilon,omitempty"`
-	EarlyStopWindow  int     `json:"earlyStopWindow,omitempty"`
 	// DeadlineMS is the real-time constraint for inline models in
 	// milliseconds (ignored for scenarios, which carry their own).
 	DeadlineMS float64 `json:"deadlineMS,omitempty"`
-	// Sched selects the composite-strategy scheduling policy ("rr",
-	// "ucb"; empty keeps the kind's default) and SchedSlice the UCB
-	// budget-slice length in driver steps (0 = the engine default). Both
-	// are fingerprinted, so they are part of the cache key; non-composite
-	// strategies ignore them.
-	Sched      string `json:"sched,omitempty"`
-	SchedSlice int    `json:"schedSlice,omitempty"`
-	// Transfer warm-starts the job from the best cached outcome on the
-	// same (app, arch) pair, when the server holds one. The donor key is
-	// folded into the job's fingerprint and cache keys.
-	Transfer bool `json:"transfer,omitempty"`
+	// Overrides are the result-shaping search knobs (saIters, quality,
+	// wArea, wReconf, batch, earlyStopEpsilon, earlyStopWindow,
+	// schedSlice, transfer), flattened into the spec's JSON and applied
+	// exactly as the CLIs apply their flags. All of them reach the cache
+	// key through the strategy fingerprint (transfer as its donor's key).
+	search.Overrides
 }
 
-// resolved is a spec translated into runnable form.
+// resolved is a spec translated into runnable form: the job's strategy
+// factory plus its run count and step budget.
 type resolved struct {
-	app      *model.App
-	arch     *model.Arch
-	cfg      search.Config
-	strategy string
+	factory  *search.Factory
 	runs     int
 	maxSteps int
 	transfer bool
@@ -91,23 +60,15 @@ type resolved struct {
 // frontMetrics is the area/makespan trade-off every job archives.
 var frontMetrics = []objective.Metric{objective.HWArea, objective.Makespan}
 
-// resolve validates the spec and instantiates its models and search
-// configuration.
+// resolve validates the spec, instantiates its models and builds the
+// job's strategy factory.
 func resolve(spec *JobSpec) (*resolved, error) {
-	r := &resolved{strategy: spec.Strategy, runs: spec.Runs, maxSteps: spec.MaxSteps}
-	if r.strategy == "" {
-		r.strategy = "sa"
-	}
-	known := false
-	for _, n := range search.Names() {
-		if r.strategy == n {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return nil, fmt.Errorf("serve: unknown strategy %q (have %v)", r.strategy, search.Names())
-	}
+	r := &resolved{runs: spec.Runs, maxSteps: spec.MaxSteps, transfer: spec.Transfer}
+	var (
+		app  *model.App
+		arch *model.Arch
+		cfg  search.Config
+	)
 	switch {
 	case spec.Scenario != "" && (spec.App != nil || spec.Arch != nil):
 		return nil, fmt.Errorf("serve: a job names a scenario or carries inline models, not both")
@@ -116,12 +77,11 @@ func resolve(spec *JobSpec) (*resolved, error) {
 		if !ok {
 			return nil, fmt.Errorf("serve: unknown scenario %q (have %v)", spec.Scenario, scenario.Names())
 		}
-		app, arch, err := s.Instantiate()
-		if err != nil {
+		var err error
+		if app, arch, err = s.Instantiate(); err != nil {
 			return nil, err
 		}
-		r.app, r.arch = app, arch
-		r.cfg = s.SearchConfig()
+		cfg = s.SearchConfig()
 		if r.runs <= 0 {
 			r.runs = s.Budget.Runs
 		}
@@ -135,47 +95,27 @@ func resolve(spec *JobSpec) (*resolved, error) {
 		if err := spec.Arch.Validate(); err != nil {
 			return nil, fmt.Errorf("serve: inline architecture: %w", err)
 		}
-		r.app, r.arch = spec.App, spec.Arch
-		r.cfg = search.DefaultConfig()
-		r.cfg.SA.Deadline = model.FromMillis(spec.DeadlineMS)
+		app, arch = spec.App, spec.Arch
+		cfg = search.DefaultConfig()
+		cfg.SA.Deadline = model.FromMillis(spec.DeadlineMS)
 	default:
 		return nil, fmt.Errorf("serve: a job needs a scenario name or both inline models")
 	}
 	if r.runs <= 0 {
 		r.runs = 1
 	}
-	if spec.SAIters > 0 {
-		r.cfg.SA.MaxIters = spec.SAIters
+	if err := spec.Apply(&cfg); err != nil {
+		return nil, err
 	}
-	if spec.Quality > 0 {
-		r.cfg.SA.Quality = spec.Quality
+	cfg.FrontMetrics = frontMetrics
+	strategy := spec.Strategy
+	if strategy == "" {
+		strategy = "sa"
 	}
-	if spec.Batch > 1 {
-		r.cfg.SA.Batch = spec.Batch
+	var err error
+	if r.factory, err = search.NewFactory(strategy, app, arch, cfg); err != nil {
+		return nil, err
 	}
-	if spec.EarlyStopEpsilon > 0 && spec.EarlyStopWindow > 0 {
-		r.cfg.EarlyStopEpsilon = spec.EarlyStopEpsilon
-		r.cfg.EarlyStopWindow = spec.EarlyStopWindow
-	}
-	if spec.Sched != "" && !search.ValidSchedPolicy(spec.Sched) {
-		return nil, fmt.Errorf("serve: unknown sched policy %q (have %q, %q)", spec.Sched, search.SchedRR, search.SchedUCB)
-	}
-	r.cfg.Sched = spec.Sched
-	if spec.SchedSlice < 0 {
-		return nil, fmt.Errorf("serve: negative sched slice %d", spec.SchedSlice)
-	}
-	r.cfg.SchedSlice = spec.SchedSlice
-	r.transfer = spec.Transfer
-	if spec.WArea != 0 || spec.WReconf != 0 {
-		// Mirror dsexplore's local weighting exactly, so a job shipped to
-		// the server optimizes the same cost as the identical local run.
-		scal := objective.FixedArch()
-		scal.Weights[objective.HWArea] = spec.WArea
-		scal.Weights[objective.InitialReconfig] = spec.WReconf
-		scal.Weights[objective.DynamicReconfig] = spec.WReconf
-		r.cfg.Objective = &scal
-	}
-	r.cfg.FrontMetrics = frontMetrics
 	return r, nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 
 	"repro/internal/runner"
-	"repro/internal/search"
 )
 
 // RingKey validates a job spec and derives its fleet routing key — the
@@ -25,11 +24,7 @@ func RingKey(spec *JobSpec) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	factory, err := search.NewFactory(res.strategy, res.app, res.arch, res.cfg)
-	if err != nil {
-		return "", err
-	}
-	if key, ok := runner.FleetKey(factory, res.maxSteps, spec.Seed, res.runs); ok {
+	if key, ok := runner.FleetKey(res.factory, res.maxSteps, spec.Seed, res.runs); ok {
 		return key, nil
 	}
 	raw, err := json.Marshal(spec)

@@ -16,7 +16,6 @@ import (
 	"repro/internal/memo"
 	"repro/internal/runner"
 	"repro/internal/scenario"
-	"repro/internal/search"
 )
 
 // Options configures a Server.
@@ -271,19 +270,15 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 // letting an unauthenticated client stream gigabytes into the drain.
 const maxSpecBytes = 8 << 20
 
-// decodeSpec reads a JobSpec, rejecting unknown fields so typos surface
-// as 400s instead of silently-default jobs. The (size-bounded) body is
-// drained to EOF: json.Decoder stops at the end of the first value, and
-// net/http only arms its client-disconnect detection (the background
-// read that cancels the request context) once the handler has consumed
-// the body — without the drain, a /run client hanging up would never
-// cancel the computation.
-func decodeSpec(w http.ResponseWriter, r *http.Request) (*JobSpec, error) {
-	return DecodeSpec(w, r)
-}
-
-// DecodeSpec is the exported spec decoder the fleet coordinator shares
-// with the job server, so both reject the same bodies the same way.
+// DecodeSpec reads a JobSpec, rejecting unknown fields so typos (and
+// retired knobs such as "sched") surface as 400s instead of
+// silently-default jobs. The fleet coordinator shares it with the job
+// server, so both reject the same bodies the same way. The (size-bounded)
+// body is drained to EOF: json.Decoder stops at the end of the first
+// value, and net/http only arms its client-disconnect detection (the
+// background read that cancels the request context) once the handler has
+// consumed the body — without the drain, a /run client hanging up would
+// never cancel the computation.
 func DecodeSpec(w http.ResponseWriter, r *http.Request) (*JobSpec, error) {
 	body := http.MaxBytesReader(w, r.Body, maxSpecBytes)
 	var spec JobSpec
@@ -303,7 +298,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeDraining(w)
 		return
 	}
-	spec, err := decodeSpec(w, r)
+	spec, err := DecodeSpec(w, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -323,7 +318,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.order = append(s.order, id)
 	s.pruneLocked()
 	s.mu.Unlock()
-	s.logf("serve: %s queued (%s, strategy %s, %d runs)", id, specName(spec), res.strategy, res.runs)
+	s.logf("serve: %s queued (%s, strategy %s, %d runs)", id, specName(spec), res.factory.Name(), res.runs)
 	go s.execute(ctx, j, res)
 	writeJSON(w, http.StatusAccepted, j.snapshot())
 }
@@ -392,23 +387,13 @@ func summaryCompleted(s *JobSummary) int {
 // runJob drives one resolved spec on the engine, publishing per-run
 // events. Used by both the async path and the synchronous /run path.
 func (s *Server) runJob(ctx context.Context, j *job, res *resolved) (*JobSummary, error) {
-	factory, err := search.NewFactory(res.strategy, res.app, res.arch, res.cfg)
-	if err != nil {
-		return nil, err
-	}
-	if res.transfer {
-		// Warm-start from the best cached donor on this instance pair
-		// (no-op without a cache or donor). Must precede WithCache so the
-		// donor key is folded into the job's cache keys.
-		runner.ApplyTransfer(factory, s.cache)
-	}
-	fn, err := runner.WithCache(runner.CacheConfig{Cache: s.cache, Factory: factory, MaxSteps: res.maxSteps})
+	fn, err := s.runFunc(res)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
 	spec := j.snapshot().Spec
-	agg, err := runner.Run(ctx, res.app, runner.Options{
+	agg, err := runner.Run(ctx, res.factory.App(), runner.Options{
 		Runs:     res.runs,
 		Workers:  spec.Workers,
 		BaseSeed: spec.Seed,
@@ -420,6 +405,13 @@ func (s *Server) runJob(ctx context.Context, j *job, res *resolved) (*JobSummary
 		summary = summarize(agg, wall)
 	}
 	return summary, err
+}
+
+// runFunc wraps a resolved job's factory in the server's result cache,
+// warm-starting it from the best cached donor on its instance pair when
+// the spec asks for transfer (a no-op without a cache or donor).
+func (s *Server) runFunc(res *resolved) (runner.RunFunc, error) {
+	return runner.WithCache(runner.CacheConfig{Cache: s.cache, Factory: res.factory, MaxSteps: res.maxSteps, Transfer: res.transfer})
 }
 
 func (s *Server) jobFor(r *http.Request) (*job, bool) {
@@ -531,7 +523,7 @@ func (s *Server) handleRunSync(w http.ResponseWriter, r *http.Request) {
 		writeDraining(w)
 		return
 	}
-	spec, err := decodeSpec(w, r)
+	spec, err := DecodeSpec(w, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -541,18 +533,7 @@ func (s *Server) handleRunSync(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Build the factory before committing the 200: a spec that cannot
-	// even construct its strategy must fail as a proper 400, not as a
-	// mid-stream error line.
-	factory, err := search.NewFactory(res.strategy, res.app, res.arch, res.cfg)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if res.transfer {
-		runner.ApplyTransfer(factory, s.cache)
-	}
-	fn, err := runner.WithCache(runner.CacheConfig{Cache: s.cache, Factory: factory, MaxSteps: res.maxSteps})
+	fn, err := s.runFunc(res)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -567,7 +548,7 @@ func (s *Server) handleRunSync(w http.ResponseWriter, r *http.Request) {
 	}
 	enc := json.NewEncoder(w)
 	start := time.Now()
-	agg, runErr := runner.Run(r.Context(), res.app, runner.Options{
+	agg, runErr := runner.Run(r.Context(), res.factory.App(), runner.Options{
 		Runs:     res.runs,
 		Workers:  spec.Workers,
 		BaseSeed: spec.Seed,

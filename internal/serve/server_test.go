@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/runner"
+	"repro/internal/search"
 )
 
 func testServer(t *testing.T, cache *runner.ResultCache) (*Server, *httptest.Server) {
@@ -161,7 +162,7 @@ func TestSyncRunDisconnectCancelsAndNothingPartialCached(t *testing.T) {
 	// A heavyweight cell: 160 tasks with an effectively unbounded
 	// annealing budget, so no run can complete before the disconnect
 	// below — only truncated (hence uncached) runs exist.
-	spec := JobSpec{Scenario: "layered-160", Strategy: "sa", Runs: 4, SAIters: 1 << 30}
+	spec := JobSpec{Scenario: "layered-160", Strategy: "sa", Runs: 4, Overrides: search.Overrides{SAIters: 1 << 30}}
 	b, _ := json.Marshal(&spec)
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/run", bytes.NewReader(b))
@@ -199,7 +200,7 @@ func TestSyncRunDisconnectCancelsAndNothingPartialCached(t *testing.T) {
 func TestCancelAsyncJob(t *testing.T) {
 	cache := runner.NewResultCache(256, 0)
 	_, ts := testServer(t, cache)
-	spec := JobSpec{Scenario: "layered-160", Strategy: "sa", Runs: 8, SAIters: 1 << 30}
+	spec := JobSpec{Scenario: "layered-160", Strategy: "sa", Runs: 8, Overrides: search.Overrides{SAIters: 1 << 30}}
 	var queued JobStatus
 	postJSON(t, ts.URL+"/v1/jobs", &spec, &queued)
 	time.Sleep(50 * time.Millisecond)
@@ -222,6 +223,11 @@ func TestCancelAsyncJob(t *testing.T) {
 	}
 }
 
+// noProcessorSpec carries inline models that pass App/Arch.Validate but
+// give the explorer nothing to run software on.
+const noProcessorSpec = `{"app":{"name":"a","tasks":[{"name":"t","sw":1000,"hw":[{"clbs":10,"time":500}]}]},` +
+	`"arch":{"name":"hw-only","rcs":[{"name":"rc","nclb":100,"tr":1}],"bus":{"rate":1000000}}}`
+
 func TestBadSpecsRejected(t *testing.T) {
 	_, ts := testServer(t, nil)
 	cases := []string{
@@ -232,6 +238,10 @@ func TestBadSpecsRejected(t *testing.T) {
 		`{"scenario":"fig2-small","strategy":"bogus"}`,    // unknown strategy
 		`{"scenario":"fig2-small","batchKernel":"lanes"}`, // retired batch knob
 		`{"scenario":"fig2-small","batchWorkers":2}`,      // retired batch knob
+		`{"scenario":"fig2-small","sched":"ucb"}`,         // retired policy override
+		`{"scenario":"fig2-small","schedSlice":-1}`,       // negative slice
+		`{"scenario":"fig2-small","strategy":"bandit","schedSlice":-1}`,
+		noProcessorSpec, // valid models the explorer cannot run
 	}
 	for _, body := range cases {
 		for _, path := range []string{"/v1/jobs", "/v1/run"} {
@@ -239,9 +249,14 @@ func TestBadSpecsRejected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var env errorEnvelope
+			err = json.NewDecoder(resp.Body).Decode(&env)
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("spec %s accepted by %s with %d", body, path, resp.StatusCode)
+			}
+			if body == noProcessorSpec && (err != nil || !strings.Contains(env.Error.Message, "processor")) {
+				t.Fatalf("%s rejected the processor-less spec for another reason: %+v (%v)", path, env, err)
 			}
 		}
 	}
