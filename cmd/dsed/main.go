@@ -8,7 +8,7 @@
 //
 // Endpoints (see internal/serve) live under /v1: POST /v1/jobs,
 // GET /v1/jobs[/{id}[/stream]], DELETE /v1/jobs/{id}, POST /v1/run
-// (synchronous streaming; disconnecting cancels the run),
+// (submit and stream in one request; disconnecting cancels the job),
 // GET /v1/scenarios, GET /v1/cache, GET /v1/metrics (Prometheus text),
 // GET /v1/healthz.
 //
@@ -201,9 +201,8 @@ func main() {
 		if agent != nil {
 			// Graceful drain: leave the ring first (new jobs route to the
 			// survivors), refuse local submissions, finish what is in
-			// flight, and only then stop heartbeating and close the
-			// listener — the coordinator's watchers poll job status through
-			// the whole window.
+			// flight — the coordinator's relayed /v1/run streams included —
+			// and only then stop heartbeating and close the listener.
 			log.Printf("SIGTERM: draining (deregister, finish in-flight, timeout %v)", *drainFor)
 			drainCtx, cancel := context.WithTimeout(context.Background(), *drainFor)
 			srv.Drain()

@@ -19,9 +19,13 @@
 //	dseload -n 60 -report single.json -compare fleet.json   # digest equality
 //	dseload -rps 10 -duration 10s -max-errors 0 -min-hits 1 # CI smoke gate
 //
+// A job that ends done without a summary is an error, and a result whose
+// quality fields differ from its spec's first result (in any pass) is a
+// determinism violation that fails the run.
+//
 // Exit codes: 0 success, 1 runtime failure, 2 flag-usage error,
 // 3 assertion failed (-max-errors / -min-hits / -min-hit-ratio /
-// -compare).
+// -compare, or a determinism violation).
 package main
 
 import (
@@ -29,8 +33,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -42,44 +48,50 @@ import (
 	"time"
 
 	"repro/dse"
+	"repro/internal/cli"
 	"repro/internal/scenario"
 )
 
-func main() {
+func main() { cli.Main("dseload", run) }
+
+// run parses args, replays the sequence against the target and writes
+// the per-pass summary to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := cli.NewFlagSet("dseload")
 	var (
-		addr        = flag.String("addr", "http://127.0.0.1:8080", "target base URL (a dsed worker or a fleet coordinator)")
-		mixFlag     = flag.String("mix", "fig2-small=3,pipeline-fft-small=2,forkjoin-tiny=1", "weighted scenario mix, name=weight comma-separated")
-		strategy    = flag.String("strategy", "sa", "search strategy for every job")
-		runs        = flag.Int("runs", 2, "independent runs per job")
-		maxSteps    = flag.Int("max-steps", 8, "driver step budget per run")
-		saIters     = flag.Int("sa-iters", 0, "SA iteration override (0 = scenario default)")
-		rps         = flag.Float64("rps", 10, "open-loop arrival rate in jobs/s (0 = closed loop over -concurrency workers)")
-		concurrency = flag.Int("concurrency", 8, "closed-loop worker count (used when -rps 0)")
-		duration    = flag.Duration("duration", 10*time.Second, "per-pass length when -n is 0 (request count = rps × duration)")
-		nFlag       = flag.Int("n", 0, "exact requests per pass (overrides -duration; use for digest-comparable replays)")
-		passes      = flag.Int("passes", 2, "replay passes over the identical sequence (pass 1 cold, pass 2+ warm)")
-		seeds       = flag.Int("seeds", 0, "base-seed rotation: 0 = unique seed per request index (fully cold first pass), N>0 = rotate seeds 1..N")
-		mixSeed     = flag.Int64("mix-seed", 1, "PRNG seed of the weighted scenario draw")
-		poll        = flag.Duration("poll", 20*time.Millisecond, "job status poll interval")
-		timeout     = flag.Duration("timeout", 120*time.Second, "per-job timeout")
-		reportPath  = flag.String("report", "", "write the JSON report here")
-		comparePath = flag.String("compare", "", "compare per-pass result digests against this previously written report (exit 3 on mismatch)")
-		maxErrors   = flag.Int("max-errors", -1, "fail (exit 3) when any pass exceeds this many errors (-1 = no assertion)")
-		minHits     = flag.Int("min-hits", 0, "fail (exit 3) when total cache hits across passes fall below this")
-		minHitRatio = flag.Float64("min-hit-ratio", 0, "fail (exit 3) when the final pass's cache-hit ratio falls below this")
+		addr        = fs.String("addr", "http://127.0.0.1:8080", "target base URL (a dsed worker or a fleet coordinator)")
+		mixFlag     = fs.String("mix", "fig2-small=3,pipeline-fft-small=2,forkjoin-tiny=1", "weighted scenario mix, name=weight comma-separated")
+		strategy    = fs.String("strategy", "sa", "search strategy for every job")
+		runs        = fs.Int("runs", 2, "independent runs per job")
+		maxSteps    = fs.Int("max-steps", 8, "driver step budget per run")
+		saIters     = fs.Int("sa-iters", 0, "SA iteration override (0 = scenario default)")
+		rps         = fs.Float64("rps", 10, "open-loop arrival rate in jobs/s (0 = closed loop over -concurrency workers)")
+		concurrency = fs.Int("concurrency", 8, "closed-loop worker count (used when -rps 0)")
+		duration    = fs.Duration("duration", 10*time.Second, "per-pass length when -n is 0 (request count = rps × duration)")
+		nFlag       = fs.Int("n", 0, "exact requests per pass (overrides -duration; use for digest-comparable replays)")
+		passes      = fs.Int("passes", 2, "replay passes over the identical sequence (pass 1 cold, pass 2+ warm)")
+		seeds       = fs.Int("seeds", 0, "base-seed rotation: 0 = unique seed per request index (fully cold first pass), N>0 = rotate seeds 1..N")
+		mixSeed     = fs.Int64("mix-seed", 1, "PRNG seed of the weighted scenario draw")
+		poll        = fs.Duration("poll", 20*time.Millisecond, "job status poll interval")
+		timeout     = fs.Duration("timeout", 120*time.Second, "per-job timeout")
+		reportPath  = fs.String("report", "", "write the JSON report here")
+		comparePath = fs.String("compare", "", "compare per-pass result digests against this previously written report (exit 3 on mismatch)")
+		maxErrors   = fs.Int("max-errors", -1, "fail (exit 3) when any pass exceeds this many errors (-1 = no assertion)")
+		minHits     = fs.Int("min-hits", 0, "fail (exit 3) when total cache hits across passes fall below this")
+		minHitRatio = fs.Float64("min-hit-ratio", 0, "fail (exit 3) when the final pass's cache-hit ratio falls below this")
 	)
-	flag.Parse()
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 
 	mix, err := parseMix(*mixFlag)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dseload: %v\n", err)
-		os.Exit(2)
+		return usage(fs, err)
 	}
 	n := *nFlag
 	if n <= 0 {
 		if *rps <= 0 {
-			fmt.Fprintln(os.Stderr, "dseload: closed loop (-rps 0) needs an explicit -n")
-			os.Exit(2)
+			return usage(fs, errors.New("closed loop (-rps 0) needs an explicit -n"))
 		}
 		n = int(math.Round(*rps * duration.Seconds()))
 		if n < 1 {
@@ -94,8 +106,7 @@ func main() {
 	client := dse.NewClient(*addr)
 	ctx := context.Background()
 	if err := client.Health(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "dseload: target %s unhealthy: %v\n", *addr, err)
-		os.Exit(1)
+		return fmt.Errorf("target %s unhealthy: %w", *addr, err)
 	}
 	fleetWorkers := 0
 	if ws, err := client.Workers(ctx); err == nil {
@@ -112,26 +123,28 @@ func main() {
 	if fleetWorkers > 0 {
 		topology = fmt.Sprintf("fleet of %d workers", fleetWorkers)
 	}
-	fmt.Printf("dseload: %s (%s), %d requests/pass × %d passes, mix %s\n",
+	fmt.Fprintf(stdout, "dseload: %s (%s), %d requests/pass × %d passes, mix %s\n",
 		*addr, topology, n, *passes, *mixFlag)
 
+	// first maps each spec to its first result's quality line, across
+	// passes: a later result that differs is a determinism violation.
+	first := map[string]string{}
 	for p := 0; p < *passes; p++ {
-		pr := runPass(ctx, client, seq, passName(p, *passes), *rps, *concurrency, *poll, *timeout)
+		pr := runPass(ctx, client, seq, first, passName(p, *passes), *rps, *concurrency, *poll, *timeout)
 		rep.PassResults = append(rep.PassResults, pr)
-		fmt.Printf("  pass %-5s %4d req  %3d err  p50 %7.1fms  p99 %7.1fms  hit %5.1f%%  %6.1f req/s  digest %s\n",
+		fmt.Fprintf(stdout, "  pass %-5s %4d req  %3d err  p50 %7.1fms  p99 %7.1fms  hit %5.1f%%  %6.1f req/s  digest %s\n",
 			pr.Name, pr.Requests, pr.Errors, pr.LatencyMS.P50, pr.LatencyMS.P99,
 			100*pr.HitRatio, pr.AchievedRPS, short(pr.ResultDigest))
 		for _, s := range pr.ErrorSamples {
-			fmt.Printf("    error: %s\n", s)
+			fmt.Fprintf(stdout, "    error: %s\n", s)
 		}
 	}
 
 	if *reportPath != "" {
 		if err := writeReport(*reportPath, &rep); err != nil {
-			fmt.Fprintf(os.Stderr, "dseload: %v\n", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("dseload: wrote %s\n", *reportPath)
+		fmt.Fprintf(stdout, "dseload: wrote %s\n", *reportPath)
 	}
 
 	failed := false
@@ -139,36 +152,44 @@ func main() {
 	for _, pr := range rep.PassResults {
 		totalHits += pr.CacheHits
 		if *maxErrors >= 0 && pr.Errors > *maxErrors {
-			fmt.Fprintf(os.Stderr, "dseload: FAIL pass %s had %d errors (max %d)\n", pr.Name, pr.Errors, *maxErrors)
+			fmt.Fprintf(stdout, "dseload: FAIL pass %s had %d errors (max %d)\n", pr.Name, pr.Errors, *maxErrors)
 			failed = true
 		}
 		if pr.Inconsistent > 0 {
-			fmt.Fprintf(os.Stderr, "dseload: FAIL pass %s: %d specs returned diverging quality fields (determinism violation)\n", pr.Name, pr.Inconsistent)
+			fmt.Fprintf(stdout, "dseload: FAIL pass %s: %d results diverged from their spec's first quality fields (determinism violation)\n", pr.Name, pr.Inconsistent)
 			failed = true
 		}
 	}
 	if *minHits > 0 && totalHits < *minHits {
-		fmt.Fprintf(os.Stderr, "dseload: FAIL %d total cache hits (min %d)\n", totalHits, *minHits)
+		fmt.Fprintf(stdout, "dseload: FAIL %d total cache hits (min %d)\n", totalHits, *minHits)
 		failed = true
 	}
 	if *minHitRatio > 0 && len(rep.PassResults) > 0 {
 		last := rep.PassResults[len(rep.PassResults)-1]
 		if last.HitRatio < *minHitRatio {
-			fmt.Fprintf(os.Stderr, "dseload: FAIL final pass hit ratio %.3f (min %.3f)\n", last.HitRatio, *minHitRatio)
+			fmt.Fprintf(stdout, "dseload: FAIL final pass hit ratio %.3f (min %.3f)\n", last.HitRatio, *minHitRatio)
 			failed = true
 		}
 	}
 	if *comparePath != "" {
 		if err := compareReports(*comparePath, &rep); err != nil {
-			fmt.Fprintf(os.Stderr, "dseload: FAIL %v\n", err)
+			fmt.Fprintf(stdout, "dseload: FAIL %v\n", err)
 			failed = true
 		} else {
-			fmt.Printf("dseload: result digests bit-identical to %s\n", *comparePath)
+			fmt.Fprintf(stdout, "dseload: result digests bit-identical to %s\n", *comparePath)
 		}
 	}
 	if failed {
-		os.Exit(3)
+		return cli.ErrGate
 	}
+	return nil
+}
+
+// usage prints a bad flag value the way the flag set prints its own
+// errors and reports a usage failure (exit 2).
+func usage(fs *flag.FlagSet, err error) error {
+	fmt.Fprintf(fs.Output(), "dseload: %v\n", err)
+	return cli.ErrUsage
 }
 
 // MixEntry is one weighted scenario of the replay mix.
@@ -204,9 +225,9 @@ type PassResult struct {
 	// lines of every successful job: identical digests mean bit-identical
 	// results, whatever topology served them.
 	ResultDigest string `json:"resultDigest"`
-	// Inconsistent counts specs whose repeated occurrences within the
-	// pass disagreed on quality fields — always 0 unless the determinism
-	// invariant is broken.
+	// Inconsistent counts results whose quality fields differ from their
+	// spec's first result, in this pass or an earlier one — always 0
+	// unless the determinism invariant is broken.
 	Inconsistent int      `json:"inconsistent"`
 	ErrorSamples []string `json:"errorSamples,omitempty"`
 }
@@ -310,7 +331,7 @@ type outcome struct {
 // runPass replays the sequence once: open-loop paced arrivals when
 // rps > 0 (a goroutine per arrival, no admission gate — that is what
 // open-loop means), otherwise a closed loop of concurrency workers.
-func runPass(ctx context.Context, client *dse.Client, seq []dse.JobSpec, name string, rps float64, concurrency int, poll, timeout time.Duration) PassResult {
+func runPass(ctx context.Context, client *dse.Client, seq []dse.JobSpec, first map[string]string, name string, rps float64, concurrency int, poll, timeout time.Duration) PassResult {
 	results := make([]outcome, len(seq))
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -326,10 +347,13 @@ func runPass(ctx context.Context, client *dse.Client, seq []dse.JobSpec, name st
 		}
 		lat := time.Since(t0)
 		o := outcome{idx: i, latency: lat, err: err}
-		if err == nil && st.State != dse.JobDone {
+		switch {
+		case err != nil:
+		case st.State != dse.JobDone:
 			o.err = fmt.Errorf("job %s finished %s: %s", st.ID, st.State, st.Error)
-		}
-		if o.err == nil && st.Summary != nil {
+		case st.Summary == nil:
+			o.err = fmt.Errorf("job %s finished done without a summary", st.ID)
+		default:
 			o.hits = st.Summary.CacheHits
 			o.completed = st.Summary.Completed
 			o.quality = qualityLine(st.Summary)
@@ -386,12 +410,13 @@ func runPass(ctx context.Context, client *dse.Client, seq []dse.JobSpec, name st
 		pr.CacheHits += o.hits
 		pr.CompletedRuns += o.completed
 		key := specKey(&seq[o.idx])
-		if prev, seen := perSpec[key]; seen {
-			if prev != o.quality {
-				pr.Inconsistent++
-			}
-		} else {
+		if _, seen := perSpec[key]; !seen {
 			perSpec[key] = o.quality
+		}
+		if prev, seen := first[key]; !seen {
+			first[key] = o.quality
+		} else if prev != o.quality {
+			pr.Inconsistent++
 		}
 	}
 	pr.DistinctSpecs = len(perSpec)

@@ -3,7 +3,9 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"flag"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"os"
@@ -12,8 +14,11 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cli"
+	"repro/internal/fleet"
+	"repro/internal/runner"
 	"repro/internal/serve"
 )
 
@@ -84,12 +89,35 @@ func bestCost(t *testing.T, args []string, re *regexp.Regexp) string {
 	return ""
 }
 
+func quiet(string, ...interface{}) {}
+
+// startFleet serves a coordinator fronting n cache-enabled workers and
+// returns its URL. Each worker registers once; the hour-long heartbeat
+// timeout outlives the test.
+func startFleet(t *testing.T, n int) string {
+	t.Helper()
+	coord := fleet.NewCoordinator(fleet.Options{HeartbeatTimeout: time.Hour, Logf: quiet})
+	t.Cleanup(coord.Close)
+	ts := httptest.NewServer(coord.Handler())
+	t.Cleanup(ts.Close)
+	for i := 0; i < n; i++ {
+		w := httptest.NewServer(serve.New(serve.Options{Cache: runner.NewResultCache(512, 0), Logf: quiet}).Handler())
+		t.Cleanup(w.Close)
+		agent := &fleet.Agent{Coordinator: ts.URL, ID: fmt.Sprintf("w%d", i), URL: w.URL, Logf: quiet}
+		if err := agent.Register(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ts.URL
+}
+
 // TestLocalMatchesServer: the same flags give the same best cost run
-// locally and shipped to a dsed server, odd values included (a zero
-// quality, an early-stop window of zero).
+// locally, shipped to a dsed server and shipped to a fleet coordinator,
+// odd values included (a zero quality, an early-stop window of zero).
 func TestLocalMatchesServer(t *testing.T) {
 	ts := httptest.NewServer(serve.New(serve.Options{Logf: t.Logf}).Handler())
 	defer ts.Close()
+	servers := [][2]string{{"server", ts.URL}, {"fleet", startFleet(t, 2)}}
 	base := []string{"-motion", "-iters", "3000", "-assign=false", "-j", "2"}
 	for _, extra := range [][]string{
 		{"-quality", "0"},
@@ -99,9 +127,11 @@ func TestLocalMatchesServer(t *testing.T) {
 	} {
 		args := append(append([]string(nil), base...), extra...)
 		local := bestCost(t, args, localCost)
-		remote := bestCost(t, append(args, "-server", ts.URL), remoteCost)
-		if local != remote {
-			t.Errorf("%v: local best cost %s, server %s", extra, local, remote)
+		for _, server := range servers {
+			remote := bestCost(t, append(args[:len(args):len(args)], "-server", server[1]), remoteCost)
+			if local != remote {
+				t.Errorf("%v: local best cost %s, %s %s", extra, local, server[0], remote)
+			}
 		}
 	}
 }

@@ -19,15 +19,12 @@ type Agent struct {
 	Coordinator string
 	// ID is the worker's stable identity on the ring.
 	ID string
-	// URL is the base URL the coordinator dials back for job submission
-	// and status polls.
+	// URL is the base URL the coordinator dials back to relay jobs.
 	URL string
 	// Interval is the heartbeat cadence (non-positive selects 2s).
 	Interval time.Duration
 	// Logf receives membership events (nil = log.Printf).
 	Logf func(format string, args ...interface{})
-	// HTTPClient talks to the coordinator (nil = 10s-timeout default).
-	HTTPClient *http.Client
 
 	draining bool // set by Deregister; stops re-registration on 404
 }
@@ -40,12 +37,8 @@ func (a *Agent) logf(format string, args ...interface{}) {
 	log.Printf(format, args...)
 }
 
-func (a *Agent) client() *http.Client {
-	if a.HTTPClient != nil {
-		return a.HTTPClient
-	}
-	return &http.Client{Timeout: 10 * time.Second}
-}
+// agentClient talks to the coordinator.
+var agentClient = &http.Client{Timeout: 10 * time.Second}
 
 // post sends a JoinRequest to the coordinator path and returns the HTTP
 // status (0 on transport failure).
@@ -63,7 +56,7 @@ func (a *Agent) post(ctx context.Context, path string, withURL bool) (int, error
 		return 0, err
 	}
 	hr.Header.Set("Content-Type", "application/json")
-	resp, err := a.client().Do(hr)
+	resp, err := agentClient.Do(hr)
 	if err != nil {
 		return 0, err
 	}

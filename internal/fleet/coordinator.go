@@ -1,11 +1,15 @@
 package fleet
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"sort"
 	"strconv"
@@ -16,49 +20,38 @@ import (
 	"repro/internal/serve"
 )
 
+// maxAttempts bounds the dispatches of one job before it fails. Every
+// worker death, drain refusal or broken stream costs one, so the bound
+// only trips when the fleet is flapping.
+const maxAttempts = 5
+
 // Options configures a Coordinator.
 type Options struct {
 	// HeartbeatTimeout is the silence after which a worker is declared
-	// dead: it leaves the ring and its non-terminal jobs are re-queued to
+	// dead: it leaves the ring and its in-flight jobs are re-dispatched to
 	// the surviving owners. Non-positive selects 5s.
 	HeartbeatTimeout time.Duration
 	// SweepInterval is the death-detection cadence (non-positive selects
 	// HeartbeatTimeout/4).
 	SweepInterval time.Duration
-	// PollInterval is the cadence at which per-job watchers poll the
-	// owning worker for progress (non-positive selects 50ms).
-	PollInterval time.Duration
-	// Replicas is the ring's virtual-node count per worker (non-positive
-	// selects DefaultReplicas).
-	Replicas int
-	// MaxFinished bounds retained finished job records, mirroring
-	// serve.Options.MaxFinished (non-positive selects 1000).
-	MaxFinished int
-	// MaxAttempts bounds dispatch attempts per job before it fails
-	// (non-positive selects 5). Every worker death costs one attempt, so
-	// the bound only trips when the fleet is flapping.
-	MaxAttempts int
 	// Logf receives one line per fleet event (nil = log.Printf).
 	Logf func(format string, args ...interface{})
-	// HTTPClient talks to workers (nil = a client with sane timeouts).
-	HTTPClient *http.Client
 }
 
-// Coordinator fronts a fleet of dsed workers: it accepts the same
-// POST /v1/jobs the workers do, routes each job by consistent hash of
-// its result-cache fingerprint (serve.RingKey) to the owning worker,
-// and transparently re-queues jobs from workers that miss heartbeats.
-// Workers join with POST /v1/register, stay live with periodic
-// POST /v1/heartbeat, and leave gracefully with POST /v1/deregister
-// (drain: out of the ring immediately, in-flight jobs finish in place).
+// Coordinator fronts a fleet of dsed workers. Its job API is serve's,
+// with the coordinator as the executor: each job runs on the worker that
+// owns its result-cache fingerprint (serve.RingKey) on a consistent-hash
+// ring, relayed over that worker's POST /v1/run stream, and is
+// re-dispatched when the worker dies or drains. Workers join with
+// POST /v1/register, stay live with periodic POST /v1/heartbeat, and
+// leave gracefully with POST /v1/deregister (drain: out of the ring
+// immediately, in-flight jobs finish in place).
 type Coordinator struct {
 	heartbeatTimeout time.Duration
 	sweepInterval    time.Duration
-	pollInterval     time.Duration
-	maxFinished      int
-	maxAttempts      int
 	logf             func(string, ...interface{})
 	client           *http.Client
+	srv              *serve.Server
 
 	done      chan struct{}
 	closeOnce sync.Once
@@ -66,9 +59,7 @@ type Coordinator struct {
 	mu             sync.Mutex
 	workers        map[string]*member
 	ring           *Ring
-	jobs           map[string]*fleetJob
-	order          []string
-	nextID         int
+	joined         chan struct{} // closed, and replaced, whenever a worker joins the ring
 	requeues       uint64
 	dispatchErrors uint64
 }
@@ -79,20 +70,8 @@ type member struct {
 	url      string
 	lastBeat time.Time
 	draining bool
-}
-
-// fleetJob is the coordinator-side job record. The client-visible
-// status reuses serve's wire shape and state strings verbatim, so a
-// re-queued job can never surface a state a single dsed would not.
-type fleetJob struct {
-	spec    serve.JobSpec
-	ringKey string
-	status  serve.JobStatus
-
-	workerID, workerURL, remoteID string
-	dispatching                   bool
-	attempts                      int
-	cancelled                     bool
+	// inflight cancels the jobs dispatched to this worker, by job ID.
+	inflight map[string]context.CancelFunc
 }
 
 // NewCoordinator creates a coordinator and starts its heartbeat sweep.
@@ -101,15 +80,11 @@ func NewCoordinator(opts Options) *Coordinator {
 	c := &Coordinator{
 		heartbeatTimeout: opts.HeartbeatTimeout,
 		sweepInterval:    opts.SweepInterval,
-		pollInterval:     opts.PollInterval,
-		maxFinished:      opts.MaxFinished,
-		maxAttempts:      opts.MaxAttempts,
 		logf:             opts.Logf,
-		client:           opts.HTTPClient,
 		done:             make(chan struct{}),
 		workers:          map[string]*member{},
-		ring:             NewRing(opts.Replicas),
-		jobs:             map[string]*fleetJob{},
+		ring:             NewRing(DefaultReplicas),
+		joined:           make(chan struct{}),
 	}
 	if c.heartbeatTimeout <= 0 {
 		c.heartbeatTimeout = 5 * time.Second
@@ -117,65 +92,42 @@ func NewCoordinator(opts Options) *Coordinator {
 	if c.sweepInterval <= 0 {
 		c.sweepInterval = c.heartbeatTimeout / 4
 	}
-	if c.pollInterval <= 0 {
-		c.pollInterval = 50 * time.Millisecond
-	}
-	if c.maxFinished <= 0 {
-		c.maxFinished = 1000
-	}
-	if c.maxAttempts <= 0 {
-		c.maxAttempts = 5
-	}
 	if c.logf == nil {
 		c.logf = log.Printf
 	}
-	if c.client == nil {
-		c.client = &http.Client{Timeout: 10 * time.Second}
-	}
+	// Only the dial and the response headers are bounded: a relayed
+	// stream lasts as long as its job, and a worker sends the headers
+	// before the job waits for one of its slots.
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.DialContext = (&net.Dialer{Timeout: 5 * time.Second}).DialContext
+	transport.ResponseHeaderTimeout = 10 * time.Second
+	c.client = &http.Client{Transport: transport}
+	c.srv = serve.New(serve.Options{Executor: c, Logf: c.logf})
 	go c.sweep()
 	return c
 }
 
-// Close stops the sweep loop and every job watcher. Idempotent.
+// Close stops the sweep loop; jobs still waiting for a worker fail.
+// Idempotent.
 func (c *Coordinator) Close() { c.closeOnce.Do(func() { close(c.done) }) }
 
-// Handler mounts the coordinator API under /v1. The job-facing routes
-// mirror dsed's, so dse.Client and dseload work unchanged against a
-// coordinator; the worker-facing routes (register/heartbeat/deregister/
-// workers) are fleet-only.
+// Handler mounts the coordinator API under /v1: serve's job routes, so
+// dse.Client and dseload work unchanged against a coordinator, behind
+// the fleet's own healthz, cache and metrics and the worker-facing
+// membership routes (register/heartbeat/deregister/workers).
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "role": "coordinator"})
+		serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok", "role": "coordinator"})
 	})
-	mux.HandleFunc("GET /v1/scenarios", func(w http.ResponseWriter, r *http.Request) { serve.WriteScenarios(w) })
 	mux.HandleFunc("POST /v1/register", c.handleRegister)
 	mux.HandleFunc("POST /v1/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("POST /v1/deregister", c.handleDeregister)
 	mux.HandleFunc("GET /v1/workers", c.handleWorkers)
-	mux.HandleFunc("POST /v1/jobs", c.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", c.handleList)
-	mux.HandleFunc("GET /v1/jobs/{id}", c.handleStatus)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", c.handleCancel)
 	mux.HandleFunc("GET /v1/cache", c.handleCache)
 	mux.HandleFunc("GET /v1/metrics", c.handleMetrics)
+	mux.Handle("/", c.srv.Handler())
 	return mux
-}
-
-// writeJSON / writeError mirror serve's envelope so every fleet error
-// has the same {"error":{"code","message"}} shape clients already parse.
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, code, format string, args ...interface{}) {
-	writeJSON(w, status, map[string]interface{}{
-		"error": map[string]string{"code": code, "message": fmt.Sprintf(format, args...)},
-	})
 }
 
 // JoinRequest is the body of POST /v1/register, /v1/heartbeat, and
@@ -207,12 +159,12 @@ func decodeJoin(w http.ResponseWriter, r *http.Request) (*JoinRequest, bool) {
 	var req JoinRequest
 	body := http.MaxBytesReader(w, r.Body, 1<<16)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "fleet: decoding join request: %v", err)
+		serve.WriteError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("fleet: decoding join request: %v", err))
 		return nil, false
 	}
 	io.Copy(io.Discard, body)
 	if req.ID == "" {
-		writeError(w, http.StatusBadRequest, "bad_request", "fleet: join request needs an id")
+		serve.WriteError(w, http.StatusBadRequest, "bad_request", "fleet: join request needs an id")
 		return nil, false
 	}
 	return &req, true
@@ -224,13 +176,13 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.URL == "" {
-		writeError(w, http.StatusBadRequest, "bad_request", "fleet: register needs the worker's base url")
+		serve.WriteError(w, http.StatusBadRequest, "bad_request", "fleet: register needs the worker's base url")
 		return
 	}
 	c.mu.Lock()
 	m, known := c.workers[req.ID]
 	if !known {
-		m = &member{id: req.ID}
+		m = &member{id: req.ID, inflight: map[string]context.CancelFunc{}}
 		c.workers[req.ID] = m
 	}
 	m.url = req.URL
@@ -238,14 +190,15 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	m.draining = false
 	c.ring.Add(req.ID)
 	n := c.ring.Len()
-	c.kickLocked()
+	close(c.joined) // wake the jobs waiting for an owner
+	c.joined = make(chan struct{})
 	c.mu.Unlock()
 	if known {
 		c.logf("fleet: worker %s re-registered at %s (%d on ring)", req.ID, req.URL, n)
 	} else {
 		c.logf("fleet: worker %s joined at %s (%d on ring)", req.ID, req.URL, n)
 	}
-	writeJSON(w, http.StatusOK, JoinResponse{ID: req.ID, State: "active", Workers: n})
+	serve.WriteJSON(w, http.StatusOK, JoinResponse{ID: req.ID, State: "active", Workers: n})
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -272,10 +225,10 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		// The worker believes it is registered but the coordinator does
 		// not know it (coordinator restart, earlier death verdict). 404
 		// with a dedicated code tells the agent to re-register.
-		writeError(w, http.StatusNotFound, "unknown_worker", "fleet: unknown worker %q — re-register", req.ID)
+		serve.WriteError(w, http.StatusNotFound, "unknown_worker", fmt.Sprintf("fleet: unknown worker %q — re-register", req.ID))
 		return
 	}
-	writeJSON(w, http.StatusOK, JoinResponse{ID: req.ID, State: state, Workers: n})
+	serve.WriteJSON(w, http.StatusOK, JoinResponse{ID: req.ID, State: state, Workers: n})
 }
 
 func (c *Coordinator) handleDeregister(w http.ResponseWriter, r *http.Request) {
@@ -292,11 +245,11 @@ func (c *Coordinator) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	n := c.ring.Len()
 	c.mu.Unlock()
 	if !known {
-		writeError(w, http.StatusNotFound, "unknown_worker", "fleet: unknown worker %q", req.ID)
+		serve.WriteError(w, http.StatusNotFound, "unknown_worker", fmt.Sprintf("fleet: unknown worker %q", req.ID))
 		return
 	}
 	c.logf("fleet: worker %s draining — off the ring (%d remain), in-flight jobs finish in place", req.ID, n)
-	writeJSON(w, http.StatusOK, JoinResponse{ID: req.ID, State: "draining", Workers: n})
+	serve.WriteJSON(w, http.StatusOK, JoinResponse{ID: req.ID, State: "draining", Workers: n})
 }
 
 func memberState(m *member) string {
@@ -309,314 +262,199 @@ func memberState(m *member) string {
 func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
 	c.mu.Lock()
-	active := map[string]int{}
-	for _, j := range c.jobs {
-		if j.workerID != "" && !serveTerminal(j.status.State) {
-			active[j.workerID]++
-		}
-	}
 	out := make([]WorkerInfo, 0, len(c.workers))
 	for _, m := range c.workers {
 		out = append(out, WorkerInfo{
 			ID: m.id, URL: m.url, State: memberState(m),
 			LastHeartbeat: float64(now.Sub(m.lastBeat).Microseconds()) / 1e3,
-			ActiveJobs:    active[m.id],
+			ActiveJobs:    len(m.inflight),
 		})
 	}
 	c.mu.Unlock()
 	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
-	writeJSON(w, http.StatusOK, out)
+	serve.WriteJSON(w, http.StatusOK, out)
 }
 
-func serveTerminal(state string) bool {
-	return state == serve.StateDone || state == serve.StateFailed || state == serve.StateCanceled
-}
+// errDraining is a dispatch refused by a draining worker.
+var errDraining = errors.New("fleet: worker draining")
 
-func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := serve.DecodeSpec(w, r)
+// Execute implements serve.Executor. The job waits, queued, until the
+// ring has an owner for its fingerprint, then runs on that worker over
+// its POST /v1/run stream, shown running once the worker has accepted
+// it. A stream that breaks or ends without a final line, and a worker
+// that refuses because it drains, re-dispatch the job to the current
+// owner; run indices already relayed are not emitted again, as the core
+// invariant makes a recomputed run bit-identical apart from its cached
+// flag.
+func (c *Coordinator) Execute(ctx context.Context, job serve.Job, start func(string), emit func(serve.RunEvent)) (*serve.JobSummary, error) {
+	key, err := serve.RingKey(job.Spec)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
-		return
+		return nil, err
 	}
-	key, err := serve.RingKey(spec)
+	body, err := json.Marshal(job.Spec)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
-		return
+		return nil, err
 	}
-	c.mu.Lock()
-	c.nextID++
-	id := fmt.Sprintf("fleet-%06d", c.nextID)
-	j := &fleetJob{
-		spec:    *spec,
-		ringKey: key,
-		status: serve.JobStatus{
-			ID: id, State: serve.StateQueued, Spec: *spec, Submitted: time.Now().UTC(),
-		},
-	}
-	c.jobs[id] = j
-	c.order = append(c.order, id)
-	c.pruneLocked()
-	c.kickLocked()
-	st := j.status
-	c.mu.Unlock()
-	writeJSON(w, http.StatusAccepted, st)
-}
-
-// pruneLocked evicts the oldest finished job records beyond the
-// retention cap, mirroring serve's policy. Caller holds c.mu.
-func (c *Coordinator) pruneLocked() {
-	finished := 0
-	for _, id := range c.order {
-		if serveTerminal(c.jobs[id].status.State) {
-			finished++
+	relayed := map[int]bool{}
+	relay := func(ev serve.RunEvent) {
+		if !relayed[ev.Run] {
+			relayed[ev.Run] = true
+			emit(ev)
 		}
 	}
-	if finished <= c.maxFinished {
-		return
-	}
-	keep := c.order[:0]
-	for _, id := range c.order {
-		if finished > c.maxFinished && serveTerminal(c.jobs[id].status.State) {
-			delete(c.jobs, id)
-			finished--
-			continue
+	for attempt := 1; ; attempt++ {
+		m, url, dctx, err := c.assign(ctx, job.ID, key)
+		if err != nil {
+			return nil, err
 		}
-		keep = append(keep, id)
-	}
-	c.order = keep
-}
-
-// kickLocked dispatches every routable queued job. Caller holds c.mu;
-// the actual worker HTTP round-trip happens in a goroutine per job.
-func (c *Coordinator) kickLocked() {
-	for _, id := range c.order {
-		j := c.jobs[id]
-		if j.status.State != serve.StateQueued || j.dispatching || j.cancelled || j.workerID != "" {
-			continue
+		summary, final, err := c.dispatch(dctx, m, url, body, start, relay)
+		c.release(m, job.ID)
+		if final || ctx.Err() != nil {
+			return summary, err
 		}
-		owner, ok := c.ring.Owner(j.ringKey)
-		if !ok {
-			continue // no workers: stays queued until one registers
+		if attempt == maxAttempts {
+			return nil, fmt.Errorf("fleet: job gave up after %d dispatch attempts: %w", maxAttempts, err)
 		}
-		m := c.workers[owner]
-		j.dispatching = true
-		j.attempts++
-		if j.attempts > c.maxAttempts {
-			now := time.Now().UTC()
-			j.status.State = serve.StateFailed
-			j.status.Error = fmt.Sprintf("fleet: job gave up after %d dispatch attempts", c.maxAttempts)
-			j.status.Finished = &now
-			j.dispatching = false
-			continue
-		}
-		j.workerID, j.workerURL = m.id, m.url
-		go c.dispatch(id, m.id, m.url)
-	}
-}
-
-// dispatch submits job id to the worker and starts its watcher. A
-// refusal or transport failure re-queues the job: a 503 marks the
-// worker draining (alive, not accepting), anything else declares it
-// dead — if it is actually alive it will re-register on its next
-// heartbeat.
-func (c *Coordinator) dispatch(id, workerID, url string) {
-	c.mu.Lock()
-	j, ok := c.jobs[id]
-	if !ok {
+		c.mu.Lock()
+		c.requeues++
 		c.mu.Unlock()
-		return
+		c.logf("fleet: %s re-dispatched after attempt %d on %s: %v", job.ID, attempt, m.id, err)
 	}
-	spec := j.spec
-	c.mu.Unlock()
+}
 
-	remote, err := c.postJob(url, &spec)
+// assign waits until the ring has an owner for key and books job id's
+// dispatch to it, returning the owner and its current URL. The returned
+// context is cancelled if that worker is dropped.
+func (c *Coordinator) assign(ctx context.Context, id, key string) (*member, string, context.Context, error) {
+	for {
+		c.mu.Lock()
+		if owner, ok := c.ring.Owner(key); ok {
+			m := c.workers[owner]
+			url := m.url
+			dctx, cancel := context.WithCancel(ctx)
+			m.inflight[id] = cancel
+			c.mu.Unlock()
+			return m, url, dctx, nil
+		}
+		joined := c.joined
+		c.mu.Unlock()
+		select {
+		case <-joined:
+		case <-ctx.Done():
+			return nil, "", nil, ctx.Err()
+		case <-c.done:
+			return nil, "", nil, errors.New("fleet: coordinator closed")
+		}
+	}
+}
 
+// release ends job id's dispatch booking on m.
+func (c *Coordinator) release(m *member, id string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	j, ok = c.jobs[id]
-	if !ok {
-		return
+	if cancel, ok := m.inflight[id]; ok {
+		cancel()
+		delete(m.inflight, id)
 	}
-	j.dispatching = false
-	if err != nil {
-		c.dispatchErrors++
-		c.logf("fleet: dispatch %s to %s failed: %v", id, workerID, err)
-		if m, known := c.workers[workerID]; known {
-			if isDrainingErr(err) {
-				m.draining = true
-				c.ring.Remove(workerID)
-			} else {
-				c.dropWorkerLocked(workerID, fmt.Sprintf("dispatch failed: %v", err))
-			}
-		}
-		c.requeueLocked(j)
-		c.kickLocked()
-		return
-	}
-	j.remoteID = remote.ID
-	j.status.State = remote.State
-	if j.cancelled {
-		go c.remoteCancel(url, remote.ID)
-	}
-	go c.watch(id, workerID, url, remote.ID)
 }
 
-// postJob submits a spec to a worker and returns its job status.
-func (c *Coordinator) postJob(url string, spec *serve.JobSpec) (*serve.JobStatus, error) {
-	b, err := json.Marshal(spec)
+// streamLine is one NDJSON line of a /v1/run stream: a run event, or
+// the final line, which carries the state.
+type streamLine struct {
+	serve.RunEvent
+	State   string            `json:"state"`
+	Summary *serve.JobSummary `json:"summary"`
+	Error   string            `json:"error"`
+}
+
+// dispatch runs one attempt of a job on worker m at url: it POSTs the
+// spec to the worker's /v1/run, calls start once the worker has accepted
+// it, and emits each event line. final reports the job's outcome — a
+// done summary, or the worker's failure; otherwise err says why the
+// attempt failed. A refused dispatch marks the worker: a 503 takes it
+// off the ring as draining, anything else drops it as dead (alive after
+// all, it re-registers on its next heartbeat). A broken stream does not:
+// heartbeats decide death.
+func (c *Coordinator) dispatch(ctx context.Context, m *member, url string, body []byte, start func(string), emit func(serve.RunEvent)) (summary *serve.JobSummary, final bool, err error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/run", bytes.NewReader(body))
 	if err != nil {
-		return nil, err
+		return nil, true, err
 	}
-	resp, err := c.client.Post(url+"/v1/jobs", "application/json", bytes.NewReader(b))
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := c.client.Do(req)
+	if err == nil && resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusServiceUnavailable {
+			err = errDraining
+		} else {
+			err = fmt.Errorf("fleet: worker answered %s: %s", resp.Status, bytes.TrimSpace(msg))
+		}
+	}
 	if err != nil {
-		return nil, err
+		if ctx.Err() == nil {
+			c.dispatchFailed(m, err)
+		}
+		return nil, false, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusServiceUnavailable {
-		io.Copy(io.Discard, resp.Body)
-		return nil, errDraining
+	start(m.id)
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 64<<10), 4<<20)
+	for sc.Scan() {
+		var l streamLine
+		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
+			return nil, false, fmt.Errorf("fleet: bad stream line from %s: %v", m.id, err)
+		}
+		switch {
+		case l.State == "":
+			emit(l.RunEvent)
+		case l.State == serve.StateDone && l.Summary != nil:
+			return l.Summary, true, nil
+		case l.State == serve.StateFailed:
+			return nil, true, errors.New(l.Error)
+		default:
+			return nil, false, fmt.Errorf("fleet: %s ended the job %s", m.id, l.State)
+		}
 	}
-	if resp.StatusCode != http.StatusAccepted {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("fleet: worker answered %s: %s", resp.Status, body)
-	}
-	var st serve.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return nil, false, fmt.Errorf("fleet: stream from %s ended without a final line (%v)", m.id, sc.Err())
 }
 
-var errDraining = fmt.Errorf("fleet: worker draining")
-
-func isDrainingErr(err error) bool { return err == errDraining }
+// dispatchFailed books a failed dispatch to m.
+func (c *Coordinator) dispatchFailed(m *member, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.dispatchErrors++
+	if c.workers[m.id] != m {
+		return // dropped meanwhile
+	}
+	if errors.Is(err, errDraining) {
+		m.draining = true
+		c.ring.Remove(m.id)
+		return
+	}
+	c.dropWorkerLocked(m.id, fmt.Sprintf("dispatch failed: %v", err))
+}
 
 // dropWorkerLocked declares a worker dead: off the ring, out of the
-// member table, and every non-terminal job it held re-queued. Caller
-// holds c.mu.
-func (c *Coordinator) dropWorkerLocked(workerID, why string) {
-	if _, known := c.workers[workerID]; !known {
+// member table, and every job dispatched to it cancelled there, to be
+// re-dispatched. Caller holds c.mu.
+func (c *Coordinator) dropWorkerLocked(id, why string) {
+	m, known := c.workers[id]
+	if !known {
 		return
 	}
-	delete(c.workers, workerID)
-	c.ring.Remove(workerID)
-	requeued := 0
-	for _, id := range c.order {
-		j := c.jobs[id]
-		if j.workerID == workerID && !serveTerminal(j.status.State) {
-			c.requeueLocked(j)
-			requeued++
-		}
+	delete(c.workers, id)
+	c.ring.Remove(id)
+	for _, cancel := range m.inflight {
+		cancel()
 	}
-	c.logf("fleet: worker %s dropped (%s) — %d jobs re-queued, %d workers remain",
-		workerID, why, requeued, c.ring.Len())
-}
-
-// requeueLocked returns a job to the queued state with no owner; the
-// next kick re-routes it on the shrunken ring. Caller holds c.mu.
-func (c *Coordinator) requeueLocked(j *fleetJob) {
-	if serveTerminal(j.status.State) || j.cancelled {
-		if j.cancelled && !serveTerminal(j.status.State) {
-			now := time.Now().UTC()
-			j.status.State = serve.StateCanceled
-			j.status.Finished = &now
-		}
-		return
-	}
-	j.workerID, j.workerURL, j.remoteID = "", "", ""
-	j.dispatching = false
-	j.status.State = serve.StateQueued
-	j.status.Summary = nil
-	j.status.Error = ""
-	j.status.Started = nil
-	c.requeues++
-}
-
-// watch polls the owning worker for job progress until the job reaches
-// a terminal state, is reassigned, or the coordinator closes. The
-// watcher is what lets a drained worker finish in place: its record
-// keeps updating even though the worker already left the ring.
-func (c *Coordinator) watch(id, workerID, url, remoteID string) {
-	tick := time.NewTicker(c.pollInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-		case <-c.done:
-			return
-		}
-		st, err := c.fetchStatus(url, remoteID)
-		c.mu.Lock()
-		j, ok := c.jobs[id]
-		if !ok || j.workerID != workerID || serveTerminal(j.status.State) {
-			c.mu.Unlock()
-			return
-		}
-		if err != nil {
-			// Unreachable worker: if the sweep already dropped it the job
-			// must not wait for the next sweep; otherwise keep polling —
-			// heartbeats decide liveness, not one failed poll.
-			if _, known := c.workers[workerID]; !known {
-				c.requeueLocked(j)
-				c.kickLocked()
-				c.mu.Unlock()
-				return
-			}
-			c.mu.Unlock()
-			continue
-		}
-		c.foldLocked(j, st)
-		done := serveTerminal(j.status.State)
-		c.mu.Unlock()
-		if done {
-			return
-		}
-	}
-}
-
-// fetchStatus reads a job's status from its worker.
-func (c *Coordinator) fetchStatus(url, remoteID string) (*serve.JobStatus, error) {
-	resp, err := c.client.Get(url + "/v1/jobs/" + remoteID)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return nil, fmt.Errorf("fleet: worker answered %s", resp.Status)
-	}
-	var st serve.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
-// foldLocked merges the remote status into the coordinator record,
-// keeping the coordinator's job ID and submission time. Caller holds
-// c.mu and has verified the record still points at this worker.
-func (c *Coordinator) foldLocked(j *fleetJob, st *serve.JobStatus) {
-	j.status.State = st.State
-	j.status.Summary = st.Summary
-	j.status.Error = st.Error
-	j.status.Events = st.Events
-	j.status.Started = st.Started
-	j.status.Finished = st.Finished
-}
-
-func (c *Coordinator) remoteCancel(url, remoteID string) {
-	req, err := http.NewRequest(http.MethodDelete, url+"/v1/jobs/"+remoteID, nil)
-	if err != nil {
-		return
-	}
-	if resp, err := c.client.Do(req); err == nil {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
+	c.logf("fleet: worker %s dropped (%s) — %d in-flight jobs re-dispatched, %d workers remain",
+		id, why, len(m.inflight), c.ring.Len())
 }
 
 // sweep is the liveness monitor: workers silent past the heartbeat
-// timeout are dropped and their jobs re-queued.
+// timeout are dropped and their jobs re-dispatched.
 func (c *Coordinator) sweep() {
 	tick := time.NewTicker(c.sweepInterval)
 	defer tick.Stop()
@@ -628,92 +466,13 @@ func (c *Coordinator) sweep() {
 		}
 		now := time.Now()
 		c.mu.Lock()
-		var dead []string
 		for id, m := range c.workers {
 			if now.Sub(m.lastBeat) > c.heartbeatTimeout {
-				dead = append(dead, id)
+				c.dropWorkerLocked(id, "missed heartbeats")
 			}
 		}
-		for _, id := range dead {
-			c.dropWorkerLocked(id, "missed heartbeats")
-		}
-		c.kickLocked()
 		c.mu.Unlock()
 	}
-}
-
-func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	out := make([]serve.JobStatus, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.jobs[id].status)
-	}
-	c.mu.Unlock()
-	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	c.mu.Lock()
-	j, ok := c.jobs[id]
-	var st serve.JobStatus
-	var workerID, url, remoteID string
-	if ok {
-		st = j.status
-		if !serveTerminal(st.State) && j.remoteID != "" {
-			workerID, url, remoteID = j.workerID, j.workerURL, j.remoteID
-		}
-	}
-	c.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", "fleet: no such job %q", id)
-		return
-	}
-	if remoteID != "" {
-		// Live proxy: a fresh read halves the client's observed completion
-		// latency vs waiting for the watcher tick. A failed proxy is not an
-		// error — the watcher-maintained record stands in.
-		if remote, err := c.fetchStatus(url, remoteID); err == nil {
-			c.mu.Lock()
-			if jj, still := c.jobs[id]; still && jj.workerID == workerID && !serveTerminal(jj.status.State) {
-				c.foldLocked(jj, remote)
-			}
-			st = c.jobs[id].status
-			c.mu.Unlock()
-		}
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	c.mu.Lock()
-	j, ok := c.jobs[id]
-	var url, remoteID string
-	if ok {
-		j.cancelled = true
-		if j.remoteID != "" {
-			url, remoteID = j.workerURL, j.remoteID
-		} else if !serveTerminal(j.status.State) {
-			now := time.Now().UTC()
-			j.status.State = serve.StateCanceled
-			j.status.Finished = &now
-		}
-	}
-	var st serve.JobStatus
-	if ok {
-		st = j.status
-	}
-	c.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", "fleet: no such job %q", id)
-		return
-	}
-	if remoteID != "" {
-		go c.remoteCancel(url, remoteID)
-	}
-	writeJSON(w, http.StatusAccepted, st)
 }
 
 // WorkerCache is one worker's cache statistics in the fleet aggregate.
@@ -745,17 +504,11 @@ func (c *Coordinator) handleCache(w http.ResponseWriter, r *http.Request) {
 	out := CacheInfo{}
 	out.Policy = "fleet"
 	for _, t := range targets {
-		resp, err := c.client.Get(t.url + "/v1/cache")
+		info, err := c.workerCache(r.Context(), t.url)
 		if err != nil {
 			continue
 		}
-		var info serve.CacheInfo
-		err = json.NewDecoder(resp.Body).Decode(&info)
-		resp.Body.Close()
-		if err != nil {
-			continue
-		}
-		out.Workers = append(out.Workers, WorkerCache{ID: t.id, CacheInfo: info})
+		out.Workers = append(out.Workers, WorkerCache{ID: t.id, CacheInfo: *info})
 		if info.Enabled {
 			out.Enabled = true
 			out.Hits += info.Hits
@@ -769,7 +522,25 @@ func (c *Coordinator) handleCache(w http.ResponseWriter, r *http.Request) {
 			out.Capacity += info.Capacity
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	serve.WriteJSON(w, http.StatusOK, out)
+}
+
+// workerCache reads one worker's GET /v1/cache.
+func (c *Coordinator) workerCache(ctx context.Context, url string) (*serve.CacheInfo, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/cache", nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := c.client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	var info serve.CacheInfo
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		return nil, err
+	}
+	return &info, nil
 }
 
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -778,15 +549,9 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, m := range c.workers {
 		workers[memberState(m)]++
 	}
-	states := map[string]int{
-		serve.StateQueued: 0, serve.StateRunning: 0,
-		serve.StateDone: 0, serve.StateFailed: 0, serve.StateCanceled: 0,
-	}
-	for _, j := range c.jobs {
-		states[j.status.State]++
-	}
 	requeues, dispatchErrors := c.requeues, c.dispatchErrors
 	c.mu.Unlock()
+	states := c.srv.JobStates()
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
@@ -794,32 +559,28 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, s := range []string{"active", "draining"} {
 		fmt.Fprintf(w, "dse_fleet_workers{state=%s} %d\n", strconv.Quote(s), workers[s])
 	}
-	fmt.Fprint(w, "# HELP dse_fleet_jobs Jobs resident in the coordinator table by state.\n# TYPE dse_fleet_jobs gauge\n")
+	fmt.Fprint(w, "# HELP dse_fleet_jobs Jobs resident in the coordinator's job table by state.\n# TYPE dse_fleet_jobs gauge\n")
 	for _, s := range []string{serve.StateQueued, serve.StateRunning, serve.StateDone, serve.StateFailed, serve.StateCanceled} {
 		fmt.Fprintf(w, "dse_fleet_jobs{state=%s} %d\n", strconv.Quote(s), states[s])
 	}
-	fmt.Fprint(w, "# HELP dse_fleet_requeues_total Jobs re-queued off dead or refusing workers.\n# TYPE dse_fleet_requeues_total counter\n")
+	fmt.Fprint(w, "# HELP dse_fleet_requeues_total Jobs re-dispatched off dead, draining or broken workers.\n# TYPE dse_fleet_requeues_total counter\n")
 	fmt.Fprintf(w, "dse_fleet_requeues_total %d\n", requeues)
-	fmt.Fprint(w, "# HELP dse_fleet_dispatch_errors_total Job dispatches that failed and were retried.\n# TYPE dse_fleet_dispatch_errors_total counter\n")
+	fmt.Fprint(w, "# HELP dse_fleet_dispatch_errors_total Job dispatches that workers refused or failed.\n# TYPE dse_fleet_dispatch_errors_total counter\n")
 	fmt.Fprintf(w, "dse_fleet_dispatch_errors_total %d\n", dispatchErrors)
 }
 
-// Requeues returns the lifetime re-queue count (test and ops hook).
+// Requeues returns the lifetime re-dispatch count (test and ops hook).
 func (c *Coordinator) Requeues() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.requeues
 }
 
-// Assignment reports which worker currently owns job id (empty when
-// unassigned or unknown).
+// Assignment reports which worker runs, or last ran, job id (empty while
+// it waits for one, or when the job is unknown).
 func (c *Coordinator) Assignment(id string) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if j, ok := c.jobs[id]; ok {
-		return j.workerID
-	}
-	return ""
+	st, _ := c.srv.Status(id)
+	return st.Worker
 }
 
 // Workers returns the registered worker IDs, sorted (drainers included).

@@ -91,7 +91,6 @@ func startFleet(t *testing.T, n int) *testFleet {
 	coord := fleet.NewCoordinator(fleet.Options{
 		HeartbeatTimeout: 250 * time.Millisecond,
 		SweepInterval:    25 * time.Millisecond,
-		PollInterval:     10 * time.Millisecond,
 		Logf:             logf,
 	})
 	t.Cleanup(coord.Close)
@@ -374,7 +373,6 @@ func TestCoordinatorQueuesUntilWorkerJoins(t *testing.T) {
 	coord := fleet.NewCoordinator(fleet.Options{
 		HeartbeatTimeout: 250 * time.Millisecond,
 		SweepInterval:    25 * time.Millisecond,
-		PollInterval:     10 * time.Millisecond,
 		Logf:             logf,
 	})
 	t.Cleanup(coord.Close)

@@ -190,7 +190,8 @@ const (
 	StateCanceled = "canceled"
 )
 
-// JobStatus is the wire representation of a job.
+// JobStatus is the wire representation of a job. Worker names the fleet
+// worker that runs it, on a coordinator only.
 type JobStatus struct {
 	ID        string      `json:"id"`
 	State     string      `json:"state"`
@@ -198,6 +199,7 @@ type JobStatus struct {
 	Error     string      `json:"error,omitempty"`
 	Summary   *JobSummary `json:"summary,omitempty"`
 	Events    int         `json:"events"`
+	Worker    string      `json:"worker,omitempty"`
 	Submitted time.Time   `json:"submitted"`
 	Started   *time.Time  `json:"started,omitempty"`
 	Finished  *time.Time  `json:"finished,omitempty"`
@@ -284,6 +286,15 @@ func (j *job) setState(state string, now time.Time) {
 	}
 	j.notify()
 	j.mu.Unlock()
+}
+
+// finish records the job's outcome, then moves it to its terminal state,
+// so a reader that sees the state also sees the summary.
+func (j *job) finish(state string, summary *JobSummary, errMsg string) {
+	j.mu.Lock()
+	j.status.Summary, j.status.Error = summary, errMsg
+	j.mu.Unlock()
+	j.setState(state, time.Now().UTC())
 }
 
 // eventOf projects one completed run onto the wire event.

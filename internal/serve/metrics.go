@@ -69,16 +69,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Job table gauges: one sample per lifecycle state, always all five
-	// so dashboards never see a vanishing series.
-	states := map[string]int{
-		StateQueued: 0, StateRunning: 0, StateDone: 0, StateFailed: 0, StateCanceled: 0,
-	}
-	s.mu.Lock()
-	for _, j := range s.jobs {
-		states[j.snapshot().State]++
-	}
-	s.mu.Unlock()
+	states := s.JobStates()
 	fmt.Fprint(w, "# HELP dse_jobs Jobs resident in the job table by state.\n")
 	fmt.Fprint(w, "# TYPE dse_jobs gauge\n")
 	for _, state := range []string{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled} {

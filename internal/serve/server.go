@@ -23,10 +23,10 @@ type Options struct {
 	// Cache is the shared memoized result cache (nil disables caching —
 	// every run recomputes).
 	Cache *runner.ResultCache
-	// MaxJobs bounds the number of concurrently executing async jobs
-	// (each job still fans its runs out over its own worker pool);
-	// non-positive selects 2. Jobs beyond the bound queue in submission
-	// order.
+	// MaxJobs bounds the number of concurrently executing jobs on the
+	// local executor (each job still fans its runs out over its own
+	// worker pool); non-positive selects 2. Jobs beyond the bound queue
+	// in submission order, POST /run jobs included.
 	MaxJobs int
 	// MaxFinished bounds how many finished (done/failed/canceled) job
 	// records — status, spec, event buffer — the server retains; each new
@@ -36,12 +36,71 @@ type Options struct {
 	MaxFinished int
 	// Logf receives one line per lifecycle transition (nil = log.Printf).
 	Logf func(format string, args ...interface{})
+	// Executor runs the accepted jobs (nil = the local executor: this
+	// process's runner behind Cache, MaxJobs jobs at a time). The fleet
+	// coordinator supplies one that relays each job to a worker.
+	Executor Executor
+}
+
+// An Executor runs accepted jobs. Execute runs one job to its end: it
+// calls start when the job leaves the queue, naming the fleet worker
+// that runs it ("" for this process), calls emit for each completed run
+// in run order, and returns the job's summary. When ctx is cancelled it
+// returns ctx's error with the partial summary, or nil.
+type Executor interface {
+	Execute(ctx context.Context, job Job, start func(worker string), emit func(RunEvent)) (*JobSummary, error)
+}
+
+// Job is an accepted job as its Executor receives it.
+type Job struct {
+	ID   string
+	Spec *JobSpec
+	res  *resolved // the spec's runnable form, built when it was accepted
+}
+
+// local is the default Executor: the job's runs fan out on this
+// process's runner, through the result cache, at most cap(sem) jobs at
+// a time.
+type local struct {
+	cache *runner.ResultCache
+	sem   chan struct{}
+}
+
+func (l *local) Execute(ctx context.Context, job Job, start func(string), emit func(RunEvent)) (*JobSummary, error) {
+	select {
+	case l.sem <- struct{}{}:
+		defer func() { <-l.sem }()
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	start("")
+	res := job.res
+	// Transfer warm-starts from the best cached donor on the job's
+	// instance pair (a no-op without a cache or a donor).
+	fn, err := runner.WithCache(runner.CacheConfig{Cache: l.cache, Factory: res.factory, MaxSteps: res.maxSteps, Transfer: res.transfer})
+	if err != nil {
+		return nil, err
+	}
+	t0 := time.Now()
+	agg, err := runner.Run(ctx, res.factory.App(), runner.Options{
+		Runs:     res.runs,
+		Workers:  job.Spec.Workers,
+		BaseSeed: job.Spec.Seed,
+		OnResult: func(r runner.RunResult) { emit(eventOf(r)) },
+	}, fn)
+	if agg == nil {
+		return nil, err
+	}
+	return summarize(agg, time.Since(t0)), err
 }
 
 // Server is the DSE job service. Create with New, mount via Handler.
 type Server struct {
 	cache       *runner.ResultCache
-	sem         chan struct{}
+	exec        Executor
 	maxFinished int
 	logf        func(string, ...interface{})
 	draining    atomic.Bool
@@ -54,9 +113,13 @@ type Server struct {
 
 // New creates a server.
 func New(opts Options) *Server {
-	maxJobs := opts.MaxJobs
-	if maxJobs <= 0 {
-		maxJobs = 2
+	exec := opts.Executor
+	if exec == nil {
+		maxJobs := opts.MaxJobs
+		if maxJobs <= 0 {
+			maxJobs = 2
+		}
+		exec = &local{cache: opts.Cache, sem: make(chan struct{}, maxJobs)}
 	}
 	maxFinished := opts.MaxFinished
 	if maxFinished <= 0 {
@@ -68,7 +131,7 @@ func New(opts Options) *Server {
 	}
 	return &Server{
 		cache:       opts.Cache,
-		sem:         make(chan struct{}, maxJobs),
+		exec:        exec,
 		maxFinished: maxFinished,
 		logf:        logf,
 		jobs:        map[string]*job{},
@@ -148,6 +211,31 @@ func (s *Server) WaitIdle(ctx context.Context) error {
 	}
 }
 
+// Status returns job id's status, if the job is resident.
+func (s *Server) Status(id string) (JobStatus, bool) {
+	s.mu.Lock()
+	j, ok := s.jobs[id]
+	s.mu.Unlock()
+	if !ok {
+		return JobStatus{}, false
+	}
+	return j.snapshot(), true
+}
+
+// JobStates counts the resident jobs by state; all five states are
+// present, so dashboards never see a vanishing series.
+func (s *Server) JobStates() map[string]int {
+	states := map[string]int{
+		StateQueued: 0, StateRunning: 0, StateDone: 0, StateFailed: 0, StateCanceled: 0,
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, j := range s.jobs {
+		states[j.snapshot().State]++
+	}
+	return states
+}
+
 // Handler mounts the API. Every endpoint lives under /v1.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -160,15 +248,17 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
 	mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStream)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	mux.HandleFunc("POST /v1/run", s.handleRunSync)
+	mux.HandleFunc("POST /v1/run", s.handleRun)
 	return mux
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
+// WriteJSON writes v as the indented JSON body of a response with the
+// given status code.
+func WriteJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -204,8 +294,13 @@ func errorCode(status int) string {
 	}
 }
 
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, errorEnvelope{Error: APIError{Code: errorCode(code), Message: err.Error()}})
+// WriteError writes the error envelope with the given status and code.
+func WriteError(w http.ResponseWriter, status int, code, message string) {
+	WriteJSON(w, status, errorEnvelope{Error: APIError{Code: code, Message: message}})
+}
+
+func writeError(w http.ResponseWriter, status int, err error) {
+	WriteError(w, status, errorCode(status), err.Error())
 }
 
 // CodeDraining is the stable error-envelope code of a 503 refused by a
@@ -217,20 +312,12 @@ const CodeDraining = "draining"
 // Retry-After hint, and the "draining" envelope code.
 func writeDraining(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", "1")
-	writeJSON(w, http.StatusServiceUnavailable, errorEnvelope{Error: APIError{
-		Code:    CodeDraining,
-		Message: "serve: draining — not accepting new jobs; retry against the coordinator",
-	}})
+	WriteError(w, http.StatusServiceUnavailable, CodeDraining,
+		"serve: draining — not accepting new jobs; retry against the coordinator")
 }
 
+// handleScenarios writes the scenario catalog.
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
-	WriteScenarios(w)
-}
-
-// WriteScenarios writes the scenario catalog as the GET /scenarios JSON.
-// Package-level so the fleet coordinator can answer the endpoint without
-// owning a job server.
-func WriteScenarios(w http.ResponseWriter) {
 	type entry struct {
 		Name       string  `json:"name"`
 		Family     string  `json:"family"`
@@ -246,7 +333,7 @@ func WriteScenarios(w http.ResponseWriter) {
 			Stresses: sc.Stresses, DeadlineMS: sc.DeadlineMS, Runs: sc.Budget.Runs,
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // CacheInfo is the /cache wire shape: whether caching is on, plus the
@@ -259,10 +346,10 @@ type CacheInfo struct {
 
 func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	if s.cache == nil {
-		writeJSON(w, http.StatusOK, CacheInfo{Enabled: false})
+		WriteJSON(w, http.StatusOK, CacheInfo{Enabled: false})
 		return
 	}
-	writeJSON(w, http.StatusOK, CacheInfo{Enabled: true, Stats: s.cache.Stats()})
+	WriteJSON(w, http.StatusOK, CacheInfo{Enabled: true, Stats: s.cache.Stats()})
 }
 
 // maxSpecBytes bounds a job-spec request body. Inline models are a few
@@ -272,13 +359,12 @@ const maxSpecBytes = 8 << 20
 
 // DecodeSpec reads a JobSpec, rejecting unknown fields so typos (and
 // retired knobs such as "sched") surface as 400s instead of
-// silently-default jobs. The fleet coordinator shares it with the job
-// server, so both reject the same bodies the same way. The (size-bounded)
-// body is drained to EOF: json.Decoder stops at the end of the first
-// value, and net/http only arms its client-disconnect detection (the
-// background read that cancels the request context) once the handler has
-// consumed the body — without the drain, a /run client hanging up would
-// never cancel the computation.
+// silently-default jobs. The (size-bounded) body is drained to EOF:
+// json.Decoder stops at the end of the first value, and net/http only
+// arms its client-disconnect detection (the background read that
+// cancels the request context) once the handler has consumed the body —
+// without the drain, a /run client hanging up would never cancel the
+// computation.
 func DecodeSpec(w http.ResponseWriter, r *http.Request) (*JobSpec, error) {
 	body := http.MaxBytesReader(w, r.Body, maxSpecBytes)
 	var spec JobSpec
@@ -293,22 +379,25 @@ func DecodeSpec(w http.ResponseWriter, r *http.Request) (*JobSpec, error) {
 	return &spec, nil
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// accept validates a submission and enters it in the job table as a
+// queued job, which then runs on the executor under a context derived
+// from parent. A refused submission is answered here.
+func (s *Server) accept(w http.ResponseWriter, r *http.Request, parent context.Context) (*job, bool) {
 	if s.draining.Load() {
 		writeDraining(w)
-		return
+		return nil, false
 	}
 	spec, err := DecodeSpec(w, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, false
 	}
 	res, err := resolve(spec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, false
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(parent)
 	j := &job{cancel: cancel}
 	s.mu.Lock()
 	s.nextID++
@@ -319,8 +408,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.pruneLocked()
 	s.mu.Unlock()
 	s.logf("serve: %s queued (%s, strategy %s, %d runs)", id, specName(spec), res.factory.Name(), res.runs)
-	go s.execute(ctx, j, res)
-	writeJSON(w, http.StatusAccepted, j.snapshot())
+	go s.execute(ctx, j, Job{ID: id, Spec: spec, res: res})
+	return j, true
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	if j, ok := s.accept(w, r, context.Background()); ok {
+		WriteJSON(w, http.StatusAccepted, j.snapshot())
+	}
+}
+
+// handleRun accepts a job whose lifetime is the request and streams it.
+// The job queues and runs like any other, but a client that disconnects
+// cancels it within one search step, and since truncated runs error out,
+// nothing partial enters the result cache.
+func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+	if j, ok := s.accept(w, r, r.Context()); ok {
+		stream(w, r, j)
+	}
 }
 
 // specName names a spec for log lines.
@@ -334,46 +439,27 @@ func specName(spec *JobSpec) string {
 	return "inline models"
 }
 
-// execute runs an async job: waits for a slot, drives the multi-run
-// engine, and publishes events and the final state.
-func (s *Server) execute(ctx context.Context, j *job, res *resolved) {
-	// Queued: wait for an execution slot, but honor cancellation.
-	select {
-	case s.sem <- struct{}{}:
-		defer func() { <-s.sem }()
-	case <-ctx.Done():
-		j.setState(StateCanceled, time.Now().UTC())
-		s.logf("serve: %s canceled while queued", j.snapshot().ID)
-		return
+// execute runs an accepted job on the executor and publishes its events
+// and its final state.
+func (s *Server) execute(ctx context.Context, j *job, task Job) {
+	start := func(worker string) {
+		j.mu.Lock()
+		j.status.Worker = worker
+		j.mu.Unlock()
+		j.setState(StateRunning, time.Now().UTC())
 	}
-	if ctx.Err() != nil {
-		j.setState(StateCanceled, time.Now().UTC())
-		return
-	}
-	j.setState(StateRunning, time.Now().UTC())
-	summary, err := s.runJob(ctx, j, res)
-	now := time.Now().UTC()
-	st := j.snapshot()
+	summary, err := s.exec.Execute(ctx, task, start, j.addEvent)
 	switch {
 	case err == nil:
-		j.mu.Lock()
-		j.status.Summary = summary
-		j.mu.Unlock()
-		j.setState(StateDone, now)
+		j.finish(StateDone, summary, "")
 		s.logf("serve: %s done (%d/%d runs, best cost %.4f, %d cache hits, %.1f ms)",
-			st.ID, summary.Completed, summary.Requested, summary.BestCost, summary.CacheHits, summary.WallMS)
+			task.ID, summary.Completed, summary.Requested, summary.BestCost, summary.CacheHits, summary.WallMS)
 	case ctx.Err() != nil:
-		j.mu.Lock()
-		j.status.Summary = summary // partial aggregate of the completed runs
-		j.mu.Unlock()
-		j.setState(StateCanceled, now)
-		s.logf("serve: %s canceled (%d runs completed)", st.ID, summaryCompleted(summary))
+		j.finish(StateCanceled, summary, "") // partial aggregate of the completed runs
+		s.logf("serve: %s canceled (%d runs completed)", task.ID, summaryCompleted(summary))
 	default:
-		j.mu.Lock()
-		j.status.Error = err.Error()
-		j.mu.Unlock()
-		j.setState(StateFailed, now)
-		s.logf("serve: %s failed: %v", st.ID, err)
+		j.finish(StateFailed, nil, err.Error())
+		s.logf("serve: %s failed: %v", task.ID, err)
 	}
 }
 
@@ -382,36 +468,6 @@ func summaryCompleted(s *JobSummary) int {
 		return 0
 	}
 	return s.Completed
-}
-
-// runJob drives one resolved spec on the engine, publishing per-run
-// events. Used by both the async path and the synchronous /run path.
-func (s *Server) runJob(ctx context.Context, j *job, res *resolved) (*JobSummary, error) {
-	fn, err := s.runFunc(res)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	spec := j.snapshot().Spec
-	agg, err := runner.Run(ctx, res.factory.App(), runner.Options{
-		Runs:     res.runs,
-		Workers:  spec.Workers,
-		BaseSeed: spec.Seed,
-		OnResult: func(r runner.RunResult) { j.addEvent(eventOf(r)) },
-	}, fn)
-	wall := time.Since(start)
-	var summary *JobSummary
-	if agg != nil {
-		summary = summarize(agg, wall)
-	}
-	return summary, err
-}
-
-// runFunc wraps a resolved job's factory in the server's result cache,
-// warm-starting it from the best cached donor on its instance pair when
-// the spec asks for transfer (a no-op without a cache or donor).
-func (s *Server) runFunc(res *resolved) (runner.RunFunc, error) {
-	return runner.WithCache(runner.CacheConfig{Cache: s.cache, Factory: res.factory, MaxSteps: res.maxSteps, Transfer: res.transfer})
 }
 
 func (s *Server) jobFor(r *http.Request) (*job, bool) {
@@ -429,7 +485,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -438,7 +494,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("serve: no such job %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, j.snapshot())
+	WriteJSON(w, http.StatusOK, j.snapshot())
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -449,26 +505,31 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	j.cancel()
 	s.logf("serve: %s cancellation requested", j.snapshot().ID)
-	writeJSON(w, http.StatusAccepted, j.snapshot())
+	WriteJSON(w, http.StatusAccepted, j.snapshot())
 }
 
-// handleStream replays the job's buffered run events as NDJSON, then
-// follows live ones, and closes with a {"summary": ...} (or {"error":
-// ...}) line once the job reaches a terminal state. A disconnecting
-// watcher stops streaming but does not cancel the job — use DELETE for
-// that (or the synchronous /run endpoint, whose lifetime is the request).
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobFor(r)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("serve: no such job %q", r.PathValue("id")))
 		return
 	}
+	stream(w, r, j)
+}
+
+// stream writes the job's buffered run events as NDJSON, then follows
+// live ones, and closes with a {"state", "summary", "error"} line once
+// the job reaches a terminal state. A client hanging up stops the
+// stream; it cancels the job only when the job is the request's own
+// (POST /run) — DELETE cancels any job.
+func stream(w http.ResponseWriter, r *http.Request, j *job) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	if flusher != nil {
-		// Push the headers to the client immediately: a streaming consumer
-		// must see the response open before the first event exists.
+		// Push the headers to the client immediately, before the job
+		// leaves the queue: a streaming consumer must see the response
+		// open before the first event exists.
 		flusher.Flush()
 	}
 	enc := json.NewEncoder(w)
@@ -506,71 +567,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	if st.Error != "" {
 		final["error"] = st.Error
-	}
-	enc.Encode(final)
-	if flusher != nil {
-		flusher.Flush()
-	}
-}
-
-// handleRunSync computes a job inside the request: per-run NDJSON events
-// stream as they complete, a final summary line closes the body. The run
-// inherits the request context, so a client disconnect cancels the
-// in-flight runs within one search step — and since truncated runs error
-// out, nothing partial enters the result cache.
-func (s *Server) handleRunSync(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeDraining(w)
-		return
-	}
-	spec, err := DecodeSpec(w, r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	res, err := resolve(spec)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	fn, err := s.runFunc(res)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		// Headers must reach the client before the computation starts:
-		// the caller watches the stream (and may hang up to cancel).
-		flusher.Flush()
-	}
-	enc := json.NewEncoder(w)
-	start := time.Now()
-	agg, runErr := runner.Run(r.Context(), res.factory.App(), runner.Options{
-		Runs:     res.runs,
-		Workers:  spec.Workers,
-		BaseSeed: spec.Seed,
-		OnResult: func(rr runner.RunResult) {
-			enc.Encode(eventOf(rr))
-			if flusher != nil {
-				flusher.Flush()
-			}
-		},
-	}, fn)
-	final := map[string]interface{}{}
-	if agg != nil {
-		final["summary"] = summarize(agg, time.Since(start))
-	}
-	switch {
-	case runErr == nil:
-		final["state"] = StateDone
-	case r.Context().Err() != nil:
-		final["state"] = StateCanceled
-	default:
-		final["state"] = StateFailed
-		final["error"] = runErr.Error()
 	}
 	enc.Encode(final)
 	if flusher != nil {

@@ -230,3 +230,49 @@ func TestWaitIdleHonorsContext(t *testing.T) {
 		t.Fatal("WaitIdle returned nil with a job still active")
 	}
 }
+
+// TestDrainCoversRunStreams pins that a POST /v1/run job is a job like
+// any other: ActiveJobs counts it while it streams, and WaitIdle after
+// Drain returns only once it has finished, so a draining worker never
+// cuts a relayed stream short.
+func TestDrainCoversRunStreams(t *testing.T) {
+	s, ts := testServer(t, nil)
+	resp, err := http.Post(ts.URL+"/v1/run", "application/json",
+		strings.NewReader(`{"scenario":"layered-xl","strategy":"sa","runs":2,"maxSteps":600,"seed":42}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if n := s.ActiveJobs(); n != 1 {
+		t.Fatalf("ActiveJobs() = %d while a /v1/run streams, want 1", n)
+	}
+
+	s.Drain()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	if err := s.WaitIdle(ctx); err != nil {
+		t.Fatalf("WaitIdle: %v (active=%d)", err, s.ActiveJobs())
+	}
+	idle := time.Now()
+
+	var all []JobStatus
+	getJSON(t, ts.URL+"/v1/jobs", &all)
+	if len(all) != 1 || all[0].State != StateDone || all[0].Finished == nil || all[0].Finished.After(idle) {
+		t.Fatalf("WaitIdle returned at %v before the /v1/run job finished: %+v", idle, all)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(body)), "\n")
+	var final struct {
+		State   string      `json:"state"`
+		Summary *JobSummary `json:"summary"`
+	}
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &final); err != nil {
+		t.Fatal(err)
+	}
+	if len(lines) != 3 || final.State != StateDone || final.Summary == nil || final.Summary.Completed != 2 {
+		t.Fatalf("stream = %q, want two events and a done line with a 2-run summary", lines)
+	}
+}

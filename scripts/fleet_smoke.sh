@@ -3,8 +3,9 @@
 # workers, loaded by dseload with a 10-second mixed-scenario replay
 # (two passes over the identical deterministic sequence: pass one cold,
 # pass two warm). Asserts zero errors, a warm cache-hit ratio of at
-# least 90%, and leaves the dseload JSON report as the CI artifact.
-# Finally SIGTERMs every worker to exercise the graceful-drain path.
+# least 90%, and leaves the dseload JSON report as the CI artifact. Then
+# drives the two streaming job routes through the coordinator, and
+# finally SIGTERMs every worker to exercise the graceful-drain path.
 #
 # Env knobs: FLEET_SMOKE_JSON (report path, default FLEET_SMOKE.json),
 # FLEET_SMOKE_PORT (coordinator port, workers take the next three).
@@ -74,6 +75,22 @@ fi
     -mix "fig2-small=3,pipeline-fft-small=2,forkjoin-tiny=1" \
     -rps 10 -n 50 -passes 2 -runs 2 -max-steps 8 \
     -report "$OUT" -max-errors 0 -min-hits 1 -min-hit-ratio 0.9
+
+# The streaming job routes through the coordinator: a synchronous
+# POST /v1/run and an async job's GET /v1/jobs/{id}/stream must each end
+# with a done line that carries the summary.
+expect_done() {
+    local last
+    last=$(tail -n 1)
+    case "$last" in
+        *'"state":"done","summary":{'*) echo "fleet-smoke: $1 ended done with a summary" ;;
+        *) echo "fleet-smoke: FAIL — $1 ended with: $last" >&2; exit 1 ;;
+    esac
+}
+SPEC='{"scenario":"fig2-small","strategy":"sa","runs":2,"maxSteps":8,"seed":4242}'
+curl -fsS -X POST "http://$COORD/v1/run" -d "$SPEC" | expect_done "POST /v1/run"
+id=$(curl -fsS -X POST "http://$COORD/v1/jobs" -d "$SPEC" | sed -n 's/^  "id": "\(.*\)",$/\1/p')
+curl -fsS "http://$COORD/v1/jobs/$id/stream" | expect_done "GET /v1/jobs/$id/stream"
 
 echo "fleet-smoke: metrics after replay"
 curl -fsS "http://$COORD/v1/metrics" | grep -E 'dse_fleet_(workers|requeues)' || true
