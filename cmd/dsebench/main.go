@@ -146,7 +146,7 @@ func run(args []string, stdout io.Writer) error {
 	if *cacheOn || opts.Transfer {
 		// -transfer needs the result cache as its donor index, but only
 		// -cache asks for the warm verification rerun.
-		opts.Cache = runner.NewResultCache(*cacheSize, 0)
+		opts.Cache = runner.NewResultCache(*cacheSize)
 		opts.Warm = *cacheOn
 	}
 	if *smoke {

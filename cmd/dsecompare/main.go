@@ -59,7 +59,7 @@ func run(args []string, stdout io.Writer) error {
 
 	var cache *runner.ResultCache
 	if *cacheOn {
-		cache = runner.NewResultCache(0, 0)
+		cache = runner.NewResultCache(0)
 	}
 
 	mcfg := apps.DefaultMotionConfig()

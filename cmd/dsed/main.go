@@ -4,7 +4,10 @@
 // resubmitting an identical (scenario|models, strategy, seed, budget)
 // job returns bit-identical quality fields without recomputation. With
 // -snapshot the cache survives restarts: it is restored on boot and
-// saved periodically, and again on SIGTERM/interrupt.
+// saved periodically, and again on SIGTERM/interrupt. Cached results
+// never expire by the clock; those of an older release carry another
+// runner.ResultEpoch in their keys, so they never hit and age out under
+// LRU.
 //
 // Endpoints (see internal/serve) live under /v1: POST /v1/jobs,
 // GET /v1/jobs[/{id}[/stream]], DELETE /v1/jobs/{id}, POST /v1/run
@@ -15,8 +18,7 @@
 // Usage:
 //
 //	dsed                                    # serve on :8080, cache enabled
-//	dsed -addr :9090 -max-jobs 4
-//	dsed -cache-size 16384 -cache-ttl 1h -stale-for 10m
+//	dsed -addr :9090 -max-jobs 4 -cache-size 16384
 //	dsed -snapshot /var/lib/dsed/cache.snap -snapshot-interval 5m
 //	dsed -smoke                             # self-test: submit fig2-small twice,
 //	                                        # assert the resubmission is a cache hit,
@@ -36,7 +38,6 @@ package main
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"log"
@@ -49,13 +50,14 @@ import (
 	"time"
 
 	"repro/dse"
+	"repro/internal/cli"
 	"repro/internal/fleet"
 	"repro/internal/runner"
 	"repro/internal/serve"
 )
 
 // runCoordinator serves the fleet coordinator until SIGTERM/interrupt.
-func runCoordinator(addr string, beatTimeout time.Duration) {
+func runCoordinator(addr string, beatTimeout time.Duration) error {
 	c := fleet.NewCoordinator(fleet.Options{HeartbeatTimeout: beatTimeout, Logf: log.Printf})
 	defer c.Close()
 	httpSrv := &http.Server{Addr: addr, Handler: c.Handler()}
@@ -69,9 +71,10 @@ func runCoordinator(addr string, beatTimeout time.Duration) {
 	}()
 	log.Printf("coordinating on %s (heartbeat timeout %v)", addr, beatTimeout)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Fatal(err)
+		return err
 	}
 	log.Printf("coordinator shut down")
+	return nil
 }
 
 // fleetWorkerID derives the worker's stable fleet identity: an explicit
@@ -110,52 +113,50 @@ func advertiseURL(explicit, addr string) string {
 	return "http://" + net.JoinHostPort(host, port)
 }
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("dsed: ")
-	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		noCache   = flag.Bool("no-cache", false, "disable the memoized result cache")
-		cacheSize = flag.Int("cache-size", 8192, "result-cache capacity (entries)")
-		cacheTTL  = flag.Duration("cache-ttl", 0, "result-cache entry TTL (0 = never expire)")
-		staleFor  = flag.Duration("stale-for", 0, "with -cache-ttl, keep serving expired entries for this long while a background refresh recomputes (0 = off)")
-		snapPath  = flag.String("snapshot", "", "cache snapshot file: restored on boot, saved every -snapshot-interval and on shutdown (empty = no persistence)")
-		snapEvery = flag.Duration("snapshot-interval", 5*time.Minute, "how often to save the cache snapshot (requires -snapshot)")
-		maxJobs   = flag.Int("max-jobs", 2, "concurrently executing jobs (excess queues)")
-		maxDone   = flag.Int("max-finished", 1000, "finished job records retained (oldest evicted beyond this)")
-		smoke     = flag.Bool("smoke", false, "run the self-test (cold job, cache-hit resubmit, snapshot restart, /metrics scrape) and exit")
+func main() { cli.Main("dsed", run) }
 
-		coordinator = flag.Bool("coordinator", false, "run as a fleet coordinator: route /v1/jobs across registered dsed workers instead of computing locally")
-		beatTimeout = flag.Duration("heartbeat-timeout", 5*time.Second, "coordinator: declare a worker dead after this heartbeat silence and re-queue its jobs")
-		join        = flag.String("join", "", "worker: register with the fleet coordinator at this base URL (e.g. http://host:9400)")
-		advertise   = flag.String("advertise", "", "worker: base URL the coordinator dials back (default derived from -addr on 127.0.0.1)")
-		workerID    = flag.String("worker-id", "", "worker: stable fleet identity (default hostname:port)")
-		heartbeat   = flag.Duration("heartbeat", 2*time.Second, "worker: heartbeat interval to the coordinator")
-		drainFor    = flag.Duration("drain-timeout", 30*time.Second, "worker: on SIGTERM, wait at most this long for in-flight jobs to finish after deregistering")
+// run parses args, then serves (or coordinates) until SIGTERM/interrupt,
+// or with -smoke runs the self-test and reports it to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := cli.NewFlagSet("dsed")
+	var (
+		addr      = fs.String("addr", ":8080", "listen address")
+		noCache   = fs.Bool("no-cache", false, "disable the memoized result cache")
+		cacheSize = fs.Int("cache-size", 8192, "result-cache capacity (entries)")
+		snapPath  = fs.String("snapshot", "", "cache snapshot file: restored on boot, saved every -snapshot-interval and on shutdown (empty = no persistence)")
+		snapEvery = fs.Duration("snapshot-interval", 5*time.Minute, "how often to save the cache snapshot (requires -snapshot)")
+		maxJobs   = fs.Int("max-jobs", 2, "concurrently executing jobs (excess queues)")
+		maxDone   = fs.Int("max-finished", 1000, "finished job records retained (oldest evicted beyond this)")
+		smoke     = fs.Bool("smoke", false, "run the self-test (cold job, cache-hit resubmit, snapshot restart, /metrics scrape) and exit")
+
+		coordinator = fs.Bool("coordinator", false, "run as a fleet coordinator: route /v1/jobs across registered dsed workers instead of computing locally")
+		beatTimeout = fs.Duration("heartbeat-timeout", 5*time.Second, "coordinator: declare a worker dead after this heartbeat silence and re-queue its jobs")
+		join        = fs.String("join", "", "worker: register with the fleet coordinator at this base URL (e.g. http://host:9400)")
+		advertise   = fs.String("advertise", "", "worker: base URL the coordinator dials back (default derived from -addr on 127.0.0.1)")
+		workerID    = fs.String("worker-id", "", "worker: stable fleet identity (default hostname:port)")
+		heartbeat   = fs.Duration("heartbeat", 2*time.Second, "worker: heartbeat interval to the coordinator")
+		drainFor    = fs.Duration("drain-timeout", 30*time.Second, "worker: on SIGTERM, wait at most this long for in-flight jobs to finish after deregistering")
 	)
-	flag.Parse()
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 
 	if *coordinator {
-		runCoordinator(*addr, *beatTimeout)
-		return
+		return runCoordinator(*addr, *beatTimeout)
 	}
 
 	var cache *runner.ResultCache
 	if !*noCache {
-		cache = runner.NewResultCacheWith(runner.ResultCacheOptions{
-			Capacity: *cacheSize,
-			TTL:      *cacheTTL,
-			StaleFor: *staleFor,
-		})
+		cache = runner.NewResultCache(*cacheSize)
 	}
 	srv := serve.New(serve.Options{Cache: cache, MaxJobs: *maxJobs, MaxFinished: *maxDone, Logf: log.Printf})
 
 	if *smoke {
-		if err := runSmoke(srv, *snapPath); err != nil {
-			log.Fatalf("smoke: %v", err)
+		if err := runSmoke(stdout, srv, *snapPath); err != nil {
+			return fmt.Errorf("smoke: %w", err)
 		}
-		fmt.Println("dsed smoke: PASS")
-		return
+		fmt.Fprintln(stdout, "dsed smoke: PASS")
+		return nil
 	}
 
 	if cache != nil && *snapPath != "" {
@@ -226,7 +227,7 @@ func main() {
 		log.Printf("serving on %s (cache %v, max-jobs %d)", *addr, !*noCache, *maxJobs)
 	}
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Fatal(err)
+		return err
 	}
 	if cache != nil && *snapPath != "" {
 		// Final save after the listener has drained: the snapshot includes
@@ -234,6 +235,7 @@ func main() {
 		saveSnapshot(cache, *snapPath)
 	}
 	log.Printf("shut down")
+	return nil
 }
 
 // restoreSnapshot warm-starts the cache from path. Every failure mode —
@@ -297,8 +299,9 @@ func saveSnapshot(cache *runner.ResultCache, path string) {
 //  3. Scrape /v1/metrics on the restarted server and assert non-zero
 //     per-shard hit counters.
 //
-// snapPath selects the snapshot file; empty uses a temp file.
-func runSmoke(srv *serve.Server, snapPath string) error {
+// snapPath selects the snapshot file; empty uses a temp file. The report
+// goes to stdout.
+func runSmoke(stdout io.Writer, srv *serve.Server, snapPath string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 240*time.Second)
 	defer cancel()
 	spec := dse.JobSpec{Scenario: "fig2-small", Strategy: "sa", Runs: 4, MaxSteps: 10}
@@ -330,7 +333,7 @@ func runSmoke(srv *serve.Server, snapPath string) error {
 	if err := summariesMatch(cold.Summary, warm.Summary); err != nil {
 		return fmt.Errorf("warm job diverged: %w", err)
 	}
-	fmt.Printf("fig2-small × %d runs: cold %v (best cost %.4f), warm %v from cache (%d hits)\n",
+	fmt.Fprintf(stdout, "fig2-small × %d runs: cold %v (best cost %.4f), warm %v from cache (%d hits)\n",
 		spec.Runs, coldWall.Round(time.Millisecond), cold.Summary.BestCost,
 		warmWall.Round(time.Millisecond), warm.Summary.CacheHits)
 
@@ -347,7 +350,7 @@ func runSmoke(srv *serve.Server, snapPath string) error {
 	saveSnapshot(srv.Cache(), snapPath)
 	closeA()
 
-	cache2 := runner.NewResultCache(8192, 0)
+	cache2 := runner.NewResultCache(8192)
 	restoreSnapshot(cache2, snapPath)
 	if cache2.Len() == 0 {
 		return fmt.Errorf("restart: snapshot %s restored 0 entries", snapPath)
@@ -369,7 +372,7 @@ func runSmoke(srv *serve.Server, snapPath string) error {
 	if err := summariesMatch(cold.Summary, restarted.Summary); err != nil {
 		return fmt.Errorf("post-restart job diverged from the original: %w", err)
 	}
-	fmt.Printf("restart from %s: %v, %d/%d runs from the restored cache\n",
+	fmt.Fprintf(stdout, "restart from %s: %v, %d/%d runs from the restored cache\n",
 		snapPath, restartWall.Round(time.Millisecond), restarted.Summary.CacheHits, spec.Runs)
 
 	// Act 3: the metrics endpoint reports the hits.
@@ -384,7 +387,7 @@ func runSmoke(srv *serve.Server, snapPath string) error {
 	if hits == 0 {
 		return fmt.Errorf("restored cache reports zero hits after a fully-cached job")
 	}
-	fmt.Printf("metrics: %d cache hits across %d shards\n", hits, len(cache2.Stats().Shards))
+	fmt.Fprintf(stdout, "metrics: %d cache hits across %d shards\n", hits, len(cache2.Stats().Shards))
 	return nil
 }
 

@@ -33,7 +33,7 @@ func startFleet(t *testing.T, n int) string {
 	ts := httptest.NewServer(coord.Handler())
 	t.Cleanup(ts.Close)
 	for i := 0; i < n; i++ {
-		w := httptest.NewServer(serve.New(serve.Options{Cache: runner.NewResultCache(512, 0), Logf: quiet}).Handler())
+		w := httptest.NewServer(serve.New(serve.Options{Cache: runner.NewResultCache(512), Logf: quiet}).Handler())
 		t.Cleanup(w.Close)
 		agent := &fleet.Agent{Coordinator: ts.URL, ID: fmt.Sprintf("w%d", i), URL: w.URL, Logf: quiet}
 		if err := agent.Register(context.Background()); err != nil {
@@ -61,7 +61,7 @@ func readReport(t *testing.T, path string) *Report {
 // equal per-pass result digests, and both warm passes are answered
 // wholly from cache.
 func TestReplayMatchesAcrossTopologies(t *testing.T) {
-	single := httptest.NewServer(serve.New(serve.Options{Cache: runner.NewResultCache(512, 0), Logf: quiet}).Handler())
+	single := httptest.NewServer(serve.New(serve.Options{Cache: runner.NewResultCache(512), Logf: quiet}).Handler())
 	defer single.Close()
 	dir := t.TempDir()
 	replay := func(addr, name string, extra ...string) *Report {

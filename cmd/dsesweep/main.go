@@ -88,7 +88,7 @@ func run(args []string, stdout io.Writer) error {
 		// -transfer draws its donors from the result cache. Distinct sizes
 		// are distinct arch digests, so a point only inherits from runs of
 		// its own size.
-		cache = runner.NewResultCache(0, 0)
+		cache = runner.NewResultCache(0)
 	}
 
 	fmt.Fprintf(stdout, "Figure 3 — device-size sweep on %q (%d runs/size, %d iterations, %d workers, splits=%v, strategy %s)\n\n",

@@ -101,7 +101,7 @@ func startFleet(t *testing.T, n int) string {
 	ts := httptest.NewServer(coord.Handler())
 	t.Cleanup(ts.Close)
 	for i := 0; i < n; i++ {
-		w := httptest.NewServer(serve.New(serve.Options{Cache: runner.NewResultCache(512, 0), Logf: quiet}).Handler())
+		w := httptest.NewServer(serve.New(serve.Options{Cache: runner.NewResultCache(512), Logf: quiet}).Handler())
 		t.Cleanup(w.Close)
 		agent := &fleet.Agent{Coordinator: ts.URL, ID: fmt.Sprintf("w%d", i), URL: w.URL, Logf: quiet}
 		if err := agent.Register(context.Background()); err != nil {

@@ -15,7 +15,7 @@ import (
 func testService(t *testing.T) *Client {
 	t.Helper()
 	srv := serve.New(serve.Options{
-		Cache: runner.NewResultCache(128, 0),
+		Cache: runner.NewResultCache(128),
 		Logf:  t.Logf,
 	})
 	ts := httptest.NewServer(srv.Handler())
@@ -93,7 +93,7 @@ func TestClientErrorsSurfaceServerMessage(t *testing.T) {
 // requests must carry the /v1 prefix, the only paths the server mounts.
 func TestClientSpeaksV1(t *testing.T) {
 	var sawPath string
-	srv := serve.New(serve.Options{Cache: runner.NewResultCache(16, 0), Logf: t.Logf})
+	srv := serve.New(serve.Options{Cache: runner.NewResultCache(16), Logf: t.Logf})
 	inner := srv.Handler()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sawPath = r.URL.Path

@@ -40,7 +40,7 @@ type Options struct {
 
 // Coordinator fronts a fleet of dsed workers. Its job API is serve's,
 // with the coordinator as the executor: each job runs on the worker that
-// owns its result-cache fingerprint (serve.RingKey) on a consistent-hash
+// owns its result-cache fingerprint (serve.Job.RingKey) on a consistent-hash
 // ring, relayed over that worker's POST /v1/run stream, and is
 // re-dispatched when the worker dies or drains. Workers join with
 // POST /v1/register, stay live with periodic POST /v1/heartbeat, and
@@ -287,7 +287,7 @@ var errDraining = errors.New("fleet: worker draining")
 // invariant makes a recomputed run bit-identical apart from its cached
 // flag.
 func (c *Coordinator) Execute(ctx context.Context, job serve.Job, start func(string), emit func(serve.RunEvent)) (*serve.JobSummary, error) {
-	key, err := serve.RingKey(job.Spec)
+	key, err := job.RingKey()
 	if err != nil {
 		return nil, err
 	}
@@ -511,14 +511,7 @@ func (c *Coordinator) handleCache(w http.ResponseWriter, r *http.Request) {
 		out.Workers = append(out.Workers, WorkerCache{ID: t.id, CacheInfo: *info})
 		if info.Enabled {
 			out.Enabled = true
-			out.Hits += info.Hits
-			out.Misses += info.Misses
-			out.Shared += info.Shared
-			out.Evictions += info.Evictions
-			out.Expirations += info.Expirations
-			out.StaleServes += info.StaleServes
-			out.Refreshes += info.Refreshes
-			out.Entries += info.Entries
+			out.ShardStats.Add(info.ShardStats)
 			out.Capacity += info.Capacity
 		}
 	}

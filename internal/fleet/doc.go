@@ -1,6 +1,6 @@
 // Package fleet scales the dsed job service horizontally: a
 // Coordinator fronts N dsed workers, routing every job by consistent
-// hash of its result-cache fingerprint (serve.RingKey) so the same
+// hash of its result-cache fingerprint (serve.Job.RingKey) so the same
 // (app, arch, objective, strategy, seed, budget) job always lands on
 // the worker whose memoized result cache is warm for it.
 //

@@ -8,6 +8,7 @@ package fleet_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -19,6 +20,7 @@ import (
 
 	"repro/dse"
 	"repro/internal/fleet"
+	"repro/internal/memo"
 	"repro/internal/runner"
 	"repro/internal/serve"
 )
@@ -100,7 +102,7 @@ func startFleet(t *testing.T, n int) *testFleet {
 	f := &testFleet{coord: coord, coordTS: coordTS, logf: logf}
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("w%d", i)
-		srv := serve.New(serve.Options{Cache: runner.NewResultCache(512, 0), MaxJobs: 4, Logf: logf})
+		srv := serve.New(serve.Options{Cache: runner.NewResultCache(512), MaxJobs: 4, Logf: logf})
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
 		agent := &fleet.Agent{
@@ -191,7 +193,7 @@ func TestFleetBitIdenticalToSingle(t *testing.T) {
 	defer cancel()
 	fleetClient := dse.NewClient(f.coordTS.URL)
 
-	single := serve.New(serve.Options{Cache: runner.NewResultCache(512, 0), MaxJobs: 4, Logf: f.logf})
+	single := serve.New(serve.Options{Cache: runner.NewResultCache(512), MaxJobs: 4, Logf: f.logf})
 	singleTS := httptest.NewServer(single.Handler())
 	t.Cleanup(singleTS.Close)
 	singleClient := dse.NewClient(singleTS.URL)
@@ -288,7 +290,7 @@ func TestFleetWorkerKillRequeues(t *testing.T) {
 
 	// Control: the same spec on a fresh standalone server must agree
 	// byte-for-byte — the re-queued recomputation changed nothing.
-	single := serve.New(serve.Options{Cache: runner.NewResultCache(64, 0), MaxJobs: 2, Logf: f.logf})
+	single := serve.New(serve.Options{Cache: runner.NewResultCache(64), MaxJobs: 2, Logf: f.logf})
 	singleTS := httptest.NewServer(single.Handler())
 	t.Cleanup(singleTS.Close)
 	control := runAll(ctx, t, dse.NewClient(singleTS.URL), []dse.JobSpec{spec})[0]
@@ -391,7 +393,7 @@ func TestCoordinatorQueuesUntilWorkerJoins(t *testing.T) {
 		t.Fatalf("job on empty fleet: state=%v err=%v, want queued", cur.State, err)
 	}
 
-	srv := serve.New(serve.Options{Cache: runner.NewResultCache(64, 0), MaxJobs: 2, Logf: logf})
+	srv := serve.New(serve.Options{Cache: runner.NewResultCache(64), MaxJobs: 2, Logf: logf})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	agent := &fleet.Agent{Coordinator: coordTS.URL, ID: "late", URL: ts.URL, Interval: 25 * time.Millisecond, Logf: logf}
@@ -411,7 +413,8 @@ func TestCoordinatorQueuesUntilWorkerJoins(t *testing.T) {
 
 // TestFleetCacheAndMetricsAggregation smoke-tests the fleet ops
 // surface: /v1/cache sums worker counters into a client-decodable
-// shape, /v1/metrics exposes the fleet gauges.
+// shape, each total equal to the sum over its per-worker breakdown, and
+// /v1/metrics exposes the fleet gauges.
 func TestFleetCacheAndMetricsAggregation(t *testing.T) {
 	f := startFleet(t, 3)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -429,8 +432,36 @@ func TestFleetCacheAndMetricsAggregation(t *testing.T) {
 	if !info.Enabled || info.Hits == 0 {
 		t.Errorf("fleet cache stats enabled=%v hits=%d, want enabled with warm hits", info.Enabled, info.Hits)
 	}
+	// Every fleet total is the sum of the per-worker replies it carries.
+	resp, err := http.Get(f.coordTS.URL + "/v1/cache")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fleetInfo fleet.CacheInfo
+	err = json.NewDecoder(resp.Body).Decode(&fleetInfo)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fleetInfo.Workers) != 3 {
+		t.Fatalf("fleet cache lists %d workers, want 3", len(fleetInfo.Workers))
+	}
+	var sum memo.ShardStats
+	capacity := 0
+	for _, w := range fleetInfo.Workers {
+		sum.Hits += w.Hits
+		sum.Misses += w.Misses
+		sum.Shared += w.Shared
+		sum.Evictions += w.Evictions
+		sum.Entries += w.Entries
+		capacity += w.Capacity
+	}
+	if fleetInfo.ShardStats != sum || fleetInfo.Capacity != capacity {
+		t.Errorf("fleet totals %+v capacity %d, want the workers' sum %+v capacity %d",
+			fleetInfo.ShardStats, fleetInfo.Capacity, sum, capacity)
+	}
 
-	resp, err := http.Get(f.coordTS.URL + "/v1/metrics")
+	resp, err = http.Get(f.coordTS.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Key is the cache key: a 32-byte digest. Derive keys with KeyOf so
@@ -40,7 +39,10 @@ const (
 	DefaultShards   = 16
 )
 
-// Options configures a Cache.
+// Options configures a Cache. Entries never expire by the clock; they
+// leave only by eviction. A caller whose values can go stale names what
+// makes them stale in the key, as the runner's result cache does with
+// runner.ResultEpoch.
 type Options struct {
 	// Capacity bounds the total entry count across all shards (each shard
 	// holds Capacity/Shards entries, minimum one). Non-positive selects
@@ -49,50 +51,29 @@ type Options struct {
 	// Shards is the shard count, rounded up to a power of two.
 	// Non-positive selects DefaultShards.
 	Shards int
-	// TTL, when positive, expires entries that many nanoseconds after
-	// insertion; expiry is checked lazily on access.
-	TTL time.Duration
-	// StaleFor, when positive together with TTL, keeps expired entries
-	// servable for that additional window: Do returns the stale value
-	// immediately and refreshes it in the background (singleflight, errors
-	// never cached) — stale-while-revalidate. Entries older than
-	// TTL+StaleFor are dropped as before.
-	StaleFor time.Duration
-	// Clock overrides time.Now for TTL checks (tests inject a fake).
-	Clock func() time.Time
 }
 
 // ShardStats is one shard's point-in-time counter snapshot.
 type ShardStats struct {
-	// Hits and Misses count Get/Do lookups by outcome (a stale serve
-	// counts as a hit and additionally as a StaleServe).
+	// Hits and Misses count Get/Do lookups by outcome.
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
 	// Shared counts Do callers that piggybacked on another caller's
 	// in-flight compute instead of computing themselves.
 	Shared uint64 `json:"shared"`
-	// Evictions counts entries dropped by the capacity bound, Expirations
-	// entries dropped because their TTL (plus stale window) had passed.
-	Evictions   uint64 `json:"evictions"`
-	Expirations uint64 `json:"expirations"`
-	// StaleServes counts lookups answered with an expired-but-servable
-	// value; Refreshes counts background revalidations that completed
-	// successfully and re-armed the entry.
-	StaleServes uint64 `json:"staleServes"`
-	Refreshes   uint64 `json:"refreshes"`
+	// Evictions counts entries dropped by the capacity bound.
+	Evictions uint64 `json:"evictions"`
 	// Entries is the shard's resident entry count.
 	Entries int `json:"entries"`
 }
 
-// add folds o into s (Stats aggregation).
-func (s *ShardStats) add(o ShardStats) {
+// Add folds o into s: the one list of counters that every aggregation
+// (the shard sum in Stats, a fleet's sum over its workers) goes through.
+func (s *ShardStats) Add(o ShardStats) {
 	s.Hits += o.Hits
 	s.Misses += o.Misses
 	s.Shared += o.Shared
 	s.Evictions += o.Evictions
-	s.Expirations += o.Expirations
-	s.StaleServes += o.StaleServes
-	s.Refreshes += o.Refreshes
 	s.Entries += o.Entries
 }
 
@@ -113,20 +94,17 @@ type Stats struct {
 // counters is one shard's live counter set. Lock-free: the hot paths
 // increment after releasing the shard mutex.
 type counters struct {
-	hits, misses, shared, evictions, expirations, staleServes, refreshes atomic.Uint64
+	hits, misses, shared, evictions atomic.Uint64
 }
 
 // snapshot reads the counters into a ShardStats (Entries filled by the
 // caller, which holds the shard lock).
 func (c *counters) snapshot() ShardStats {
 	return ShardStats{
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		Shared:      c.shared.Load(),
-		Evictions:   c.evictions.Load(),
-		Expirations: c.expirations.Load(),
-		StaleServes: c.staleServes.Load(),
-		Refreshes:   c.refreshes.Load(),
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Shared:    c.shared.Load(),
+		Evictions: c.evictions.Load(),
 	}
 }
 
@@ -135,7 +113,6 @@ func (c *counters) snapshot() ShardStats {
 type entry[V any] struct {
 	key        Key
 	val        V
-	exp        time.Time // freshness deadline; zero = never expires
 	prev, next *entry[V]
 }
 
@@ -175,15 +152,6 @@ func (s *shard[V]) touch(e *entry[V]) {
 	s.pushFront(e)
 }
 
-// lookup state classification.
-type lookupState int
-
-const (
-	lookupMiss lookupState = iota
-	lookupFresh
-	lookupStale
-)
-
 // call is one in-flight singleflight compute.
 type call[V any] struct {
 	done chan struct{}
@@ -191,16 +159,13 @@ type call[V any] struct {
 	err  error
 }
 
-// Cache is a sharded TTL cache with per-shard LRU eviction, singleflight
-// computation, stale-while-revalidate, and snapshot persistence (see
-// snapshot.go). All methods are safe for concurrent use. The zero value
-// is not usable; construct with New.
+// Cache is a sharded cache with per-shard LRU eviction, singleflight
+// computation, and snapshot persistence (see snapshot.go). All methods
+// are safe for concurrent use. The zero value is not usable; construct
+// with New.
 type Cache[V any] struct {
 	shards   []shard[V]
 	mask     uint64
-	ttl      time.Duration
-	staleFor time.Duration
-	clock    func() time.Time
 	capacity int
 
 	flightMu sync.Mutex
@@ -226,16 +191,9 @@ func New[V any](opts Options) *Cache[V] {
 	if perShard < 1 {
 		perShard = 1
 	}
-	clock := opts.Clock
-	if clock == nil {
-		clock = time.Now
-	}
 	c := &Cache[V]{
 		shards:   make([]shard[V], shards),
 		mask:     uint64(shards - 1),
-		ttl:      opts.TTL,
-		staleFor: opts.StaleFor,
-		clock:    clock,
 		capacity: perShard * shards,
 		flight:   make(map[Key]*call[V]),
 	}
@@ -254,79 +212,41 @@ func (c *Cache[V]) shardFor(k Key) *shard[V] {
 	return &c.shards[binary.LittleEndian.Uint64(k[:8])&c.mask]
 }
 
-// Get returns the cached value for k, if resident and servable. An
-// expired entry still inside the stale window is served (and counted as
-// a StaleServe); only Do triggers its background revalidation.
+// Get returns the cached value for k, if resident.
 func (c *Cache[V]) Get(k Key) (V, bool) {
-	v, state := c.lookup(k)
+	v, ok := c.lookup(k)
 	s := c.shardFor(k)
-	switch state {
-	case lookupFresh:
+	if ok {
 		s.n.hits.Add(1)
-	case lookupStale:
-		s.n.hits.Add(1)
-		s.n.staleServes.Add(1)
-	default:
+	} else {
 		s.n.misses.Add(1)
 	}
-	return v, state != lookupMiss
+	return v, ok
 }
 
-// lookup classifies k without touching the hit/miss counters — Do's
-// double-check under the flight registration uses it so one logical
-// lookup never counts as two misses (expiry is still counted, it happens
-// at most once per entry).
-func (c *Cache[V]) lookup(k Key) (V, lookupState) {
+// lookup finds k and touches it, without touching the hit/miss counters
+// — Do's double-check under the flight registration uses it so one
+// logical lookup never counts as two misses.
+func (c *Cache[V]) lookup(k Key) (V, bool) {
 	s := c.shardFor(k)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	e, ok := s.items[k]
 	if !ok {
-		s.mu.Unlock()
 		var zero V
-		return zero, lookupMiss
-	}
-	if !e.exp.IsZero() {
-		now := c.clock()
-		if now.After(e.exp.Add(c.staleFor)) {
-			s.unlink(e)
-			delete(s.items, k)
-			s.mu.Unlock()
-			s.n.expirations.Add(1)
-			var zero V
-			return zero, lookupMiss
-		}
-		if now.After(e.exp) {
-			s.touch(e)
-			v := e.val
-			s.mu.Unlock()
-			return v, lookupStale
-		}
+		return zero, false
 	}
 	s.touch(e)
-	v := e.val
-	s.mu.Unlock()
-	return v, lookupFresh
+	return e.val, true
 }
 
-// Put inserts (or refreshes) k, evicting the shard's least recently used
+// Put inserts (or replaces) k, evicting the shard's least recently used
 // entry when the shard bound is exceeded.
 func (c *Cache[V]) Put(k Key, v V) {
-	var exp time.Time
-	if c.ttl > 0 {
-		exp = c.clock().Add(c.ttl)
-	}
-	c.put(k, v, exp)
-}
-
-// put inserts with an explicit freshness deadline (zero = never
-// expires). Snapshot restore re-inserts entries with their original
-// deadlines through this path.
-func (c *Cache[V]) put(k Key, v V, exp time.Time) {
 	s := c.shardFor(k)
 	s.mu.Lock()
 	if e, ok := s.items[k]; ok {
 		e.val = v
-		e.exp = exp
 		s.touch(e)
 		s.mu.Unlock()
 		return
@@ -340,7 +260,7 @@ func (c *Cache[V]) put(k Key, v V, exp time.Time) {
 		delete(s.items, victim.key)
 		evicted++
 	}
-	e := &entry[V]{key: k, val: v, exp: exp}
+	e := &entry[V]{key: k, val: v}
 	s.items[k] = e
 	s.pushFront(e)
 	s.mu.Unlock()
@@ -358,21 +278,10 @@ func (c *Cache[V]) put(k Key, v V, exp time.Time) {
 // failed computation never poisons the cache. A waiting caller whose ctx
 // is cancelled gives up with ctx.Err() (the compute itself keeps running
 // under the leader).
-//
-// With Options.StaleFor configured, a lookup that finds an expired entry
-// still inside the stale window returns it immediately (hit=true) and
-// revalidates in the background: one refresh per key at a time
-// (singleflight), a successful refresh re-arms the entry, a failed or
-// panicking refresh changes nothing — the stale value keeps serving
-// until the window closes.
 func (c *Cache[V]) Do(ctx context.Context, k Key, compute func() (V, error)) (v V, hit bool, err error) {
 	s := c.shardFor(k)
-	if v, state := c.lookup(k); state != lookupMiss {
+	if v, ok := c.lookup(k); ok {
 		s.n.hits.Add(1)
-		if state == lookupStale {
-			s.n.staleServes.Add(1)
-			go c.refresh(k, compute)
-		}
 		return v, true, nil
 	}
 	s.n.misses.Add(1)
@@ -410,7 +319,7 @@ func (c *Cache[V]) Do(ctx context.Context, k Key, compute func() (V, error)) (v 
 	// Re-check under the flight: a previous leader may have populated the
 	// entry between our lookup miss and registering the call. Uncounted —
 	// this is the same logical lookup that just missed.
-	if cached, state := c.lookup(k); state != lookupMiss {
+	if cached, ok := c.lookup(k); ok {
 		completed = true
 		return cached, true, nil
 	}
@@ -420,54 +329,6 @@ func (c *Cache[V]) Do(ctx context.Context, k Key, compute func() (V, error)) (v 
 		c.Put(k, v)
 	}
 	return v, false, err
-}
-
-// refresh revalidates a stale entry in the background under the
-// singleflight registry: at most one refresh (or leader compute) per key
-// is in flight, a successful compute re-arms the entry, and errors —
-// including panics, which have no caller to propagate to here — leave
-// the stale value in place.
-func (c *Cache[V]) refresh(k Key, compute func() (V, error)) {
-	c.flightMu.Lock()
-	if _, inflight := c.flight[k]; inflight {
-		c.flightMu.Unlock()
-		return
-	}
-	f := &call[V]{done: make(chan struct{})}
-	c.flight[k] = f
-	c.flightMu.Unlock()
-
-	var (
-		v         V
-		err       error
-		refreshed bool
-		completed bool
-	)
-	defer func() {
-		if r := recover(); r != nil || !completed {
-			err = errors.New("memo: refresh compute panicked")
-		}
-		if err == nil && refreshed {
-			c.Put(k, v)
-			c.shardFor(k).n.refreshes.Add(1)
-		}
-		f.val, f.err = v, err
-		c.flightMu.Lock()
-		delete(c.flight, k)
-		c.flightMu.Unlock()
-		close(f.done)
-	}()
-	// Re-check under the flight: an earlier refresh (or leader compute)
-	// may have re-armed the entry between the stale serve that spawned
-	// this goroutine and the flight registration — recomputing then would
-	// be pure waste.
-	if cached, state := c.lookup(k); state == lookupFresh {
-		v, completed = cached, true
-		return
-	}
-	v, err = compute()
-	refreshed = true
-	completed = true
 }
 
 // Len returns the resident entry count.
@@ -496,7 +357,7 @@ func (c *Cache[V]) Stats() Stats {
 		sh.Entries = len(s.items)
 		s.mu.Unlock()
 		st.Shards[i] = sh
-		st.ShardStats.add(sh)
+		st.ShardStats.Add(sh)
 	}
 	return st
 }

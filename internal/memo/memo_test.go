@@ -68,23 +68,21 @@ func lruOrder(t *testing.T, c *Cache[int]) []Key {
 }
 
 // TestLRUEviction drives one shard through each point that moves the
-// replacement order — fresh hits, stale hits and re-puts touch; expiry
-// unlinks; a full shard evicts its least recently used entry before
-// admitting — and checks the resulting order, victim first.
+// replacement order — hits and re-puts touch; a full shard evicts its
+// least recently used entry before admitting — and checks the resulting
+// order, victim first.
 func TestLRUEviction(t *testing.T) {
-	const ttl = 100 * time.Second
 	cases := []struct {
 		name     string
 		capacity int
-		ops      func(c *Cache[int], clock *fakeClock, ks []Key)
+		ops      func(c *Cache[int], ks []Key)
 		order    []int // key indices, next victim first
 		evicted  uint64
-		expired  uint64
 	}{
 		{
 			name:     "fresh hit touches",
 			capacity: 2,
-			ops: func(c *Cache[int], clock *fakeClock, ks []Key) {
+			ops: func(c *Cache[int], ks []Key) {
 				c.Put(ks[0], 0)
 				c.Put(ks[1], 1)
 				c.Get(ks[0]) // 0 is now more recent than 1
@@ -96,55 +94,24 @@ func TestLRUEviction(t *testing.T) {
 		{
 			name:     "re-put and stale hit touch",
 			capacity: 3,
-			ops: func(c *Cache[int], clock *fakeClock, ks []Key) {
+			ops: func(c *Cache[int], ks []Key) {
 				c.Put(ks[0], 0)
 				c.Put(ks[1], 1)
 				c.Put(ks[2], 2)
 				c.Put(ks[0], 10)
-				clock.Advance(ttl + time.Second) // every entry is stale now
 				c.Get(ks[1])
 			},
 			order: []int{2, 0, 1},
 		},
-		{
-			// Half the entries leave by expiry; the survivors, touched
-			// in a fixed pattern, must then be evicted in recency order
-			// and the freed slots must fill without evicting.
-			name:     "expiry unlinks then eviction drains survivors",
-			capacity: 8,
-			ops: func(c *Cache[int], clock *fakeClock, ks []Key) {
-				for i := 0; i < 8; i += 2 {
-					c.Put(ks[i], i)
-				}
-				clock.Advance(ttl / 2)
-				for i := 1; i < 8; i += 2 {
-					c.Put(ks[i], i)
-				}
-				c.Get(ks[3])
-				c.Get(ks[1])
-				// Past the even keys' stale window, inside the odd keys' TTL.
-				clock.Advance(ttl * 4 / 5)
-				for i := 0; i < 8; i += 2 {
-					c.Get(ks[i]) // expires the entry
-				}
-				for i := 8; i < 14; i++ {
-					c.Put(ks[i], i)
-				}
-			},
-			order:   []int{3, 1, 8, 9, 10, 11, 12, 13},
-			evicted: 2, // 5, then 7
-			expired: 4,
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			clock := newFakeClock()
-			c := New[int](Options{Capacity: tc.capacity, Shards: 1, TTL: ttl, StaleFor: ttl / 4, Clock: clock.Now})
+			c := New[int](Options{Capacity: tc.capacity, Shards: 1})
 			ks := make([]Key, 16)
 			for i := range ks {
 				ks[i] = KeyOf(fmt.Sprintf("k%d", i))
 			}
-			tc.ops(c, clock, ks)
+			tc.ops(c, ks)
 			got := lruOrder(t, c)
 			if len(got) != len(tc.order) {
 				t.Fatalf("%d entries resident, want %d", len(got), len(tc.order))
@@ -154,9 +121,8 @@ func TestLRUEviction(t *testing.T) {
 					t.Fatalf("order position %d holds %x, want key %d", i, got[i][:4], want)
 				}
 			}
-			st := c.Stats()
-			if st.Evictions != tc.evicted || st.Expirations != tc.expired {
-				t.Fatalf("evictions %d, expirations %d; want %d, %d", st.Evictions, st.Expirations, tc.evicted, tc.expired)
+			if st := c.Stats(); st.Evictions != tc.evicted {
+				t.Fatalf("evictions %d, want %d", st.Evictions, tc.evicted)
 			}
 		})
 	}
@@ -227,13 +193,12 @@ func TestStatsReportPolicy(t *testing.T) {
 
 // TestLRUReplayGolden replays a fixed Zipf-skewed stream of 5,000 draws
 // over 1,000 keys through a 480-entry, 16-shard cache, mixing Get, Do and
-// re-Put, then runs a phase in which a fake clock advances so entries go
-// stale and expire. The counters and the snapshot bytes (which keys
-// survived, with which values and deadlines) are pinned, so any change
-// to the replacement order, the touch points or the expiry path shows.
+// re-Put, with a last phase of Get-or-Put and re-Put only. The counters
+// and the snapshot bytes (which keys survived, with which values) are
+// pinned, so any change to the replacement order or the touch points
+// shows.
 func TestLRUReplayGolden(t *testing.T) {
-	clock := newFakeClock()
-	c := New[int](Options{Capacity: 480, TTL: 300 * time.Second, StaleFor: 200 * time.Second, Clock: clock.Now})
+	c := New[int](Options{Capacity: 480})
 	keys := make([]Key, 1000)
 	for i := range keys {
 		keys[i] = KeyOf(fmt.Sprintf("k%d", i))
@@ -243,9 +208,6 @@ func TestLRUReplayGolden(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		k := keys[zipf.Uint64()]
 		if i >= 4000 {
-			// The TTL phase. Do would revalidate a stale entry on a
-			// background goroutine, so lookups here use Get.
-			clock.Advance(time.Second)
 			if i%2 == 1 {
 				c.Put(k, i)
 			} else if _, ok := c.Get(k); !ok {
@@ -271,35 +233,11 @@ func TestLRUReplayGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := c.Stats()
-	got := fmt.Sprintf("hits %d misses %d evictions %d expirations %d stale %d entries %d snapshot %x",
-		st.Hits, st.Misses, st.Evictions, st.Expirations, st.StaleServes, st.Entries, sha256.Sum256(snap.Bytes()))
-	const want = "hits 2738 misses 429 evictions 106 expirations 40 stale 28 entries 472 snapshot 258fcb746e2bfc624bcf7b4df1bd85eabd06efa17673e3f0f42c3043446b809e"
+	got := fmt.Sprintf("hits %d misses %d evictions %d entries %d snapshot %x",
+		st.Hits, st.Misses, st.Evictions, st.Entries, sha256.Sum256(snap.Bytes()))
+	const want = "hits 2778 misses 389 evictions 106 entries 472 snapshot 7c4b5bc94e7c580f876bd2dc4a3b9302241632f909e66860d8bbeeeebd180053"
 	if got != want {
 		t.Fatalf("replay changed:\n  got  %s\n  want %s", got, want)
-	}
-}
-
-func TestTTLExpiry(t *testing.T) {
-	now := time.Unix(1000, 0)
-	var mu sync.Mutex
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	c := New[int](Options{Capacity: 8, TTL: time.Minute, Clock: clock})
-	k := KeyOf("x")
-	c.Put(k, 7)
-	if _, ok := c.Get(k); !ok {
-		t.Fatal("fresh entry missing")
-	}
-	mu.Lock()
-	now = now.Add(2 * time.Minute)
-	mu.Unlock()
-	if _, ok := c.Get(k); ok {
-		t.Fatal("expired entry returned")
-	}
-	if exp := c.Stats().Expirations; exp != 1 {
-		t.Fatalf("expirations = %d, want 1", exp)
-	}
-	if c.Len() != 0 {
-		t.Fatalf("expired entry still resident")
 	}
 }
 
@@ -430,10 +368,101 @@ func TestDoWaiterCancellation(t *testing.T) {
 	close(gate)
 }
 
+// TestExactCounterAccounting is the satellite's accounting test: with a
+// gated compute, every counter transition is forced into a known order
+// and asserted exactly. Run under -race this also exercises the
+// concurrent counter paths.
+func TestExactCounterAccounting(t *testing.T) {
+	c := New[int](Options{Capacity: 2, Shards: 1})
+	k := KeyOf("counted")
+
+	// Phase 1: one leader, K waiters coalesce on the same missing key.
+	const waiters = 8
+	entered := make(chan struct{})
+	gate := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		c.Do(context.Background(), k, func() (int, error) {
+			close(entered)
+			<-gate
+			return 42, nil
+		})
+	}()
+	<-entered // the leader is inside compute; the entry does not exist yet
+	for i := 0; i < waiters; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, hit, err := c.Do(context.Background(), k, func() (int, error) {
+				t.Error("waiter computed")
+				return 0, nil
+			})
+			if err != nil || !hit || v != 42 {
+				t.Errorf("waiter got %d, hit=%v, err=%v", v, hit, err)
+			}
+		}()
+	}
+	// Wait until every waiter has registered on the flight (each counts
+	// one miss and one shared before blocking).
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Stats().Shared != waiters {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d/%d waiters coalesced", c.Stats().Shared, waiters)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	wg.Wait()
+
+	st := c.Stats()
+	if st.Misses != 1+waiters {
+		t.Fatalf("misses = %d, want %d (leader + every coalesced waiter missed first)", st.Misses, 1+waiters)
+	}
+	if st.Shared != waiters {
+		t.Fatalf("shared = %d, want %d", st.Shared, waiters)
+	}
+	if st.Hits != 0 {
+		t.Fatalf("hits = %d, want 0 before any resident lookup", st.Hits)
+	}
+
+	// Phase 2: three resident lookups are three hits.
+	for i := 0; i < 3; i++ {
+		if _, hit, _ := c.Do(context.Background(), k, nil); !hit {
+			t.Fatal("resident lookup missed")
+		}
+	}
+	st = c.Stats()
+	if st.Hits != 3 || st.Misses != 1+waiters {
+		t.Fatalf("after hits: %+v", st.ShardStats)
+	}
+
+	// Phase 3: capacity 2, shard 1 — inserting two more keys evicts
+	// exactly one entry.
+	c.Put(KeyOf("b"), 2)
+	c.Put(KeyOf("c"), 3)
+	st = c.Stats()
+	if st.Evictions != 1 {
+		t.Fatalf("evictions = %d, want 1", st.Evictions)
+	}
+	if st.Entries != 2 {
+		t.Fatalf("entries = %d, want 2", st.Entries)
+	}
+	// The sum of shard counters equals the aggregate.
+	var sum ShardStats
+	for _, sh := range st.Shards {
+		sum.Add(sh)
+	}
+	if sum != st.ShardStats {
+		t.Fatalf("aggregate %+v != shard sum %+v", st.ShardStats, sum)
+	}
+}
+
 // TestShardEvictionRace hammers a small cache from many goroutines; run
 // under -race this is the satellite's shard-eviction concurrency test.
 func TestShardEvictionRace(t *testing.T) {
-	c := New[int](Options{Capacity: 32, Shards: 4, TTL: time.Millisecond})
+	c := New[int](Options{Capacity: 32, Shards: 4})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

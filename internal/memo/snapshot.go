@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 )
 
 // Snapshot format (all integers little-endian):
@@ -17,7 +16,7 @@ import (
 //	count    uint64   entry count
 //	entries  count ×:
 //	    key      [32]byte
-//	    exp      int64    freshness deadline, UnixNano (0 = never expires)
+//	    exp      int64    always 0; read and ignored on restore
 //	    len      uint64   value length in bytes
 //	    value    [len]byte
 //	checksum [32]byte  sha256 over everything above
@@ -25,7 +24,9 @@ import (
 // The checksum makes truncation and corruption detectable; the version
 // makes format evolution explicit. Restore refuses both with an error
 // and loads nothing — a corrupt snapshot degrades to a cold cache, never
-// to a poisoned one.
+// to a poisoned one. The exp word is a freshness deadline that entries
+// no longer carry; it stays so that the format, and SnapshotVersion,
+// stay too.
 
 // SnapshotVersion is the current snapshot format version.
 const SnapshotVersion = 1
@@ -38,28 +39,22 @@ var snapshotMagic = [8]byte{'D', 'S', 'E', 'M', 'E', 'M', 'O', 1}
 const maxSnapshotValueBytes = 64 << 20
 
 // Snapshot writes every resident entry to w: a versioned header, the
-// entries in deterministic (key-sorted) order with their absolute
-// freshness deadlines, and a trailing sha256 checksum. encode serializes
-// one value; it runs outside the shard locks, so it must not race with
-// mutators of the value (values handed to a cache of deep-copied
-// entries, like the runner's result cache, are safe). Entries whose
-// stale window has fully passed are skipped.
+// entries in deterministic (key-sorted) order, and a trailing sha256
+// checksum. encode serializes one value; it runs outside the shard
+// locks, so it must not race with mutators of the value (values handed
+// to a cache of deep-copied entries, like the runner's result cache, are
+// safe).
 func (c *Cache[V]) Snapshot(w io.Writer, encode func(V) ([]byte, error)) error {
 	type rec struct {
 		key Key
-		exp time.Time
 		val V
 	}
 	var recs []rec
-	now := c.clock()
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
 		for k, e := range s.items {
-			if !e.exp.IsZero() && now.After(e.exp.Add(c.staleFor)) {
-				continue
-			}
-			recs = append(recs, rec{key: k, exp: e.exp, val: e.val})
+			recs = append(recs, rec{key: k, val: e.val})
 		}
 		s.mu.Unlock()
 	}
@@ -83,14 +78,10 @@ func (c *Cache[V]) Snapshot(w io.Writer, encode func(V) ([]byte, error)) error {
 		if err != nil {
 			return fmt.Errorf("memo: encoding snapshot entry: %w", err)
 		}
-		var exp int64
-		if !r.exp.IsZero() {
-			exp = r.exp.UnixNano()
-		}
 		if _, err := hw.Write(r.key[:]); err != nil {
 			return fmt.Errorf("memo: writing snapshot entry: %w", err)
 		}
-		if err := writeUint64(hw, uint64(exp)); err != nil {
+		if err := writeUint64(hw, 0); err != nil { // exp
 			return err
 		}
 		if err := writeUint64(hw, uint64(len(b))); err != nil {
@@ -110,9 +101,8 @@ func (c *Cache[V]) Snapshot(w io.Writer, encode func(V) ([]byte, error)) error {
 // value with decode. The whole file is read and its checksum verified
 // before anything is inserted, so a truncated, corrupt, or
 // version-mismatched snapshot returns an error with the cache untouched.
-// Entries already expired past their stale window (by c's clock) are
-// skipped; the rest re-enter with their original freshness deadlines.
-// Restore returns the number of entries inserted.
+// Every entry is inserted, its exp word ignored. Restore returns the
+// number of entries inserted.
 func Restore[V any](c *Cache[V], r io.Reader, decode func([]byte) (V, error)) (int, error) {
 	h := sha256.New()
 	hr := io.TeeReader(r, h)
@@ -138,7 +128,6 @@ func Restore[V any](c *Cache[V], r io.Reader, decode func([]byte) (V, error)) (i
 
 	type rec struct {
 		key Key
-		exp time.Time
 		raw []byte
 	}
 	recs := make([]rec, 0, min(count, 1<<16)) // cap the pre-allocation; count is unverified until the checksum
@@ -147,12 +136,8 @@ func Restore[V any](c *Cache[V], r io.Reader, decode func([]byte) (V, error)) (i
 		if _, err := io.ReadFull(hr, rc.key[:]); err != nil {
 			return 0, fmt.Errorf("memo: snapshot truncated at entry %d: %w", i, err)
 		}
-		expNano, err := readUint64(hr)
-		if err != nil {
+		if _, err := readUint64(hr); err != nil { // exp
 			return 0, fmt.Errorf("memo: snapshot truncated at entry %d: %w", i, err)
-		}
-		if expNano != 0 {
-			rc.exp = time.Unix(0, int64(expNano))
 		}
 		n, err := readUint64(hr)
 		if err != nil {
@@ -178,21 +163,14 @@ func Restore[V any](c *Cache[V], r io.Reader, decode func([]byte) (V, error)) (i
 		return 0, fmt.Errorf("memo: snapshot checksum mismatch (file corrupt)")
 	}
 
-	now := c.clock()
-	inserted := 0
-	for i := range recs {
-		rc := &recs[i]
-		if !rc.exp.IsZero() && now.After(rc.exp.Add(c.staleFor)) {
-			continue
-		}
+	for i, rc := range recs {
 		v, err := decode(rc.raw)
 		if err != nil {
-			return inserted, fmt.Errorf("memo: decoding snapshot entry: %w", err)
+			return i, fmt.Errorf("memo: decoding snapshot entry: %w", err)
 		}
-		c.put(rc.key, v, rc.exp)
-		inserted++
+		c.Put(rc.key, v)
 	}
-	return inserted, nil
+	return len(recs), nil
 }
 
 func writeUint32(w io.Writer, v uint32) error {

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 )
 
 func encInt(v int) ([]byte, error) { return json.Marshal(v) }
@@ -120,43 +119,6 @@ func TestRestoreVersionAndMagicMismatch(t *testing.T) {
 	}
 	if dst.Len() != 0 {
 		t.Fatal("mismatched restore mutated the cache")
-	}
-}
-
-// TestSnapshotSkipsExpired: entries past their stale window are neither
-// written nor restored; entries with a live deadline keep it across the
-// round trip.
-func TestSnapshotSkipsExpired(t *testing.T) {
-	clk := newFakeClock()
-	src := New[int](Options{Capacity: 16, TTL: time.Minute, Clock: clk.Now})
-	kLive, kDead := KeyOf("live"), KeyOf("dead")
-	src.Put(kDead, 1)
-	clk.Advance(2 * time.Minute) // kDead expires
-	src.Put(kLive, 2)
-	var buf bytes.Buffer
-	if err := src.Snapshot(&buf, encInt); err != nil {
-		t.Fatal(err)
-	}
-
-	dst := New[int](Options{Capacity: 16, TTL: time.Minute, Clock: clk.Now})
-	n, err := Restore(dst, bytes.NewReader(buf.Bytes()), decInt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("restored %d entries, want 1 (expired entry skipped)", n)
-	}
-	if _, ok := dst.Get(kDead); ok {
-		t.Fatal("expired entry restored")
-	}
-	if v, ok := dst.Get(kLive); !ok || v != 2 {
-		t.Fatal("live entry lost")
-	}
-	// The restored entry kept its original deadline: advancing past it
-	// expires the entry.
-	clk.Advance(2 * time.Minute)
-	if _, ok := dst.Get(kLive); ok {
-		t.Fatal("restored entry ignored its snapshot deadline")
 	}
 }
 

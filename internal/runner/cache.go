@@ -5,16 +5,15 @@ import (
 	"errors"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/memo"
 	"repro/internal/search"
 )
 
 // ResultCache memoizes completed run outcomes under the deterministic run
-// key — sha256 over (application digest, architecture digest, strategy /
-// objective fingerprint, seed, step budget). Since PR 4 every run is a
-// pure function of that key, so a hit is bit-identical to recomputation:
+// key — sha256 over (result epoch, application digest, architecture
+// digest, strategy / objective fingerprint, step budget, seed). Every run
+// is a pure function of that key, so a hit is bit-identical to recomputation:
 // the cache stores a private deep copy and hands a fresh deep copy to
 // every consumer, which keeps cached mappings and fronts isolated from
 // whatever the engine mutates downstream.
@@ -30,38 +29,27 @@ type ResultCache struct {
 	donors  map[string]donorEntry
 }
 
-// ResultCacheOptions sizes and shapes a ResultCache: capacity, shard
-// count, and the TTL / stale-while-revalidate windows. The zero value
-// selects the memo defaults (no expiry).
+// ResultCacheOptions sizes a ResultCache: capacity and shard count. The
+// zero value selects the memo defaults. Outcomes never expire by the
+// clock; an outcome of other code misses by its key (ResultEpoch) and
+// ages out under LRU.
 type ResultCacheOptions struct {
 	// Capacity bounds the total cached outcome count (<=0 selects
 	// memo.DefaultCapacity).
 	Capacity int
 	// Shards is the lock-shard count (<=0 selects memo.DefaultShards).
 	Shards int
-	// TTL expires outcomes that long after insertion (0 = never).
-	TTL time.Duration
-	// StaleFor, with TTL, keeps expired outcomes servable for that
-	// additional window while a background singleflight refresh
-	// revalidates them (stale-while-revalidate).
-	StaleFor time.Duration
 }
 
 // NewResultCacheWith creates a cache shaped by opts.
 func NewResultCacheWith(opts ResultCacheOptions) *ResultCache {
-	return &ResultCache{c: memo.New[*Outcome](memo.Options{
-		Capacity: opts.Capacity,
-		Shards:   opts.Shards,
-		TTL:      opts.TTL,
-		StaleFor: opts.StaleFor,
-	})}
+	return &ResultCache{c: memo.New[*Outcome](memo.Options{Capacity: opts.Capacity, Shards: opts.Shards})}
 }
 
 // NewResultCache creates a cache bounded to capacity entries (<=0 selects
-// memo.DefaultCapacity) whose entries expire after ttl (0 = never). Use
-// NewResultCacheWith for shard and stale-while-revalidate control.
-func NewResultCache(capacity int, ttl time.Duration) *ResultCache {
-	return NewResultCacheWith(ResultCacheOptions{Capacity: capacity, TTL: ttl})
+// memo.DefaultCapacity). Use NewResultCacheWith for shard control.
+func NewResultCache(capacity int) *ResultCache {
+	return NewResultCacheWith(ResultCacheOptions{Capacity: capacity})
 }
 
 // Stats snapshots the underlying cache counters.
@@ -105,20 +93,35 @@ type KeyFunc func(run int, seed int64) (memo.Key, bool)
 // uncacheable is the KeyFunc of configurations that must not be cached.
 func uncacheable(int, int64) (memo.Key, bool) { return memo.Key{}, false }
 
+// ResultEpoch names the code that computes results. A run is a pure
+// function of its fingerprinted inputs and of that code, so the epoch is
+// the first part of every run's cache key: an outcome cached, or
+// snapshotted, by code of another epoch never hits and ages out under
+// LRU. Bump it in any change that alters a result for an unchanged
+// fingerprint — that is, whenever a results golden is re-recorded;
+// TestResultEpochPinsGoldens fails until it is bumped and re-pinned.
+const ResultEpoch = 1
+
 // StrategyKey builds the KeyFunc of a strategy-factory batch: the
 // instance digests and the factory fingerprint are computed once, each
 // run then contributes only its seed and the driver's step budget. The
 // run index is deliberately absent — a run's result depends on its seed
 // alone. Factories carrying function-typed hooks are uncacheable.
 func StrategyKey(f *search.Factory, maxSteps int) KeyFunc {
+	return strategyKey(ResultEpoch, f, maxSteps)
+}
+
+// strategyKey is StrategyKey at a given result epoch.
+func strategyKey(epoch int, f *search.Factory, maxSteps int) KeyFunc {
 	fp, ok := f.Fingerprint()
 	if !ok {
 		return uncacheable
 	}
+	ep := strconv.Itoa(epoch)
 	appD, archD := f.App().Digest(), f.Arch().Digest()
 	steps := strconv.Itoa(maxSteps)
 	return func(run int, seed int64) (memo.Key, bool) {
-		return memo.KeyOf(appD, archD, fp, steps, strconv.FormatInt(seed, 10)), true
+		return memo.KeyOf(ep, appD, archD, fp, steps, strconv.FormatInt(seed, 10)), true
 	}
 }
 

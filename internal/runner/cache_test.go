@@ -68,7 +68,7 @@ func outcomesEqual(a, b *Outcome) error {
 func TestCachedStrategyBudgetBitIdentical(t *testing.T) {
 	app, arch := testInstance(t)
 	f := testFactory(t, app, arch)
-	cache := NewResultCache(64, 0)
+	cache := NewResultCache(64)
 	fn := mustWithCache(t, CacheConfig{Cache: cache, Factory: f})
 
 	cold, err := fn(context.Background(), 0, 7)
@@ -111,7 +111,7 @@ func TestCachedStrategyBudgetBitIdentical(t *testing.T) {
 func TestCachedRunnerBatchCountsHits(t *testing.T) {
 	app, arch := testInstance(t)
 	f := testFactory(t, app, arch)
-	cache := NewResultCache(64, 0)
+	cache := NewResultCache(64)
 	fn := mustWithCache(t, CacheConfig{Cache: cache, Factory: f})
 
 	cold, err := Run(context.Background(), app, Options{Runs: 3, Workers: 2, BaseSeed: 5}, fn)
@@ -138,7 +138,7 @@ func TestCachedRunnerBatchCountsHits(t *testing.T) {
 }
 
 func TestCancelledRunNotCached(t *testing.T) {
-	cache := NewResultCache(64, 0)
+	cache := NewResultCache(64)
 	var calls atomic.Int32
 	inner := func(ctx context.Context, run int, seed int64) (*Outcome, error) {
 		calls.Add(1)
@@ -177,7 +177,7 @@ func TestCancelledRunNotCached(t *testing.T) {
 // whose own context is live must compute independently instead of
 // inheriting the cancellation and silently dropping the run.
 func TestWaiterSurvivesLeaderCancellation(t *testing.T) {
-	cache := NewResultCache(64, 0)
+	cache := NewResultCache(64)
 	keyFor := func(run int, seed int64) (memo.Key, bool) { return memo.KeyOf("shared"), true }
 	leaderIn := make(chan struct{})
 	inner := func(ctx context.Context, run int, seed int64) (*Outcome, error) {
@@ -239,7 +239,7 @@ func TestUncacheableConfigBypassesCache(t *testing.T) {
 	if _, ok := f.Fingerprint(); ok {
 		t.Fatal("config with a Stop hook reported a fingerprint")
 	}
-	cache := NewResultCache(64, 0)
+	cache := NewResultCache(64)
 	fn := mustWithCache(t, CacheConfig{Cache: cache, Factory: f})
 	if _, err := fn(context.Background(), 0, 3); err != nil {
 		t.Fatal(err)
@@ -272,23 +272,5 @@ func TestStrategyKeySeparatesInstances(t *testing.T) {
 	k5, _ := StrategyKey(f2, 0)(0, 1)
 	if k1 == k5 {
 		t.Fatal("key ignores the architecture digest")
-	}
-}
-
-func TestResultCacheTTL(t *testing.T) {
-	app, arch := testInstance(t)
-	f := testFactory(t, app, arch)
-	cache := NewResultCache(8, time.Nanosecond)
-	fn := mustWithCache(t, CacheConfig{Cache: cache, Factory: f})
-	if _, err := fn(context.Background(), 0, 7); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(time.Millisecond)
-	out, err := fn(context.Background(), 0, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.FromCache {
-		t.Fatal("expired entry served as a hit")
 	}
 }

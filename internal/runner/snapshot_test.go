@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/search"
 )
@@ -26,22 +25,28 @@ func digestOf(t *testing.T, o *Outcome) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// matrixFactory builds the snapshot matrix's factory for one strategy.
+func matrixFactory(t *testing.T, strat string) *search.Factory {
+	t.Helper()
+	app, arch := testInstance(t)
+	scfg := search.DefaultConfig()
+	scfg.SA.MaxIters = 200
+	scfg.SA.Warmup = 20
+	scfg.SA.QuenchIters = 50
+	f, err := search.NewFactory(strat, app, arch, scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // fillMatrix runs a small scenario matrix (strategies x seeds) through a
 // cached RunFunc, returning seed -> outcome digest per strategy.
 func fillMatrix(t *testing.T, cache *ResultCache, strategies []string, seeds []int64) map[string]string {
 	t.Helper()
-	app, arch := testInstance(t)
 	digests := map[string]string{}
 	for _, strat := range strategies {
-		scfg := search.DefaultConfig()
-		scfg.SA.MaxIters = 200
-		scfg.SA.Warmup = 20
-		scfg.SA.QuenchIters = 50
-		f, err := search.NewFactory(strat, app, arch, scfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fn, err := WithCache(CacheConfig{Cache: cache, Factory: f, MaxSteps: 50})
+		fn, err := WithCache(CacheConfig{Cache: cache, Factory: matrixFactory(t, strat), MaxSteps: 50})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +69,7 @@ func TestResultSnapshotRoundTripBitIdentical(t *testing.T) {
 	strategies := []string{"sa", "list", "portfolio"}
 	seeds := []int64{1, 2, 7}
 
-	warm := NewResultCache(0, 0)
+	warm := NewResultCache(0)
 	want := fillMatrix(t, warm, strategies, seeds)
 
 	var buf bytes.Buffer
@@ -72,7 +77,7 @@ func TestResultSnapshotRoundTripBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cold := NewResultCache(0, 0)
+	cold := NewResultCache(0)
 	n, err := cold.Restore(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -84,17 +89,8 @@ func TestResultSnapshotRoundTripBitIdentical(t *testing.T) {
 	// Re-run the identical matrix against the restored cache with a
 	// compute function that must never fire: every outcome must come out
 	// of the snapshot, marked FromCache, and digest-identical.
-	app, arch := testInstance(t)
 	for _, strat := range strategies {
-		scfg := search.DefaultConfig()
-		scfg.SA.MaxIters = 200
-		scfg.SA.Warmup = 20
-		scfg.SA.QuenchIters = 50
-		f, err := search.NewFactory(strat, app, arch, scfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inner, err := WithCache(CacheConfig{Cache: cold, Factory: f, MaxSteps: 50})
+		inner, err := WithCache(CacheConfig{Cache: cold, Factory: matrixFactory(t, strat), MaxSteps: 50})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,10 +120,58 @@ func TestResultSnapshotRoundTripBitIdentical(t *testing.T) {
 	}
 }
 
+// TestSnapshotAcrossEpochs pins what the result epoch in the cache key
+// buys: a snapshot restored by code of the same epoch answers every run
+// from cache, bit-identically, while code of the next epoch hits none of
+// it and recomputes each run (bit-identically here, since this code did
+// not change its results).
+func TestSnapshotAcrossEpochs(t *testing.T) {
+	strategies := []string{"sa", "list", "portfolio"}
+	seeds := []int64{1, 2, 7}
+	warm := NewResultCache(0)
+	want := fillMatrix(t, warm, strategies, seeds)
+	var snap bytes.Buffer
+	if err := warm.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, epoch := range []int{ResultEpoch, ResultEpoch + 1} {
+		cache := NewResultCache(0)
+		if n, err := cache.Restore(bytes.NewReader(snap.Bytes())); err != nil || n != len(want) {
+			t.Fatalf("epoch %d: restored %d entries (%v), want %d", epoch, n, err, len(want))
+		}
+		sameEpoch := epoch == ResultEpoch
+		for _, strat := range strategies {
+			f := matrixFactory(t, strat)
+			fn := cached(cache, strategyKey(epoch, f, 50), StrategyBudget(f, 50))
+			for _, seed := range seeds {
+				o, err := fn(context.Background(), 0, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				id := fmt.Sprintf("%s/%d", strat, seed)
+				if o.FromCache != sameEpoch {
+					t.Errorf("epoch %d: %s served from cache = %v, want %v", epoch, id, o.FromCache, sameEpoch)
+				}
+				if got := digestOf(t, o); got != want[id] {
+					t.Errorf("epoch %d: %s digest %s != original %s", epoch, id, got, want[id])
+				}
+			}
+		}
+		wantHits := 0
+		if sameEpoch {
+			wantHits = len(want)
+		}
+		if st := cache.Stats(); st.Hits != uint64(wantHits) || st.Hits+st.Misses != uint64(len(want)) {
+			t.Errorf("epoch %d: %d hits, %d misses; want %d hits of %d runs", epoch, st.Hits, st.Misses, wantHits, len(want))
+		}
+	}
+}
+
 // TestResultRestoreCorruptDegradesCold: a damaged snapshot loads nothing
 // and the cache recomputes from scratch instead of serving poison.
 func TestResultRestoreCorruptDegradesCold(t *testing.T) {
-	warm := NewResultCache(0, 0)
+	warm := NewResultCache(0)
 	fillMatrix(t, warm, []string{"sa"}, []int64{1, 2})
 	var buf bytes.Buffer
 	if err := warm.Snapshot(&buf); err != nil {
@@ -136,7 +180,7 @@ func TestResultRestoreCorruptDegradesCold(t *testing.T) {
 	raw := buf.Bytes()
 	raw[len(raw)/2] ^= 0x40
 
-	cold := NewResultCache(0, 0)
+	cold := NewResultCache(0)
 	if _, err := cold.Restore(bytes.NewReader(raw)); err == nil {
 		t.Fatal("corrupt snapshot restored without error")
 	}
@@ -155,7 +199,7 @@ func TestResultRestoreCorruptDegradesCold(t *testing.T) {
 func TestWithCacheValidation(t *testing.T) {
 	app, arch := testInstance(t)
 	f := testFactory(t, app, arch)
-	cache := NewResultCache(0, time.Minute)
+	cache := NewResultCache(0)
 
 	if _, err := WithCache(CacheConfig{Cache: cache}); err == nil {
 		t.Error("WithCache accepted a config without a factory")

@@ -17,7 +17,7 @@ import (
 func TestDonorRecordingAndApplyTransfer(t *testing.T) {
 	app, arch := testInstance(t)
 	f := testFactory(t, app, arch)
-	cache := NewResultCache(64, 0)
+	cache := NewResultCache(64)
 	fn := mustWithCache(t, CacheConfig{Cache: cache, Factory: f})
 
 	donor, err := fn(context.Background(), 0, 7)
@@ -87,7 +87,7 @@ func TestDonorIndexKeepsMinCostOrderIndependent(t *testing.T) {
 	}{{"cc", 5}, {"aa", 3}, {"bb", 3}, {"dd", 9}}
 	perm := [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}, {2, 0, 3, 1}, {1, 3, 0, 2}}
 	for _, p := range perm {
-		rc := NewResultCache(8, 0)
+		rc := NewResultCache(8)
 		for _, i := range p {
 			rc.offerDonor("app", "arch", offers[i].key, mk(offers[i].cost))
 		}
@@ -97,7 +97,7 @@ func TestDonorIndexKeepsMinCostOrderIndependent(t *testing.T) {
 		}
 	}
 	// Ineligible outcomes never become donors.
-	rc := NewResultCache(8, 0)
+	rc := NewResultCache(8)
 	rc.offerDonor("app", "arch", "x", &Outcome{HasCost: true, Cost: 1})          // no mapping
 	rc.offerDonor("app", "arch", "y", &Outcome{Best: &sched.Mapping{}, Cost: 1}) // no cost
 	rc.offerDonor("app", "arch", "", mk(1))                                      // no key
@@ -121,7 +121,7 @@ func TestDonorTiePrefersColdOutcome(t *testing.T) {
 	mkCold := func(cost float64) *Outcome {
 		return &Outcome{Best: &sched.Mapping{Assign: []sched.Placement{{}}}, HasCost: true, Cost: cost}
 	}
-	rc := NewResultCache(8, 0)
+	rc := NewResultCache(8)
 	rc.offerDonor("app", "arch", "mm", mkCold(5))
 	rc.offerDonor("app", "arch", "aa", mkWarm(5)) // equal cost, smaller key: still loses
 	if key, _, _ := rc.Donor("app", "arch"); key != "mm" {
@@ -136,7 +136,7 @@ func TestDonorTiePrefersColdOutcome(t *testing.T) {
 		t.Fatalf("warm-vs-warm tie ignored the key rule (have %q)", key)
 	}
 	// And the offer order cannot matter: cold-after-warm reclaims the tie.
-	rc2 := NewResultCache(8, 0)
+	rc2 := NewResultCache(8)
 	rc2.offerDonor("app", "arch", "aa", mkWarm(5))
 	rc2.offerDonor("app", "arch", "mm", mkCold(5))
 	if key, _, _ := rc2.Donor("app", "arch"); key != "mm" {
@@ -155,11 +155,11 @@ func TestApplyTransferNilAndMissing(t *testing.T) {
 	if applyTransfer(f, nil) {
 		t.Fatal("nil cache produced a donor")
 	}
-	if applyTransfer(f, NewResultCache(8, 0)) { // empty index
+	if applyTransfer(f, NewResultCache(8)) { // empty index
 		t.Fatal("empty cache produced a donor")
 	}
 	mustWithCache(t, CacheConfig{Cache: nil, Factory: f, Transfer: true})
-	mustWithCache(t, CacheConfig{Cache: NewResultCache(8, 0), Factory: f, Transfer: true})
+	mustWithCache(t, CacheConfig{Cache: NewResultCache(8), Factory: f, Transfer: true})
 	after, _ := f.Fingerprint()
 	if before != after {
 		t.Fatal("failed transfer attempts mutated the fingerprint")
@@ -223,7 +223,7 @@ func TestOutcomeCodecSchedSkew(t *testing.T) {
 func TestWarmRunCachesUnderDistinctKey(t *testing.T) {
 	app, arch := testInstance(t)
 	cold := testFactory(t, app, arch)
-	cache := NewResultCache(64, 0)
+	cache := NewResultCache(64)
 	fn := mustWithCache(t, CacheConfig{Cache: cache, Factory: cold})
 	if _, err := fn(context.Background(), 0, 7); err != nil {
 		t.Fatal(err)

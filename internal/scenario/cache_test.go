@@ -17,7 +17,7 @@ func TestMatrixWarmCacheBitIdenticalAndFast(t *testing.T) {
 	if !ok {
 		t.Fatal("layered-160 scenario missing")
 	}
-	cache := runner.NewResultCache(256, 0)
+	cache := runner.NewResultCache(256)
 	opts := MatrixOptions{
 		Strategies: []string{"sa"},
 		Runs:       2,
@@ -59,7 +59,7 @@ func TestMatrixSharedCacheAcrossInvocations(t *testing.T) {
 	if !ok {
 		t.Fatal("scenario missing")
 	}
-	cache := runner.NewResultCache(64, 0)
+	cache := runner.NewResultCache(64)
 	opts := MatrixOptions{Strategies: []string{"sa", "list"}, Runs: 2, Workers: 2, MaxSteps: 4, Cache: cache}
 	cold, err := RunMatrix(context.Background(), []*Scenario{s}, opts)
 	if err != nil {

@@ -19,7 +19,7 @@ func TestTransferWarmStartReachesDonorFast(t *testing.T) {
 	if !ok {
 		t.Fatal("layered-160 scenario missing")
 	}
-	cache := runner.NewResultCache(256, 0)
+	cache := runner.NewResultCache(256)
 	const coldSteps = 16
 
 	cold, err := RunMatrix(context.Background(), []*Scenario{s}, MatrixOptions{
@@ -70,7 +70,7 @@ func TestTransferWarmStartReachesDonorFast(t *testing.T) {
 	// both passes lands on the same donor key and the same warm result.
 	// (Replaying against the SAME cache would legitimately pick a newer
 	// donor — the warm run above beat its own donor and replaced it.)
-	cache2 := runner.NewResultCache(256, 0)
+	cache2 := runner.NewResultCache(256)
 	if _, err := RunMatrix(context.Background(), []*Scenario{s}, MatrixOptions{
 		Strategies: []string{"sa"},
 		Runs:       1,

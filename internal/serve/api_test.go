@@ -15,7 +15,7 @@ import (
 // answers under /v1 without deprecation signals, and the unversioned
 // aliases of the original API are gone.
 func TestV1AndLegacyAliases(t *testing.T) {
-	_, ts := testServer(t, runner.NewResultCache(16, 0))
+	_, ts := testServer(t, runner.NewResultCache(16))
 
 	for _, path := range []string{"/healthz", "/scenarios", "/cache", "/metrics", "/jobs"} {
 		v1, err := http.Get(ts.URL + "/v1" + path)
@@ -133,7 +133,8 @@ func TestCacheEndpointShape(t *testing.T) {
 }
 
 // TestMetricsExposition pins the Prometheus text format: after a cached
-// resubmit, per-shard hit and miss counters are present and non-zero.
+// resubmit, per-shard hit and miss counters are present and non-zero, and
+// the retired expiry families are absent.
 func TestMetricsExposition(t *testing.T) {
 	cache := runner.NewResultCacheWith(runner.ResultCacheOptions{Capacity: 64, Shards: 2})
 	_, ts := testServer(t, cache)
@@ -158,11 +159,16 @@ func TestMetricsExposition(t *testing.T) {
 
 	for _, family := range []string{
 		"dse_cache_hits_total", "dse_cache_misses_total", "dse_cache_coalesced_total",
-		"dse_cache_evictions_total", "dse_cache_stale_serves_total", "dse_cache_refreshes_total",
-		"dse_cache_entries", "dse_jobs",
+		"dse_cache_evictions_total", "dse_cache_entries", "dse_jobs",
 	} {
 		if !strings.Contains(body, "# TYPE "+family) {
 			t.Errorf("metrics missing family %s", family)
+		}
+	}
+	// The clock-driven families went with TTL and stale-while-revalidate.
+	for _, family := range []string{"dse_cache_expirations_total", "dse_cache_stale_serves_total", "dse_cache_refreshes_total"} {
+		if strings.Contains(body, family) {
+			t.Errorf("metrics still expose the retired family %s", family)
 		}
 	}
 	// Per-shard samples exist for both shards.

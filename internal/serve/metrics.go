@@ -44,20 +44,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "dse_cache_info{policy=%s} 1\n", strconv.Quote(st.Policy))
 
 		counters := []shardCounter{
-			{"dse_cache_hits_total", "Fresh lookups served from a resident entry.",
+			{"dse_cache_hits_total", "Lookups served from a resident entry.",
 				func(sh memo.ShardStats) uint64 { return sh.Hits }},
-			{"dse_cache_misses_total", "Lookups that found no servable entry.",
+			{"dse_cache_misses_total", "Lookups that found no resident entry.",
 				func(sh memo.ShardStats) uint64 { return sh.Misses }},
 			{"dse_cache_coalesced_total", "Callers that shared another caller's in-flight compute.",
 				func(sh memo.ShardStats) uint64 { return sh.Shared }},
 			{"dse_cache_evictions_total", "Entries removed by the eviction policy to make room.",
 				func(sh memo.ShardStats) uint64 { return sh.Evictions }},
-			{"dse_cache_expirations_total", "Entries dropped after outliving TTL plus the stale window.",
-				func(sh memo.ShardStats) uint64 { return sh.Expirations }},
-			{"dse_cache_stale_serves_total", "Expired-but-stale values served while a refresh ran in the background.",
-				func(sh memo.ShardStats) uint64 { return sh.StaleServes }},
-			{"dse_cache_refreshes_total", "Background refreshes that completed and re-armed an entry.",
-				func(sh memo.ShardStats) uint64 { return sh.Refreshes }},
 		}
 		for _, c := range counters {
 			writeShardCounter(w, c, st.Shards)

@@ -68,9 +68,9 @@ func ringKeySpecs(t *testing.T) [][2]string {
 
 // TestRingKeyGolden pins the fleet routing key — the job-level cache
 // fingerprint — of a table of wire specs, decoded with DecodeSpec's
-// rules. A change that moves any of these keys re-routes (and re-caches)
-// every such job in a running fleet. An intentional change regenerates
-// the file with:
+// rules and resolved as an accepted job's are. A change that moves any
+// of these keys re-routes (and re-caches) every such job in a running
+// fleet. An intentional change regenerates the file with:
 //
 //	go test ./internal/serve -run RingKeyGolden -update
 func TestRingKeyGolden(t *testing.T) {
@@ -81,7 +81,11 @@ func TestRingKeyGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c[0], err)
 		}
-		key, err := RingKey(spec)
+		res, err := resolve(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", c[0], err)
+		}
+		key, err := Job{Spec: spec, res: res}.RingKey()
 		if err != nil {
 			t.Fatalf("%s: %v", c[0], err)
 		}

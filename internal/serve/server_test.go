@@ -74,7 +74,7 @@ func waitDone(t *testing.T, base, id string) JobStatus {
 // budget job is answered from the cache with bit-identical quality
 // fields.
 func TestSubmitAndCacheHitResubmit(t *testing.T) {
-	cache := runner.NewResultCache(256, 0)
+	cache := runner.NewResultCache(256)
 	_, ts := testServer(t, cache)
 	spec := JobSpec{Scenario: "fig2-small", Strategy: "sa", Runs: 3, MaxSteps: 8}
 
@@ -156,7 +156,7 @@ func TestStreamReplaysAndCloses(t *testing.T) {
 // cancels the computation, and the truncated runs never enter the
 // result cache.
 func TestSyncRunDisconnectCancelsAndNothingPartialCached(t *testing.T) {
-	cache := runner.NewResultCache(256, 0)
+	cache := runner.NewResultCache(256)
 	_, ts := testServer(t, cache)
 
 	// A heavyweight cell: 160 tasks with an effectively unbounded
@@ -198,7 +198,7 @@ func TestSyncRunDisconnectCancelsAndNothingPartialCached(t *testing.T) {
 // TestCancelAsyncJob covers DELETE /jobs/{id}: a running job transitions
 // to canceled and keeps the partial aggregate.
 func TestCancelAsyncJob(t *testing.T) {
-	cache := runner.NewResultCache(256, 0)
+	cache := runner.NewResultCache(256)
 	_, ts := testServer(t, cache)
 	spec := JobSpec{Scenario: "layered-160", Strategy: "sa", Runs: 8, Overrides: search.Overrides{SAIters: 1 << 30}}
 	var queued JobStatus

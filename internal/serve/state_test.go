@@ -100,7 +100,7 @@ func TestSetStateTransitions(t *testing.T) {
 // the client-observable state sequence is a prefix-closed walk of
 // queued -> running -> done with monotone timestamps.
 func TestJobStateSequenceOverWire(t *testing.T) {
-	_, ts := testServer(t, runner.NewResultCache(64, 0))
+	_, ts := testServer(t, runner.NewResultCache(64))
 	var st JobStatus
 	postJSON(t, ts.URL+"/v1/jobs", JobSpec{Scenario: "fig2-small", Strategy: "sa", Runs: 2, MaxSteps: 8, Seed: 3}, &st)
 	if st.State != StateQueued {
@@ -149,7 +149,7 @@ func TestJobStateSequenceOverWire(t *testing.T) {
 // already-accepted jobs keep working, and WaitIdle returns once the
 // backlog empties.
 func TestDrainRefusesSubmissionsOnly(t *testing.T) {
-	s, ts := testServer(t, runner.NewResultCache(64, 0))
+	s, ts := testServer(t, runner.NewResultCache(64))
 
 	var st JobStatus
 	postJSON(t, ts.URL+"/v1/jobs", JobSpec{Scenario: "fig2-small", Strategy: "sa", Runs: 2, MaxSteps: 8, Seed: 5}, &st)
