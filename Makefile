@@ -152,4 +152,7 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: fmt-check vet docs-check build perfbench-check race bench bench-check dsed-smoke fleet-smoke
+# Every target the CI workflow runs, the bench-batch-smoke matrix included.
+ci: fmt-check vet docs-check build perfbench-check race bench bench-micro-json bench-check dsed-smoke fleet-smoke
+	$(MAKE) bench-batch-smoke BATCH=1
+	$(MAKE) bench-batch-smoke BATCH=8

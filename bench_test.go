@@ -18,7 +18,6 @@ import (
 	"runtime/debug"
 	"testing"
 
-	"repro/internal/anneal"
 	"repro/internal/apps"
 	"repro/internal/combi"
 	"repro/internal/core"
@@ -205,61 +204,6 @@ func BenchmarkCycleCheckDFS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		u, v := r.Intn(1000), r.Intn(1000)
 		_ = u == v || g.Reaches(v, u)
-	}
-}
-
-// Ablation: cooling schedules on the same problem and budget.
-func benchWithSchedule(b *testing.B, mk func() anneal.Schedule) {
-	b.Helper()
-	app, arch := motionSetup(2000)
-	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig()
-		cfg.Seed = int64(i)
-		cfg.MaxIters = 3000
-		cfg.QuenchIters = 0
-		cfg.Schedule = mk()
-		if _, err := core.Explore(app, arch, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkScheduleLam(b *testing.B) {
-	benchWithSchedule(b, func() anneal.Schedule { return anneal.NewLam(0.05, 600) })
-}
-
-func BenchmarkScheduleModifiedLam(b *testing.B) {
-	benchWithSchedule(b, func() anneal.Schedule { return anneal.NewModifiedLam(3000, 5) })
-}
-
-func BenchmarkScheduleGeometric(b *testing.B) {
-	benchWithSchedule(b, func() anneal.Schedule { return anneal.NewGeometric(20, 0.95, 30, 1e-4) })
-}
-
-// Ablation: adaptive vs fixed move-kind generation.
-func BenchmarkAdaptiveMoves(b *testing.B) {
-	app, arch := motionSetup(2000)
-	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig()
-		cfg.Seed = int64(i)
-		cfg.MaxIters = 3000
-		cfg.AdaptiveMoves = true
-		if _, err := core.Explore(app, arch, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFixedMoves(b *testing.B) {
-	app, arch := motionSetup(2000)
-	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig()
-		cfg.Seed = int64(i)
-		cfg.MaxIters = 3000
-		cfg.AdaptiveMoves = false
-		if _, err := core.Explore(app, arch, cfg); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -6,19 +6,26 @@
 package main
 
 import (
+	"errors"
 	"fmt"
-	"log"
+	"io"
 	"math/big"
-	"os"
 
+	"repro/internal/cli"
 	"repro/internal/combi"
 	"repro/internal/graph"
 	"repro/internal/report"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("dsecount: ")
+func main() { cli.Main("dsecount", run) }
+
+// run writes the counts to stdout and returns an error (exit code 1) when
+// any of them misses the paper's published constant.
+func run(args []string, stdout io.Writer) error {
+	fs := cli.NewFlagSet("dsecount")
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 
 	n := combi.ComputePaperNumbers()
 	paper := map[string]int64{
@@ -39,8 +46,8 @@ func main() {
 		{"orders × C(28,4)", n.Combos4},
 	}
 
-	fmt.Println("Section 5 solution-space counts (computed from first principles)")
-	fmt.Println()
+	fmt.Fprintln(stdout, "Section 5 solution-space counts (computed from first principles)")
+	fmt.Fprintln(stdout)
 	tb := report.NewTable("quantity", "computed", "paper", "match")
 	allOK := true
 	for _, r := range rows {
@@ -49,8 +56,8 @@ func main() {
 		allOK = allOK && ok
 		tb.AddRow(r.label, r.got.String(), want.String(), ok)
 	}
-	if err := tb.Render(os.Stdout); err != nil {
-		log.Fatal(err)
+	if err := tb.Render(stdout); err != nil {
+		return err
 	}
 
 	// Brute-force cross-check of the inner branch (14 nodes: 6-chain →
@@ -69,10 +76,11 @@ func main() {
 	g.AddEdge(8, 9, 0) //nolint:errcheck
 	chain(9, 13)
 	brute := combi.BruteLinearExtensions(g)
-	fmt.Printf("\nbrute-force check, branch B (14 nodes): %v linear extensions (closed form: 3)\n", brute)
+	fmt.Fprintf(stdout, "\nbrute-force check, branch B (14 nodes): %v linear extensions (closed form: 3)\n", brute)
 
 	if !allOK || brute.Cmp(big.NewInt(3)) != 0 {
-		log.Fatal("MISMATCH against the paper's published counts")
+		return errors.New("MISMATCH against the paper's published counts")
 	}
-	fmt.Println("\nall counts match the paper exactly")
+	fmt.Fprintln(stdout, "\nall counts match the paper exactly")
+	return nil
 }

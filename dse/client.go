@@ -42,68 +42,37 @@ const (
 )
 
 // Client talks to a dsed server or a fleet coordinator. The zero value
-// is not usable; construct with NewClient or NewClientWith.
+// is not usable; construct with NewClient.
 type Client struct {
-	base      string
-	http      *http.Client
-	retries   int
-	retryWait time.Duration
+	base string
+	http *http.Client
 }
 
 // apiPrefix is the versioned path prefix the client speaks: the server
 // mounts every endpoint under /v1 only.
 const apiPrefix = "/v1"
 
-// ClientOptions shapes a Client.
-type ClientOptions struct {
-	// Base is the server or coordinator URL (e.g. "http://localhost:8080").
-	Base string
-	// HTTPClient overrides the transport (nil = a fresh http.Client).
-	HTTPClient *http.Client
-	// Retries bounds how often a request refused with 503 is retried.
-	// A fleet refuses with 503 while a worker drains or the ring is
-	// momentarily empty mid-rebalance; retrying rides out the rebalance
-	// so clients observe zero failures. Negative disables retries;
-	// zero selects the default (3).
-	Retries int
-	// RetryWait is the first backoff, doubled per attempt (0 = 100ms).
-	RetryWait time.Duration
-}
+// The drain-aware retry policy: a request refused with 503 is retried up
+// to clientRetries times, after clientRetryWait doubled per attempt. A
+// fleet refuses with 503 while a worker drains or the ring is momentarily
+// empty mid-rebalance; retrying rides out the rebalance so clients observe
+// zero failures.
+const (
+	clientRetries   = 3
+	clientRetryWait = 100 * time.Millisecond
+)
 
 // NewClient creates a client for the server at base (e.g.
-// "http://localhost:8080") with the default drain-aware retry policy.
+// "http://localhost:8080") with the drain-aware retry policy above.
 // Requests carry no overall timeout — job streams are long-lived — so
 // bound them with the caller's context.
 func NewClient(base string) *Client {
-	return NewClientWith(ClientOptions{Base: base})
-}
-
-// NewClientWith creates a client shaped by opts.
-func NewClientWith(opts ClientOptions) *Client {
-	c := &Client{
-		base:      strings.TrimRight(opts.Base, "/") + apiPrefix,
-		http:      opts.HTTPClient,
-		retries:   opts.Retries,
-		retryWait: opts.RetryWait,
-	}
-	if c.http == nil {
-		c.http = &http.Client{}
-	}
-	if c.retries == 0 {
-		c.retries = 3
-	}
-	if c.retries < 0 {
-		c.retries = 0
-	}
-	if c.retryWait <= 0 {
-		c.retryWait = 100 * time.Millisecond
-	}
-	return c
+	return &Client{base: strings.TrimRight(base, "/") + apiPrefix, http: &http.Client{}}
 }
 
 // backoff sleeps the attempt's retry wait, honoring ctx.
 func (c *Client) backoff(ctx context.Context, attempt int) error {
-	t := time.NewTimer(c.retryWait << attempt)
+	t := time.NewTimer(clientRetryWait << attempt)
 	defer t.Stop()
 	select {
 	case <-t.C:
@@ -142,7 +111,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out interfac
 		if err != nil {
 			return err
 		}
-		if resp.StatusCode == http.StatusServiceUnavailable && attempt < c.retries {
+		if resp.StatusCode == http.StatusServiceUnavailable && attempt < clientRetries {
 			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 			resp.Body.Close()
 			if err := c.backoff(ctx, attempt); err != nil {
@@ -304,7 +273,7 @@ func (c *Client) RunJob(ctx context.Context, spec JobSpec, onEvent func(JobEvent
 			return nil, err
 		}
 		// A 503 precedes the stream: the worker is draining. Retry like do.
-		if resp.StatusCode == http.StatusServiceUnavailable && attempt < c.retries {
+		if resp.StatusCode == http.StatusServiceUnavailable && attempt < clientRetries {
 			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 			resp.Body.Close()
 			if err := c.backoff(ctx, attempt); err != nil {

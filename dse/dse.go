@@ -81,7 +81,10 @@ type Result = core.Result
 // DefaultOptions mirrors the paper's Figure 2 run configuration.
 func DefaultOptions() Options { return core.DefaultConfig() }
 
-// Explore runs the annealing design-space exploration.
+// Explore runs the annealing design-space exploration to completion: the
+// run ends when the schedule freezes or the iteration budget runs out. To
+// interrupt a run, use Search (or SearchMany) with a context; a cancelled
+// run returns its best solution so far.
 func Explore(app *App, arch *Arch, opts Options) (*Result, error) {
 	return core.Explore(app, arch, opts)
 }

@@ -74,7 +74,10 @@ type Observation struct {
 	MoveKind    int
 }
 
-// Options configures a run.
+// Options configures a run. A run ends when the schedule freezes or the
+// iteration budget runs out; a driver that needs to interrupt it earlier
+// simply stops calling Runner.Step (the tool "can be interrupted by the
+// user at any time and will then return the current solution").
 type Options struct {
 	// Schedule controls the temperature; required.
 	Schedule Schedule
@@ -84,17 +87,9 @@ type Options struct {
 	// Seed seeds the internal RNG; runs are fully deterministic for a
 	// given seed.
 	Seed int64
-	// TargetCost stops the search early once the best cost reaches the
-	// target or below. Use NaN (or simply leave the zero Options value
-	// untouched via NewOptions) to disable.
-	TargetCost float64
 	// Trace, when non-nil, receives one observation per iteration. The
 	// paper's Figure 2 is produced from this stream.
 	Trace func(Observation)
-	// Stop, when non-nil, is polled between iterations; returning true
-	// interrupts the run (the tool "can be interrupted by the user at any
-	// time and will then return the current solution").
-	Stop func() bool
 	// Batch, when >1 and the problem implements BatchProblem, switches the
 	// runner to speculative batch evaluation with that many candidates per
 	// round. Values <=1 (and problems without batch support) run the exact
@@ -103,11 +98,6 @@ type Options struct {
 	// interleaving differs — but are themselves fully deterministic for a
 	// given (Seed, Batch).
 	Batch int
-}
-
-// NewOptions returns Options with the target disabled.
-func NewOptions(s Schedule) Options {
-	return Options{Schedule: s, TargetCost: math.NaN()}
 }
 
 // Stats summarizes a finished run. It stays a comparable value type —
@@ -167,11 +157,11 @@ func NewRunner(p Problem, opt Options) *Runner {
 }
 
 // Step executes up to n iterations and reports whether the run can
-// continue. It returns false once the run is over — iteration budget spent,
-// schedule frozen, Stop hook fired, or target cost reached. In batch mode a
-// Step may overshoot n by up to Batch-1 iterations: a speculated batch is
-// always consumed to its natural end (acceptance or exhaustion), so the
-// trajectory is independent of the step granularity.
+// continue. It returns false once the run is over — iteration budget spent
+// or schedule frozen. In batch mode a Step may overshoot n by up to Batch-1
+// iterations: a speculated batch is always consumed to its natural end
+// (acceptance or exhaustion), so the trajectory is independent of the step
+// granularity.
 func (r *Runner) Step(n int) bool {
 	if r.done {
 		return false
@@ -187,10 +177,6 @@ func (r *Runner) Step(n int) bool {
 			return false
 		}
 		if opt.Schedule.Done() {
-			r.done = true
-			return false
-		}
-		if opt.Stop != nil && it%64 == 0 && opt.Stop() {
 			r.done = true
 			return false
 		}
@@ -241,10 +227,6 @@ func (r *Runner) Step(n int) bool {
 				MoveKind:    kind,
 			})
 		}
-		if !math.IsNaN(opt.TargetCost) && r.st.BestCost <= opt.TargetCost {
-			r.done = true
-			return false
-		}
 	}
 	return true
 }
@@ -263,10 +245,6 @@ func (r *Runner) stepBatched(n int) bool {
 			return false
 		}
 		if opt.Schedule.Done() {
-			r.done = true
-			return false
-		}
-		if opt.Stop != nil && opt.Stop() {
 			r.done = true
 			return false
 		}
@@ -340,11 +318,6 @@ func (r *Runner) stepBatched(n int) bool {
 				})
 			}
 			n--
-			if !math.IsNaN(opt.TargetCost) && r.st.BestCost <= opt.TargetCost {
-				r.st.Discarded += got - 1 - i
-				r.done = true
-				return false
-			}
 			if accepted {
 				r.st.Discarded += got - 1 - i
 				break

@@ -35,11 +35,9 @@ func TestRunConvergesOnQuadratic(t *testing.T) {
 		s    Schedule
 	}{
 		{"lam", NewLam(0.05, 200)},
-		{"modifiedLam", NewModifiedLam(4000, 50)},
-		{"geometric", NewGeometric(50, 0.95, 50, 1e-4)},
 	} {
 		q := &quadratic{x: 50}
-		opt := NewOptions(tc.s)
+		opt := Options{Schedule: tc.s}
 		opt.MaxIters = 8000
 		opt.Seed = 1
 		st := Run(q, opt)
@@ -58,7 +56,7 @@ func TestRunConvergesOnQuadratic(t *testing.T) {
 func TestRunDeterministicForSeed(t *testing.T) {
 	run := func() Stats {
 		q := &quadratic{x: 20}
-		opt := NewOptions(NewLam(0.05, 100))
+		opt := Options{Schedule: NewLam(0.05, 100)}
 		opt.MaxIters = 2000
 		opt.Seed = 42
 		return Run(q, opt)
@@ -69,35 +67,9 @@ func TestRunDeterministicForSeed(t *testing.T) {
 	}
 }
 
-func TestRunHonorsTargetCost(t *testing.T) {
-	q := &quadratic{x: 100}
-	opt := NewOptions(NewLam(0.05, 10))
-	opt.MaxIters = 100000
-	opt.TargetCost = 25 // stop once within 5 of the optimum
-	st := Run(q, opt)
-	if st.BestCost > 25 {
-		t.Fatalf("did not reach target: %v", st.BestCost)
-	}
-	if st.Iters == 100000 {
-		t.Fatal("ran to exhaustion despite reaching target")
-	}
-}
-
-func TestRunStopCallback(t *testing.T) {
-	q := &quadratic{x: 100}
-	opt := NewOptions(NewLam(0.05, 10))
-	opt.MaxIters = 100000
-	calls := 0
-	opt.Stop = func() bool { calls++; return calls > 3 }
-	st := Run(q, opt)
-	if st.Iters >= 100000 {
-		t.Fatal("Stop callback ignored")
-	}
-}
-
 func TestRunTraceStream(t *testing.T) {
 	q := &quadratic{x: 10}
-	opt := NewOptions(NewLam(0.05, 50))
+	opt := Options{Schedule: NewLam(0.05, 50)}
 	opt.MaxIters = 300
 	var n int
 	lastIter := -1
@@ -136,7 +108,7 @@ func (p *infeasibleProblem) Propose(rng *rand.Rand) Move {
 
 func TestRunCountsInfeasible(t *testing.T) {
 	p := &infeasibleProblem{quadratic{x: 5}}
-	opt := NewOptions(NewLam(0.05, 10))
+	opt := Options{Schedule: NewLam(0.05, 10)}
 	opt.MaxIters = 100
 	st := Run(p, opt)
 	if st.Infeasible != 100 {
@@ -213,98 +185,6 @@ func TestLamRhoShape(t *testing.T) {
 	}
 }
 
-func TestModifiedLamTargetTrajectory(t *testing.T) {
-	m := NewModifiedLam(1000, 1)
-	if got := m.target(0); math.Abs(got-1.0) > 0.01 {
-		t.Fatalf("target(0) = %v, want ≈1", got)
-	}
-	if got := m.target(400); got != 0.44 {
-		t.Fatalf("target(400) = %v, want 0.44", got)
-	}
-	if got := m.target(999); got > 0.01 {
-		t.Fatalf("target(end) = %v, want ≈0", got)
-	}
-	if !sortedDescending(m) {
-		t.Fatal("target trajectory is not non-increasing")
-	}
-}
-
-func sortedDescending(m *ModifiedLam) bool {
-	prev := math.Inf(1)
-	for i := 0; i < m.budget; i++ {
-		v := m.target(i)
-		if v > prev+1e-9 {
-			return false
-		}
-		prev = v
-	}
-	return true
-}
-
-func TestModifiedLamSteersTemperature(t *testing.T) {
-	m := NewModifiedLam(1000, 10)
-	// All rejections in the hold phase: temperature must rise to chase the
-	// 0.44 target.
-	for i := 0; i < 300; i++ {
-		m.Observe(0, false)
-	}
-	if m.Temperature() <= 10 {
-		t.Fatalf("temperature %v did not rise under rejection", m.Temperature())
-	}
-	mAccept := NewModifiedLam(1000, 10)
-	for i := 0; i < 300; i++ {
-		mAccept.Observe(0, true)
-	}
-	if mAccept.Temperature() >= 10 {
-		t.Fatalf("temperature %v did not fall under acceptance", mAccept.Temperature())
-	}
-}
-
-func TestGeometricSchedule(t *testing.T) {
-	g := NewGeometric(100, 0.5, 10, 1)
-	for i := 0; i < 10; i++ {
-		if g.Done() {
-			t.Fatal("done too early")
-		}
-		g.Observe(0, true)
-	}
-	if g.Temperature() != 50 {
-		t.Fatalf("temperature after one chain = %v, want 50", g.Temperature())
-	}
-	for !g.Done() {
-		g.Observe(0, false)
-	}
-	if g.Temperature() >= 1 {
-		t.Fatalf("final temperature %v not below floor", g.Temperature())
-	}
-}
-
-func TestGeometricPanicsOnBadParams(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad params accepted")
-		}
-	}()
-	NewGeometric(-1, 0.5, 10, 1)
-}
-
-func TestFixedSelectorDistribution(t *testing.T) {
-	s := NewFixedSelector([]float64{1, 0, 3})
-	r := rand.New(rand.NewSource(20))
-	counts := make([]int, 3)
-	for i := 0; i < 40000; i++ {
-		counts[s.Pick(r)]++
-	}
-	if counts[1] != 0 {
-		t.Fatalf("zero-weight kind drawn %d times", counts[1])
-	}
-	ratio := float64(counts[2]) / float64(counts[0])
-	if ratio < 2.5 || ratio > 3.5 {
-		t.Fatalf("weight ratio = %v, want ≈3", ratio)
-	}
-	s.Observe(0, true) // no-op, must not panic
-}
-
 func TestAdaptiveSelectorShiftsWeight(t *testing.T) {
 	s := NewAdaptiveSelector([]float64{1, 1})
 	// Kind 0 always rejected; kind 1 accepted half the time.
@@ -351,7 +231,7 @@ func TestRunPanicsWithoutSchedule(t *testing.T) {
 func TestRunnerStepEquivalence(t *testing.T) {
 	run := func() Stats {
 		q := &quadratic{x: 40}
-		opt := NewOptions(NewLam(0.05, 100))
+		opt := Options{Schedule: NewLam(0.05, 100)}
 		opt.MaxIters = 3000
 		opt.Seed = 9
 		return Run(q, opt)
@@ -359,7 +239,7 @@ func TestRunnerStepEquivalence(t *testing.T) {
 	want := run()
 	for _, chunk := range []int{1, 7, 64, 1000} {
 		q := &quadratic{x: 40}
-		opt := NewOptions(NewLam(0.05, 100))
+		opt := Options{Schedule: NewLam(0.05, 100)}
 		opt.MaxIters = 3000
 		opt.Seed = 9
 		r := NewRunner(q, opt)
@@ -378,7 +258,7 @@ func TestRunnerStepEquivalence(t *testing.T) {
 // stepping a finished run stays a no-op.
 func TestRunnerStepAfterDone(t *testing.T) {
 	q := &quadratic{x: 5}
-	opt := NewOptions(NewGeometric(10, 0.9, 10, 1e-3))
+	opt := Options{Schedule: NewLam(0.05, 10)}
 	opt.MaxIters = 50
 	r := NewRunner(q, opt)
 	if !r.Step(0) {

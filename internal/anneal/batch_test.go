@@ -113,8 +113,8 @@ func (s *doneAfter) Done() bool            { return s.seen >= s.n }
 // TestBatchCallOrder pins the call order an in-place batch scorer relies
 // on: every Candidate(i) is consumed before the next Candidate, Cost or
 // SpeculateBatch call, and no candidate is left unconsumed, on the normal
-// path and on every exit — schedule freeze, target cost, Stop hook and
-// iteration budget — with rounds of several widths ending mid-round.
+// path and on both exits — schedule freeze and iteration budget — with
+// rounds of several widths ending mid-round.
 func TestBatchCallOrder(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -122,7 +122,7 @@ func TestBatchCallOrder(t *testing.T) {
 		checks func(t *testing.T, st Stats)
 	}{
 		{"normal", func() Options {
-			o := NewOptions(NewLam(0.05, 200))
+			o := Options{Schedule: NewLam(0.05, 200)}
 			o.MaxIters = 3000
 			return o
 		}, func(t *testing.T, st Stats) {
@@ -131,34 +131,14 @@ func TestBatchCallOrder(t *testing.T) {
 			}
 		}},
 		{"schedule-done", func() Options {
-			return NewOptions(&doneAfter{n: 1001})
+			return Options{Schedule: &doneAfter{n: 1001}}
 		}, func(t *testing.T, st Stats) {
 			if st.Iters != 1001 {
 				t.Fatalf("frozen schedule stopped after %d iterations, want 1001", st.Iters)
 			}
 		}},
-		{"target-cost", func() Options {
-			o := NewOptions(&doneAfter{n: 1 << 30})
-			o.MaxIters = 100000
-			o.TargetCost = 0.05
-			return o
-		}, func(t *testing.T, st Stats) {
-			if st.BestCost > 0.05 || st.Iters >= 100000 {
-				t.Fatalf("target exit did not fire: %+v", st)
-			}
-		}},
-		{"stop", func() Options {
-			o := NewOptions(&doneAfter{n: 1 << 30})
-			polls := 0
-			o.Stop = func() bool { polls++; return polls > 37 }
-			return o
-		}, func(t *testing.T, st Stats) {
-			if st.Iters == 0 {
-				t.Fatal("stopped run consumed nothing")
-			}
-		}},
 		{"max-iters", func() Options {
-			o := NewOptions(&doneAfter{n: 1 << 30})
+			o := Options{Schedule: &doneAfter{n: 1 << 30}}
 			o.MaxIters = 1003
 			return o
 		}, func(t *testing.T, st Stats) {

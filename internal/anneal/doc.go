@@ -1,7 +1,6 @@
 // Package anneal implements the local-search engine of the paper: simulated
-// annealing with the adaptive cooling schedule of Lam and Delosme, plus a
-// budgeted "modified Lam" schedule and a classical geometric schedule for
-// ablation.
+// annealing with the adaptive cooling schedule of Lam and Delosme, adaptive
+// move-kind selection, and a zero-temperature quench.
 //
 // The adaptive schedule treats the cost function as the energy of a
 // dynamical system and maximizes the cooling rate subject to maintaining

@@ -9,7 +9,8 @@ import (
 // Schedule controls the annealing temperature. Observe is called once per
 // realizable move with the (post-decision) cost and whether the move was
 // accepted; Temperature returns the temperature to use for the next
-// Metropolis test; Done reports that the system is frozen.
+// Metropolis test; Done reports that the system is frozen. Lam and the
+// Greedy quench are its implementations.
 type Schedule interface {
 	Temperature() float64
 	Observe(cost float64, accepted bool)
@@ -59,10 +60,8 @@ type Lam struct {
 	seen    int
 	invTemp float64
 
-	accept  *stats.EWMA
-	costEW  *stats.EWMoments
-	corr    *stats.AutoCorr1
-	minSeen float64
+	accept *stats.EWMA
+	costEW *stats.EWMoments
 
 	frozenAfter int // consecutive sub-threshold acceptance observations
 	frozenRun   int
@@ -84,8 +83,6 @@ func NewLam(quality float64, warmup int) *Lam {
 		initFactor:  1.5,
 		accept:      stats.NewEWMA(1.0 / 64),
 		costEW:      stats.NewEWMoments(1.0 / 64),
-		corr:        stats.NewAutoCorr1(1.0 / 64),
-		minSeen:     math.Inf(1),
 		frozenAfter: 2000,
 	}
 }
@@ -108,10 +105,6 @@ func (l *Lam) Observe(cost float64, accepted bool) {
 		l.accept.Add(0)
 	}
 	l.costEW.Add(cost)
-	l.corr.Add(cost)
-	if cost < l.minSeen {
-		l.minSeen = cost
-	}
 	if l.seen < l.warmup {
 		return // infinite-temperature exploration
 	}
@@ -151,76 +144,6 @@ func (l *Lam) Done() bool {
 	return l.seen > l.warmup && l.frozenRun >= l.frozenAfter
 }
 
-// AcceptanceRatio exposes the current exponentially weighted acceptance
-// estimate (for tracing).
-func (l *Lam) AcceptanceRatio() float64 { return l.accept.Value() }
-
-// CostAutoCorr exposes the lag-1 autocorrelation of the cost signal — the
-// quasi-equilibrium indicator.
-func (l *Lam) CostAutoCorr() float64 { return l.corr.Value() }
-
-// ModifiedLam is Boyan's fixed-budget variant of the Lam schedule: the
-// temperature is steered multiplicatively so the measured acceptance ratio
-// tracks a three-phase target trajectory (fall from 1 to 0.44 over the
-// first 15% of the budget, hold 0.44 until 65%, then decay to 0). It keeps
-// Lam's target ratio without needing cost statistics, at the price of
-// requiring the iteration budget up front — the ablation benchmarks compare
-// it against the statistical schedule.
-type ModifiedLam struct {
-	budget int
-	seen   int
-	temp   float64
-	accept *stats.EWMA
-}
-
-// NewModifiedLam builds a modified-Lam schedule for a known iteration
-// budget, starting from temperature t0.
-func NewModifiedLam(budget int, t0 float64) *ModifiedLam {
-	if budget <= 0 {
-		panic("anneal: ModifiedLam needs a positive budget")
-	}
-	if t0 <= 0 {
-		t0 = 1
-	}
-	m := &ModifiedLam{budget: budget, temp: t0, accept: stats.NewEWMA(1.0 / 500)}
-	m.accept.Set(0.5)
-	return m
-}
-
-// target returns the acceptance-ratio trajectory value at iteration i.
-func (m *ModifiedLam) target(i int) float64 {
-	f := float64(i) / float64(m.budget)
-	switch {
-	case f < 0.15:
-		return 0.44 + 0.56*math.Pow(560, -f/0.15)
-	case f < 0.65:
-		return 0.44
-	default:
-		return 0.44 * math.Pow(440, -(f-0.65)/0.35)
-	}
-}
-
-// Temperature returns the current temperature.
-func (m *ModifiedLam) Temperature() float64 { return m.temp }
-
-// Observe steers the temperature toward the target acceptance ratio.
-func (m *ModifiedLam) Observe(_ float64, accepted bool) {
-	if accepted {
-		m.accept.Add(1)
-	} else {
-		m.accept.Add(0)
-	}
-	if m.accept.Value() > m.target(m.seen) {
-		m.temp *= 0.999
-	} else {
-		m.temp /= 0.999
-	}
-	m.seen++
-}
-
-// Done reports budget exhaustion.
-func (m *ModifiedLam) Done() bool { return m.seen >= m.budget }
-
 // Greedy is the zero-temperature schedule: only improving (or equal-cost)
 // moves are accepted. The explorer runs it as a final quench from the best
 // solution the adaptive schedule found — the frozen end state of Figure 2.
@@ -234,37 +157,3 @@ func (Greedy) Observe(float64, bool) {}
 
 // Done always reports false; bound the quench with Options.MaxIters.
 func (Greedy) Done() bool { return false }
-
-// Geometric is the classical fixed schedule T ← αT every chain-length
-// moves, included as the non-adaptive baseline for the ablation benchmarks.
-type Geometric struct {
-	temp   float64
-	alpha  float64
-	chain  int
-	minT   float64
-	inStep int
-}
-
-// NewGeometric builds a geometric schedule: initial temperature t0, decay
-// factor alpha per chain of chainLen moves, frozen below minT.
-func NewGeometric(t0, alpha float64, chainLen int, minT float64) *Geometric {
-	if t0 <= 0 || alpha <= 0 || alpha >= 1 || chainLen <= 0 || minT <= 0 {
-		panic("anneal: invalid geometric schedule parameters")
-	}
-	return &Geometric{temp: t0, alpha: alpha, chain: chainLen, minT: minT}
-}
-
-// Temperature returns the current temperature.
-func (g *Geometric) Temperature() float64 { return g.temp }
-
-// Observe decays the temperature at chain boundaries.
-func (g *Geometric) Observe(_ float64, _ bool) {
-	g.inStep++
-	if g.inStep >= g.chain {
-		g.inStep = 0
-		g.temp *= g.alpha
-	}
-}
-
-// Done reports whether the temperature fell below the freezing floor.
-func (g *Geometric) Done() bool { return g.temp < g.minT }

@@ -6,62 +6,18 @@ import (
 	"repro/internal/stats"
 )
 
-// Selector draws move kinds for a problem's Propose implementation. The
-// paper refines Lam's move-selection control: the adaptive schedule's
-// quasi-equilibrium condition is best served by move classes whose
-// acceptance sits near the theoretical optimum, so the selector biases
-// generation toward kinds whose recent acceptance ratio is informative
-// (neither ~0, wasted work, nor ~1, no exploration pressure).
-type Selector interface {
-	// Pick draws a move kind.
-	Pick(rng *rand.Rand) int
-	// Observe records the outcome of a proposed move of the given kind.
-	Observe(kind int, accepted bool)
-}
-
-// FixedSelector draws kinds from a constant weight vector — the
-// non-adaptive baseline.
-type FixedSelector struct {
-	weights []float64
-	total   float64
-}
-
-// NewFixedSelector builds a selector over len(weights) kinds. Weights must
-// be non-negative with a positive sum.
-func NewFixedSelector(weights []float64) *FixedSelector {
-	s := &FixedSelector{weights: append([]float64(nil), weights...)}
-	for _, w := range weights {
-		if w < 0 {
-			panic("anneal: negative selector weight")
-		}
-		s.total += w
-	}
-	if s.total <= 0 {
-		panic("anneal: selector weights sum to zero")
-	}
-	return s
-}
-
-// Pick draws a kind proportionally to its weight.
-func (s *FixedSelector) Pick(rng *rand.Rand) int {
-	x := rng.Float64() * s.total
-	for k, w := range s.weights {
-		x -= w
-		if x < 0 {
-			return k
-		}
-	}
-	return len(s.weights) - 1
-}
-
-// Observe is a no-op for the fixed selector.
-func (s *FixedSelector) Observe(int, bool) {}
-
-// AdaptiveSelector reweights move kinds online: each kind's weight is
-// a(1−a) — maximal near the Lam target acceptance — where a is an
-// exponentially weighted acceptance estimate per kind, floored so that no
-// kind is ever starved (every region of the move space stays reachable,
-// preserving the irreducibility the convergence theory needs).
+// AdaptiveSelector draws move kinds for a problem's Propose
+// implementation. The paper refines Lam's move-selection control: the
+// adaptive schedule's quasi-equilibrium condition is best served by move
+// classes whose acceptance sits near the theoretical optimum, so the
+// selector biases generation toward kinds whose recent acceptance ratio is
+// informative (neither ~0, wasted work, nor ~1, no exploration pressure).
+//
+// Each kind's weight is a(1−a) — maximal near the Lam target acceptance —
+// where a is an exponentially weighted acceptance estimate per kind,
+// floored so that no kind is ever starved (every region of the move space
+// stays reachable, preserving the irreducibility the convergence theory
+// needs).
 type AdaptiveSelector struct {
 	base    []float64
 	accepts []*stats.EWMA

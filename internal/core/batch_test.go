@@ -224,7 +224,7 @@ func runBatchProblem(t *testing.T, app *model.App, arch *model.Arch, cfg Config,
 		p = &eagerBatch{Explorer: e}
 	}
 	var out batchRun
-	opt := anneal.NewOptions(anneal.NewLam(cfg.Quality, cfg.Warmup))
+	opt := anneal.Options{Schedule: anneal.NewLam(cfg.Quality, cfg.Warmup)}
 	opt.MaxIters, opt.Seed, opt.Batch = cfg.MaxIters, cfg.Seed, cfg.Batch
 	opt.Trace = func(o anneal.Observation) {
 		if o.MoveKind >= 0 {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"repro/internal/anneal"
 	"repro/internal/model"
 	"repro/internal/objective"
@@ -112,7 +110,11 @@ func (m EvalMode) resolve(app *model.App, arch *model.Arch) EvalMode {
 }
 
 // Config parameterizes an exploration run. The zero value is not usable;
-// call DefaultConfig.
+// call DefaultConfig. The run always anneals with the Lam schedule and the
+// adaptive move selector, then quenches greedily; it ends when the
+// schedule freezes or MaxIters runs out. To interrupt it earlier, step it
+// (Explorer.Start/Step) and stop stepping — the search driver does exactly
+// that when its context is cancelled.
 type Config struct {
 	// Quality is the λ knob of the adaptive schedule: smaller cools more
 	// slowly and finds better solutions at the cost of more iterations.
@@ -136,9 +138,6 @@ type Config struct {
 	// PenaltyWeight converts deadline violation (in milliseconds) into
 	// cost units during architecture exploration.
 	PenaltyWeight float64
-	// AdaptiveMoves enables the adaptive move-kind selector; when false a
-	// fixed generation-probability vector is used.
-	AdaptiveMoves bool
 	// QuenchIters bounds the zero-temperature descent performed from the
 	// best annealed solution after the adaptive schedule freezes (the
 	// "frozen configuration" of Figure 2). Zero disables the quench.
@@ -150,14 +149,9 @@ type Config struct {
 	// multi-context solutions too. Seeding the first context of an empty
 	// RC is always available regardless of this flag.
 	EnableCtxSplit bool
-	// Schedule overrides the default Lam schedule when non-nil.
-	Schedule anneal.Schedule
 	// Trace, when non-nil, receives one point per iteration (Figure 2's
 	// data stream).
 	Trace func(TracePoint)
-	// Stop, when non-nil, is polled during the run; returning true
-	// interrupts the search, which then returns the best solution so far.
-	Stop func() bool
 	// EvalMode selects the evaluation path of the hot loop; the zero value
 	// (EvalAuto) picks per instance. Both concrete paths produce
 	// bit-identical results, so the choice affects only speed.
@@ -218,7 +212,6 @@ func DefaultConfig() Config {
 		Seed:           1,
 		Deadline:       0,
 		PenaltyWeight:  100,
-		AdaptiveMoves:  true,
 		QuenchIters:    4000,
 		EnableCtxSplit: false,
 	}
@@ -296,7 +289,3 @@ func (c *Config) scalarizer() objective.Scalarizer {
 	}
 	return objective.FixedArch()
 }
-
-// nanIfUnset disables the annealer's target-cost stop unless a deadline is
-// meaningful for the run.
-func nanIfUnset() float64 { return math.NaN() }

@@ -104,24 +104,6 @@ func TestParanoidRandomApps(t *testing.T) {
 	}
 }
 
-func TestStopInterruptsRun(t *testing.T) {
-	app, arch := motionSetup(2000)
-	cfg := DefaultConfig()
-	cfg.MaxIters = 100000
-	calls := 0
-	cfg.Stop = func() bool { calls++; return calls > 2 }
-	res, err := Explore(app, arch, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Iters >= 100000 {
-		t.Fatal("Stop ignored")
-	}
-	if res.Best == nil {
-		t.Fatal("interrupted run returned no solution")
-	}
-}
-
 func TestTraceStream(t *testing.T) {
 	app, arch := motionSetup(2000)
 	cfg := DefaultConfig()
@@ -378,24 +360,6 @@ func TestCostOfArchMode(t *testing.T) {
 	e2, _ := New(app, arch, cfg)
 	if got, want := e2.costOf(e2.curRes), objective.UsedResourceCostOf(arch, e2.cur); got != want {
 		t.Fatalf("unconstrained cost %v != resource cost %v", got, want)
-	}
-}
-
-func TestAdaptiveVsFixedMovesBothRun(t *testing.T) {
-	for _, adaptive := range []bool{true, false} {
-		app, arch := motionSetup(2000)
-		cfg := DefaultConfig()
-		cfg.MaxIters = 600
-		cfg.Warmup = 150
-		cfg.AdaptiveMoves = adaptive
-		cfg.Seed = 21
-		res, err := Explore(app, arch, cfg)
-		if err != nil {
-			t.Fatalf("adaptive=%v: %v", adaptive, err)
-		}
-		if res.BestEval.Makespan <= 0 {
-			t.Fatalf("adaptive=%v: empty result", adaptive)
-		}
 	}
 }
 

@@ -60,7 +60,7 @@ type Explorer struct {
 	best    *sched.Mapping
 	bestRes sched.Result
 
-	selector anneal.Selector
+	selector *anneal.AdaptiveSelector
 	mv       move
 	rng      *rand.Rand // move-parameter randomness (separate from the annealer's)
 
@@ -200,12 +200,7 @@ func (p *Prepared) New(cfg Config) (*Explorer, error) {
 			e.inc = inc
 		}
 	}
-	weights := moveWeights(cfg.ExploreArch)
-	if cfg.AdaptiveMoves {
-		e.selector = anneal.NewAdaptiveSelector(weights)
-	} else {
-		e.selector = anneal.NewFixedSelector(weights)
-	}
+	e.selector = anneal.NewAdaptiveSelector(moveWeights(cfg.ExploreArch))
 	e.mv.e = e
 
 	m, err := sched.RandomMapping(p.app, p.arch, e.rng)
@@ -356,17 +351,11 @@ type runState struct {
 // Start begins a stepped exploration. Stepping a run to exhaustion with
 // Step and reading it back with Finish is bit-identical to Run.
 func (e *Explorer) Start() {
-	sched0 := e.cfg.Schedule
-	if sched0 == nil {
-		sched0 = anneal.NewLam(e.cfg.Quality, e.cfg.Warmup)
-	}
 	opt := anneal.Options{
-		Schedule:   sched0,
-		MaxIters:   e.cfg.MaxIters,
-		Seed:       e.cfg.Seed,
-		TargetCost: nanIfUnset(),
-		Stop:       e.cfg.Stop,
-		Batch:      e.cfg.Batch,
+		Schedule: anneal.NewLam(e.cfg.Quality, e.cfg.Warmup),
+		MaxIters: e.cfg.MaxIters,
+		Seed:     e.cfg.Seed,
+		Batch:    e.cfg.Batch,
 	}
 	opt.Trace = func(o anneal.Observation) {
 		if o.MoveKind >= 0 {
@@ -419,12 +408,10 @@ func (e *Explorer) Step(n int) (bool, error) {
 			return false, fmt.Errorf("core: restoring best solution: %w", err)
 		}
 		qopt := anneal.Options{
-			Schedule:   anneal.Greedy{},
-			MaxIters:   e.cfg.QuenchIters,
-			Seed:       e.cfg.Seed ^ 0x9e3779b9,
-			TargetCost: nanIfUnset(),
-			Stop:       e.cfg.Stop,
-			Batch:      e.cfg.Batch,
+			Schedule: anneal.Greedy{},
+			MaxIters: e.cfg.QuenchIters,
+			Seed:     e.cfg.Seed ^ 0x9e3779b9,
+			Batch:    e.cfg.Batch,
 			// Tally-only trace: the quench still runs without selector
 			// feedback and without the user trace (matching the historical
 			// single-shot Run), but its acceptances do count in MoveStats.

@@ -12,29 +12,31 @@ import (
 	"repro/internal/sched"
 )
 
-// Config parameterizes the genetic algorithm.
+// The baseline's genetic operators, fixed at its published setting: each
+// generation carries the Elite best individuals over unchanged and breeds
+// the rest from pairs of TournamentK-way tournament winners, by one-point
+// crossover with probability CrossoverRate (cloning otherwise) followed by
+// per-gene mutation with probability 1/N for N tasks.
+const (
+	CrossoverRate = 0.9
+	Elite         = 4
+	TournamentK   = 3
+)
+
+// Config parameterizes the genetic algorithm. A run ends after Generations
+// generations or Stall generations without improvement; to interrupt it
+// earlier, step it (New/Step) and stop stepping — the search driver does
+// exactly that when its context is cancelled.
 type Config struct {
-	// Population size; the paper cites 300 for [6].
+	// Population size; the paper cites 300 for [6]. It must exceed Elite.
 	Population int
 	// Generations bounds the run.
 	Generations int
 	// Stall stops early after this many generations without improvement
 	// (0 disables early stopping).
 	Stall int
-	// CrossoverRate is the probability that a child is produced by
-	// one-point crossover rather than cloning.
-	CrossoverRate float64
-	// MutationRate is the per-gene mutation probability; 0 selects 1/N.
-	MutationRate float64
-	// Elite individuals survive unchanged each generation.
-	Elite int
-	// TournamentK is the tournament selection size.
-	TournamentK int
 	// Seed makes runs reproducible.
 	Seed int64
-	// Stop, when non-nil, is polled once per generation; returning true
-	// interrupts the run, which then returns the best individual so far.
-	Stop func() bool
 	// Objective overrides the scalarization of the fitness. nil selects
 	// the shared fixed-architecture default (objective.FixedArch) — the
 	// same cost the annealer minimizes on a fixed architecture.
@@ -48,14 +50,10 @@ type Config struct {
 // DefaultConfig mirrors the baseline's published setting.
 func DefaultConfig() Config {
 	return Config{
-		Population:    300,
-		Generations:   120,
-		Stall:         30,
-		CrossoverRate: 0.9,
-		MutationRate:  0,
-		Elite:         4,
-		TournamentK:   3,
-		Seed:          1,
+		Population:  300,
+		Generations: 120,
+		Stall:       30,
+		Seed:        1,
 	}
 }
 
@@ -137,30 +135,21 @@ func New(app *model.App, arch *model.Arch, cfg Config) (*GA, error) {
 	if err := arch.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Population < 2 {
-		return nil, fmt.Errorf("ga: population %d too small", cfg.Population)
+	if cfg.Population <= Elite {
+		return nil, fmt.Errorf("ga: population %d must exceed the %d elites", cfg.Population, Elite)
 	}
 	if cfg.Generations < 1 {
 		return nil, fmt.Errorf("ga: needs at least one generation")
-	}
-	if cfg.Elite >= cfg.Population {
-		return nil, fmt.Errorf("ga: elite %d must be below population %d", cfg.Elite, cfg.Population)
-	}
-	if cfg.TournamentK < 1 {
-		cfg.TournamentK = 2
 	}
 	g := &GA{
 		app:  app,
 		arch: arch,
 		cfg:  cfg,
 		n:    app.N(),
-		mut:  cfg.MutationRate,
+		mut:  1.0 / float64(app.N()),
 		rng:  rand.New(rand.NewSource(cfg.Seed)),
 		eval: sched.NewEvaluator(app, arch),
 		dec:  listsched.NewDecoder(app, arch),
-	}
-	if g.mut <= 0 {
-		g.mut = 1.0 / float64(g.n)
 	}
 	if cfg.Objective != nil {
 		g.scal = *cfg.Objective
@@ -255,21 +244,17 @@ func (g *GA) Step() bool {
 		g.done = true
 		return false
 	}
-	if g.cfg.Stop != nil && g.cfg.Stop() {
-		g.done = true
-		return false
-	}
 	next := g.spare[:0]
 	// Elitism: carry the best individuals over unchanged.
-	for _, ind := range elites(g.pop, g.cfg.Elite) {
+	for _, ind := range elites(g.pop) {
 		next = g.appendCopy(next, ind)
 	}
 	for len(next) < g.cfg.Population {
-		a := tournament(g.pop, g.cfg.TournamentK, g.rng)
-		b := tournament(g.pop, g.cfg.TournamentK, g.rng)
+		a := tournament(g.pop, g.rng)
+		b := tournament(g.pop, g.rng)
 		next = g.appendCopy(next, a)
 		child := next[len(next)-1]
-		if g.rng.Float64() < g.cfg.CrossoverRate {
+		if g.rng.Float64() < CrossoverRate {
 			cut := g.rng.Intn(g.n)
 			copy(child.hw[cut:], b.hw[cut:])
 			copy(child.impl[cut:], b.impl[cut:])
@@ -351,16 +336,14 @@ func fittest(pop []*genome) *genome {
 	return best
 }
 
-// elites returns the k best individuals (k small, so selection sort).
-func elites(pop []*genome, k int) []*genome {
-	if k <= 0 {
-		return nil
-	}
+// elites returns the Elite best individuals (few, so selection sort; New
+// guarantees the population exceeds Elite).
+func elites(pop []*genome) []*genome {
 	idx := make([]int, len(pop))
 	for i := range idx {
 		idx[i] = i
 	}
-	for i := 0; i < k && i < len(idx); i++ {
+	for i := 0; i < Elite; i++ {
 		m := i
 		for j := i + 1; j < len(idx); j++ {
 			if pop[idx[j]].cost < pop[idx[m]].cost {
@@ -369,16 +352,16 @@ func elites(pop []*genome, k int) []*genome {
 		}
 		idx[i], idx[m] = idx[m], idx[i]
 	}
-	out := make([]*genome, 0, k)
-	for i := 0; i < k && i < len(idx); i++ {
-		out = append(out, pop[idx[i]])
+	out := make([]*genome, Elite)
+	for i := range out {
+		out[i] = pop[idx[i]]
 	}
 	return out
 }
 
-func tournament(pop []*genome, k int, rng *rand.Rand) *genome {
+func tournament(pop []*genome, rng *rand.Rand) *genome {
 	best := pop[rng.Intn(len(pop))]
-	for i := 1; i < k; i++ {
+	for i := 1; i < TournamentK; i++ {
 		if g := pop[rng.Intn(len(pop))]; g.cost < best.cost {
 			best = g
 		}

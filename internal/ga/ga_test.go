@@ -76,7 +76,7 @@ func TestGAConfigValidation(t *testing.T) {
 		t.Fatal("zero generations accepted")
 	}
 	bad = smallConfig(1)
-	bad.Elite = bad.Population
+	bad.Population = Elite
 	if _, err := Explore(app, arch, bad); err == nil {
 		t.Fatal("all-elite accepted")
 	}

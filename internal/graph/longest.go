@@ -38,42 +38,3 @@ func Longest(g *DAG, dur []int64) (start []int64, makespan int64, err error) {
 	}
 	return start, makespan, nil
 }
-
-// CriticalPath returns one longest path of the DAG as a node sequence from a
-// source to the node whose completion defines the makespan.
-func CriticalPath(g *DAG, dur []int64) ([]int, error) {
-	start, _, err := Longest(g, dur)
-	if err != nil {
-		return nil, err
-	}
-	// Find the node with the latest completion.
-	end, best := -1, int64(-1)
-	for v := 0; v < g.N(); v++ {
-		if fin := start[v] + dur[v]; fin > best {
-			best, end = fin, v
-		}
-	}
-	if end < 0 {
-		return nil, nil
-	}
-	// Walk backwards along tight edges.
-	path := []int{end}
-	for {
-		v := path[len(path)-1]
-		prev := -1
-		g.EachPred(v, func(u int, w int64) {
-			if prev < 0 && start[u]+dur[u]+w == start[v] {
-				prev = u
-			}
-		})
-		if prev < 0 {
-			break
-		}
-		path = append(path, prev)
-	}
-	// Reverse into source→sink order.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path, nil
-}

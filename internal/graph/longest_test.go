@@ -68,50 +68,6 @@ func TestLongestCycleError(t *testing.T) {
 	}
 }
 
-func TestCriticalPath(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1, 0) //nolint:errcheck
-	g.AddEdge(0, 2, 0) //nolint:errcheck
-	g.AddEdge(1, 3, 0) //nolint:errcheck
-	g.AddEdge(2, 3, 0) //nolint:errcheck
-	g.AddEdge(3, 4, 0) //nolint:errcheck
-	dur := []int64{1, 100, 2, 1, 1}
-	path, err := CriticalPath(g, dur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{0, 1, 3, 4}
-	if len(path) != len(want) {
-		t.Fatalf("path = %v, want %v", path, want)
-	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("path = %v, want %v", path, want)
-		}
-	}
-	// The path length must equal the makespan.
-	_, mk, _ := Longest(g, dur)
-	var sum int64
-	for i, v := range path {
-		sum += dur[v]
-		if i+1 < len(path) {
-			w, _ := g.Weight(v, path[i+1])
-			sum += w
-		}
-	}
-	if sum != mk {
-		t.Fatalf("critical path length %d != makespan %d", sum, mk)
-	}
-}
-
-func TestCriticalPathEmptyGraph(t *testing.T) {
-	g := New(0)
-	path, err := CriticalPath(g, nil)
-	if err != nil || path != nil {
-		t.Fatalf("CriticalPath on empty graph = %v, %v", path, err)
-	}
-}
-
 // brute-force longest path over all simple paths, for small random graphs.
 func bruteMakespan(g *DAG, dur []int64) int64 {
 	var best int64

@@ -56,25 +56,3 @@ func IsAcyclic(g *DAG) bool {
 	_, err := Topo(g)
 	return err == nil
 }
-
-// Sources returns the nodes with no predecessors, in ascending order.
-func Sources(g *DAG) []int {
-	var out []int
-	for v := 0; v < g.N(); v++ {
-		if g.InDegree(v) == 0 {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// Sinks returns the nodes with no successors, in ascending order.
-func Sinks(g *DAG) []int {
-	var out []int
-	for v := 0; v < g.N(); v++ {
-		if g.OutDegree(v) == 0 {
-			out = append(out, v)
-		}
-	}
-	return out
-}

@@ -87,18 +87,3 @@ func TestTopoRandom(t *testing.T) {
 		verifyTopo(t, g, order)
 	}
 }
-
-func TestSourcesSinks(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 2, 0) //nolint:errcheck
-	g.AddEdge(1, 2, 0) //nolint:errcheck
-	g.AddEdge(2, 3, 0) //nolint:errcheck
-	src := Sources(g)
-	if len(src) != 3 || src[0] != 0 || src[1] != 1 || src[2] != 4 {
-		t.Fatalf("Sources = %v", src)
-	}
-	snk := Sinks(g)
-	if len(snk) != 2 || snk[0] != 3 || snk[1] != 4 {
-		t.Fatalf("Sinks = %v", snk)
-	}
-}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/core"
 	"repro/internal/memo"
 	"repro/internal/model"
 	"repro/internal/objective"
@@ -180,16 +181,18 @@ func TestWaiterSurvivesLeaderCancellation(t *testing.T) {
 	cache := NewResultCache(64)
 	keyFor := func(run int, seed int64) (memo.Key, bool) { return memo.KeyOf("shared"), true }
 	leaderIn := make(chan struct{})
+	var calls atomic.Int32
 	inner := func(ctx context.Context, run int, seed int64) (*Outcome, error) {
-		select {
-		case leaderIn <- struct{}{}:
+		// The first call is the leader's: the waiter starts only after
+		// the leader has signalled from inside compute.
+		if calls.Add(1) == 1 {
+			leaderIn <- struct{}{}
 			// Leader path: block until our (cancelled) job tears us down.
 			<-ctx.Done()
 			return nil, ctx.Err()
-		default:
-			// Retry path: a live-context caller computing independently.
-			return &Outcome{Best: &sched.Mapping{}, HasCost: true, Cost: 7}, nil
 		}
+		// Retry path: a live-context caller computing independently.
+		return &Outcome{Best: &sched.Mapping{}, HasCost: true, Cost: 7}, nil
 	}
 	fn := cached(cache, keyFor, inner)
 
@@ -231,13 +234,13 @@ func TestUncacheableConfigBypassesCache(t *testing.T) {
 	scfg.SA.MaxIters = 100
 	scfg.SA.Warmup = 10
 	scfg.SA.QuenchIters = 0
-	scfg.SA.Stop = func() bool { return false } // hook: uncacheable
+	scfg.SA.Trace = func(core.TracePoint) {} // hook: uncacheable
 	f, err := search.NewFactory("sa", app, arch, scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := f.Fingerprint(); ok {
-		t.Fatal("config with a Stop hook reported a fingerprint")
+		t.Fatal("config with a Trace hook reported a fingerprint")
 	}
 	cache := NewResultCache(64)
 	fn := mustWithCache(t, CacheConfig{Cache: cache, Factory: f})

@@ -16,27 +16,13 @@ func (f *Factory) App() *model.App { return f.app }
 // Arch returns the architecture the factory builds strategies over.
 func (f *Factory) Arch() *model.Arch { return f.arch }
 
-// fingerprintable reports whether a configuration's behavior is fully
-// captured by its value fields. Function-typed hooks (Stop, Trace, a
-// Schedule override) can change a run's result or observable side
-// effects in ways no fingerprint can name, so their presence makes the
-// run uncacheable rather than silently wrong.
-func fingerprintable(sa *core.Config, gacfg *ga.Config) bool {
-	if sa.Schedule != nil || sa.Stop != nil || sa.Trace != nil {
-		return false
-	}
-	if gacfg.Stop != nil {
-		return false
-	}
-	return true
-}
-
 // saFields is the deterministic projection of core.Config included in
 // fingerprints: every value field that influences a run's result. Seed is
 // deliberately absent (the runner overrides it per run; it belongs in the
 // cache key, not the fingerprint), and so are EvalMode and Paranoid —
 // both evaluation paths are bit-identical by contract, so results may be
-// shared across them.
+// shared across them. AdaptiveMoves is always true: it names the move
+// selector every fingerprint has carried, which is now the only one.
 type saFields struct {
 	Quality        float64
 	Warmup         int
@@ -67,14 +53,17 @@ func saProject(c *core.Config) saFields {
 		Deadline:       c.Deadline,
 		ExploreArch:    c.ExploreArch,
 		PenaltyWeight:  c.PenaltyWeight,
-		AdaptiveMoves:  c.AdaptiveMoves,
+		AdaptiveMoves:  true,
 		QuenchIters:    c.QuenchIters,
 		EnableCtxSplit: c.EnableCtxSplit,
 		Batch:          b,
 	}
 }
 
-// gaFields is the analogous projection of ga.Config.
+// gaFields is the analogous projection of ga.Config. The operator fields
+// carry the ga package's constants, and MutationRate keeps the "0 selects
+// 1/N" encoding every fingerprint has carried, so fingerprints stay
+// byte-identical to the releases in which these were knobs.
 type gaFields struct {
 	Population    int
 	Generations   int
@@ -90,10 +79,10 @@ func gaProject(c *ga.Config) gaFields {
 		Population:    c.Population,
 		Generations:   c.Generations,
 		Stall:         c.Stall,
-		CrossoverRate: c.CrossoverRate,
-		MutationRate:  c.MutationRate,
-		Elite:         c.Elite,
-		TournamentK:   c.TournamentK,
+		CrossoverRate: ga.CrossoverRate,
+		MutationRate:  0,
+		Elite:         ga.Elite,
+		TournamentK:   ga.TournamentK,
 	}
 }
 
@@ -104,11 +93,11 @@ func gaProject(c *ga.Config) gaFields {
 // model.App.Digest, model.Arch.Digest, the seed, and the driver's step
 // budget it forms the memoization key of the result cache.
 //
-// ok is false when the configuration carries function-typed hooks
-// (SA.Schedule/Stop/Trace, GA.Stop) whose behavior a fingerprint cannot
-// capture; such runs must not be cached.
+// ok is false when the configuration carries a Trace hook (SA.Trace),
+// whose observable side effects a cached answer cannot replay; such runs
+// must not be cached.
 func (f *Factory) Fingerprint() (fp string, ok bool) {
-	if !fingerprintable(&f.cfg.SA, &f.cfg.GA) {
+	if f.cfg.SA.Trace != nil {
 		return "", false
 	}
 	// The resolved scalarizer (f.scal) is fingerprinted instead of the

@@ -300,6 +300,55 @@ func TestRunBudgetAndCancellation(t *testing.T) {
 	}
 }
 
+// countdownCtx is a context whose Err turns context.Canceled after left
+// calls: the driver checks Err once before each step, so it interrupts a
+// run after exactly that many steps.
+type countdownCtx struct {
+	context.Context
+	left int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left <= 0 {
+		return context.Canceled
+	}
+	c.left--
+	return nil
+}
+
+// TestRunStatsInterruptsMidRun: the driver's context is the one way to
+// interrupt a run, and an interrupted run still returns its best so far —
+// a valid mapping — after exactly the steps taken before the interrupt.
+func TestRunStatsInterruptsMidRun(t *testing.T) {
+	app, arch := motionSetup(2000)
+	cfg := fastConfig()
+	cfg.SA.MaxIters = 100000 // far beyond the interrupt
+	cfg.GA.Generations, cfg.GA.Stall = 1000, 0
+	const k = 5
+	for _, name := range []string{"sa", "ga", "bandit"} {
+		f, err := NewFactory(name, app, arch, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out, st, err := RunStats(&countdownCtx{Context: context.Background(), left: k}, f, 1, 0)
+		if err != context.Canceled {
+			t.Fatalf("%s: err = %v, want context.Canceled", name, err)
+		}
+		if out == nil || out.Best == nil {
+			t.Fatalf("%s: interrupted run lost its best so far", name)
+		}
+		if err := sched.CheckMapping(app, arch, out.Best); err != nil {
+			t.Fatalf("%s: best mapping invalid: %v", name, err)
+		}
+		if st.Steps != k {
+			t.Fatalf("%s: %d steps before the interrupt, want %d", name, st.Steps, k)
+		}
+		if st.Done {
+			t.Fatalf("%s: run exhausted before the interrupt", name)
+		}
+	}
+}
+
 // TestFactoryRejectsUnknownAndNested: name validation happens at factory
 // construction, including portfolio members.
 func TestFactoryValidation(t *testing.T) {

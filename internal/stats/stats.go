@@ -218,47 +218,3 @@ func (m *EWMoments) StdDev() float64 { return math.Sqrt(m.variance) }
 
 // Initialized reports whether at least one observation has been added.
 func (m *EWMoments) Initialized() bool { return m.init }
-
-// AutoCorr1 estimates the lag-1 autocorrelation of a signal with
-// exponentially weighted moments: corr = (E[x_t·x_{t-1}] − μ²)/σ². The
-// annealing schedule uses it to judge how strongly consecutive costs are
-// coupled (the quasi-equilibrium indicator of Lam's derivation).
-type AutoCorr1 struct {
-	moments EWMoments
-	cross   EWMA
-	prev    float64
-	hasPrev bool
-}
-
-// NewAutoCorr1 returns a tracker with smoothing factor alpha.
-func NewAutoCorr1(alpha float64) *AutoCorr1 {
-	return &AutoCorr1{moments: *NewEWMoments(alpha), cross: *NewEWMA(alpha)}
-}
-
-// Add incorporates one observation.
-func (a *AutoCorr1) Add(x float64) {
-	a.moments.Add(x)
-	if a.hasPrev {
-		a.cross.Add(x * a.prev)
-	}
-	a.prev = x
-	a.hasPrev = true
-}
-
-// Value returns the current lag-1 autocorrelation estimate, clamped to
-// [-1, 1]; it returns 0 while the variance estimate is degenerate.
-func (a *AutoCorr1) Value() float64 {
-	v := a.moments.Var()
-	if v <= 0 || !a.cross.Initialized() {
-		return 0
-	}
-	mu := a.moments.Mean()
-	c := (a.cross.Value() - mu*mu) / v
-	if c > 1 {
-		return 1
-	}
-	if c < -1 {
-		return -1
-	}
-	return c
-}

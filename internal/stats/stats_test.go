@@ -135,49 +135,6 @@ func TestEWMomentsDegenerate(t *testing.T) {
 	}
 }
 
-func TestAutoCorrWhiteNoiseNearZero(t *testing.T) {
-	r := rand.New(rand.NewSource(16))
-	a := NewAutoCorr1(0.01)
-	for i := 0; i < 30_000; i++ {
-		a.Add(r.NormFloat64())
-	}
-	if math.Abs(a.Value()) > 0.15 {
-		t.Fatalf("white-noise autocorr = %v, want ≈0", a.Value())
-	}
-}
-
-func TestAutoCorrPersistentSignalNearOne(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	a := NewAutoCorr1(0.01)
-	x := 0.0
-	for i := 0; i < 30_000; i++ {
-		// AR(1) with phi = 0.98: strongly correlated.
-		x = 0.98*x + 0.02*r.NormFloat64()
-		a.Add(x)
-	}
-	if a.Value() < 0.7 {
-		t.Fatalf("AR(1) autocorr = %v, want high", a.Value())
-	}
-}
-
-func TestAutoCorrDegenerate(t *testing.T) {
-	a := NewAutoCorr1(0.1)
-	if a.Value() != 0 {
-		t.Fatal("fresh autocorr not zero")
-	}
-	a.Add(1)
-	if a.Value() != 0 {
-		t.Fatal("single-point autocorr not zero")
-	}
-	// Constant signal: zero variance, define as 0.
-	for i := 0; i < 10; i++ {
-		a.Add(1)
-	}
-	if a.Value() != 0 {
-		t.Fatalf("constant-signal autocorr = %v", a.Value())
-	}
-}
-
 func TestSummaryMoments(t *testing.T) {
 	var s Summary
 	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Quantile(0.5) != 0 {
