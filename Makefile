@@ -17,7 +17,7 @@ SCHED_GATE ?= 0.05
 # and batch=8).
 BATCH ?= 8
 
-.PHONY: all build test race bench bench-json bench-check bench-baseline bench-batch-smoke bench-diff bench-micro-json dsed-smoke fleet-smoke fleet-report perfbench-check docs-check fmt fmt-check vet ci
+.PHONY: all build test race fuzz-smoke bench bench-json bench-check bench-baseline bench-batch-smoke bench-diff bench-micro-json dsed-smoke fleet-smoke fleet-report perfbench-check docs-check fmt fmt-check vet ci
 
 all: build test
 
@@ -29,6 +29,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Cross-path oracle smoke: 30 s of FuzzEvalPathEquivalence, which replays
+# random annealing runs through the full rebuild (which never cuts a move
+# short) and the incremental path (which cuts rejected moves at their
+# chain-free bound) and requires bit-identical traces, results and fronts.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzEvalPathEquivalence -fuzztime 30s ./internal/core
 
 # Bench smoke: compile and run every benchmark exactly once. Catches rotted
 # benchmark code without paying for a full measurement run.
@@ -153,6 +160,6 @@ vet:
 	$(GO) vet ./...
 
 # Every target the CI workflow runs, the bench-batch-smoke matrix included.
-ci: fmt-check vet docs-check build perfbench-check race bench bench-micro-json bench-check dsed-smoke fleet-smoke
+ci: fmt-check vet docs-check build perfbench-check race fuzz-smoke bench bench-micro-json bench-check dsed-smoke fleet-smoke
 	$(MAKE) bench-batch-smoke BATCH=1
 	$(MAKE) bench-batch-smoke BATCH=8

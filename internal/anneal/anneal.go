@@ -9,8 +9,14 @@ import (
 // problem state and reports whether the move was feasible (an infeasible
 // move, e.g. one that would create a precedence cycle, must leave the state
 // untouched and return false). Revert undoes a successfully applied move.
+//
+// g is the Metropolis gate of the proposal. A move that learns a lower
+// bound on its new cost before its evaluation is complete may ask
+// g.Rejects(bound) and, when that reports true, stop evaluating: the
+// runner then reverts the move without reading Problem.Cost. A move that
+// never asks follows exactly the same trajectory.
 type Move interface {
-	Apply() bool
+	Apply(g *Gate) bool
 	Revert()
 	// Kind tags the move class for adaptive generation statistics.
 	Kind() int
@@ -41,10 +47,14 @@ type BestKeeper interface {
 // consumed trajectory is a pure function of (seed, batch width).
 //
 // The call order is fixed, and implementations may rely on it: after
-// SpeculateBatch, each Candidate(i) is followed by ConsumeCandidate(i, …)
+// SpeculateBatch, each Candidate(i, g) is followed by ConsumeCandidate(i, …)
 // before the next Candidate, Cost or SpeculateBatch call, and candidates
 // are read in increasing i. This lets a problem score a candidate by
 // applying it in place and leaving it applied until it is consumed.
+//
+// Candidate receives the candidate's Metropolis gate, as Move.Apply does:
+// a candidate whose bound g.Rejects may stop scoring, and the runner then
+// consumes it as rejected without reading the cost Candidate returned.
 type BatchProblem interface {
 	Problem
 	// SpeculateBatch draws up to k candidate moves from rng against the
@@ -53,9 +63,9 @@ type BatchProblem interface {
 	SpeculateBatch(rng *rand.Rand, k int) int
 	// Candidate scores candidate i against the current solution and reports
 	// its move kind (-1 when the draw produced no move), whether it
-	// evaluated feasibly, and its cost. A feasible candidate may be left
-	// applied until ConsumeCandidate(i, …).
-	Candidate(i int) (kind int, ok bool, cost float64)
+	// evaluated feasibly, and its cost — unread when g rejected it. A
+	// feasible candidate may be left applied until ConsumeCandidate(i, …).
+	Candidate(i int, g *Gate) (kind int, ok bool, cost float64)
 	// ConsumeCandidate finalizes candidate i. With accepted true the
 	// candidate becomes the current solution (a problem that left it
 	// applied simply keeps it) and the call reports success; with accepted
@@ -72,6 +82,64 @@ type Observation struct {
 	Temperature float64
 	Accepted    bool
 	MoveKind    int
+}
+
+// Gate is the Metropolis test of one proposed move, handed to the move
+// so that it can stop evaluating as soon as the verdict is known. Its
+// uniform draw u comes from the runner's stream at the position the rule
+// has always drawn it — after the move is applied, before the next
+// proposal — and at most once: on the first Rejects call whose bound is
+// uphill, or else at the final decision on an uphill move. Nothing else
+// draws in between, so a run whose moves ask Rejects is bit-identical to
+// one whose moves never do.
+type Gate struct {
+	rng      *rand.Rand
+	cur      float64 // cost of the current solution
+	temp     float64
+	u        float64
+	drawn    bool
+	rejected bool
+}
+
+// cutMargin keeps Rejects exact under the rounding of math.Exp: a bound is
+// cut only when u clears its acceptance probability by a relative 1e-12,
+// far more than exp's error; a move inside the margin is evaluated.
+const cutMargin = 1 + 1e-12
+
+// Rejects reports whether a move whose cost is known to be at least lb is
+// rejected: u ≥ exp(−(lb−cur)/T)·cutMargin, so every cost ≥ lb fails the
+// final test too. A bound at or below the current cost decides nothing
+// and draws nothing. A greedy quench (T = 0) rejects every uphill bound;
+// a warmup (T = +Inf) none. Once true it stays true. A nil gate never
+// rejects.
+func (g *Gate) Rejects(lb float64) bool {
+	if g == nil {
+		return false
+	}
+	if !g.rejected && lb > g.cur {
+		g.rejected = g.draw() >= g.prob(lb)*cutMargin
+	}
+	return g.rejected
+}
+
+// Accepts is the Metropolis rule on a move's exact cost: a downhill or
+// equal-cost move is accepted without a draw, an uphill one when
+// u < exp(−Δ/T).
+func (g *Gate) Accepts(cost float64) bool {
+	return cost-g.cur <= 0 || g.draw() < g.prob(cost)
+}
+
+func (g *Gate) draw() float64 {
+	if !g.drawn {
+		g.u, g.drawn = g.rng.Float64(), true
+	}
+	return g.u
+}
+
+// prob is the acceptance probability exp(−Δ/T) of a move to cost c.
+func (g *Gate) prob(c float64) float64 {
+	delta := c - g.cur
+	return math.Exp(-delta / g.temp)
 }
 
 // Options configures a run. A run ends when the schedule freezes or the
@@ -135,6 +203,7 @@ type Runner struct {
 	st     Stats
 	it     int
 	done   bool
+	gate   Gate // the proposal in flight
 }
 
 // NewRunner prepares a run without executing any iteration. As in Run, the
@@ -184,7 +253,8 @@ func (r *Runner) Step(n int) bool {
 		r.st.Iters++
 
 		mv := r.p.Propose(r.rng)
-		applied := mv != nil && mv.Apply()
+		r.openGate()
+		applied := mv != nil && mv.Apply(&r.gate)
 		kind := -1
 		if mv != nil {
 			kind = mv.Kind()
@@ -193,20 +263,14 @@ func (r *Runner) Step(n int) bool {
 		if !applied {
 			r.st.Infeasible++
 		} else {
-			newCost := r.p.Cost()
-			delta := newCost - r.cost
-			if delta <= 0 || r.rng.Float64() < math.Exp(-delta/opt.Schedule.Temperature()) {
-				accepted = true
-				r.cost = newCost
-				r.st.Accepted++
-				if r.cost < r.st.BestCost {
-					r.st.BestCost = r.cost
-					r.st.BestIter = it
-					if r.keeper != nil {
-						r.keeper.KeepBest()
-					}
+			// A move the gate has rejected is reverted unread.
+			if !r.gate.rejected {
+				if cost := r.p.Cost(); r.gate.Accepts(cost) {
+					accepted = true
+					r.keep(cost, it)
 				}
-			} else {
+			}
+			if !accepted {
 				mv.Revert()
 				r.st.Rejected++
 			}
@@ -276,35 +340,26 @@ func (r *Runner) stepBatched(n int) bool {
 			it := r.it
 			r.it++
 			r.st.Iters++
-			kind, ok, cost := r.bp.Candidate(i)
+			r.openGate()
+			kind, ok, cost := r.bp.Candidate(i, &r.gate)
 			accepted := false
-			if !ok {
+			switch {
+			case !ok:
 				r.st.Infeasible++
 				r.bp.ConsumeCandidate(i, false)
-			} else {
-				delta := cost - r.cost
-				if delta <= 0 || r.rng.Float64() < math.Exp(-delta/opt.Schedule.Temperature()) {
-					if r.bp.ConsumeCandidate(i, true) {
-						accepted = true
-						r.cost = cost
-						r.st.Accepted++
-						if r.cost < r.st.BestCost {
-							r.st.BestCost = r.cost
-							r.st.BestIter = it
-							if r.keeper != nil {
-								r.keeper.KeepBest()
-							}
-						}
-					} else {
-						// Keeping a candidate that scored feasibly cannot
-						// fail; treat a refusal as infeasibility so the
-						// run still ends.
-						r.st.Infeasible++
-					}
+			case !r.gate.rejected && r.gate.Accepts(cost):
+				if r.bp.ConsumeCandidate(i, true) {
+					accepted = true
+					r.keep(cost, it)
 				} else {
-					r.bp.ConsumeCandidate(i, false)
-					r.st.Rejected++
+					// Keeping a candidate that scored feasibly cannot
+					// fail; treat a refusal as infeasibility so the run
+					// still ends.
+					r.st.Infeasible++
 				}
+			default:
+				r.bp.ConsumeCandidate(i, false)
+				r.st.Rejected++
 			}
 			opt.Schedule.Observe(r.cost, accepted)
 			if opt.Trace != nil {
@@ -325,6 +380,24 @@ func (r *Runner) stepBatched(n int) bool {
 		}
 	}
 	return true
+}
+
+// openGate readies the Metropolis gate for the next proposal.
+func (r *Runner) openGate() {
+	r.gate = Gate{rng: r.rng, cur: r.cost, temp: r.opt.Schedule.Temperature()}
+}
+
+// keep records the acceptance of a move to cost at iteration it.
+func (r *Runner) keep(cost float64, it int) {
+	r.cost = cost
+	r.st.Accepted++
+	if r.cost < r.st.BestCost {
+		r.st.BestCost = r.cost
+		r.st.BestIter = it
+		if r.keeper != nil {
+			r.keeper.KeepBest()
+		}
+	}
 }
 
 // Done reports whether the run is over.

@@ -19,9 +19,9 @@ type quadMove struct {
 	delta float64
 }
 
-func (m *quadMove) Apply() bool { m.p.x += m.delta; return true }
-func (m *quadMove) Revert()     { m.p.x -= m.delta }
-func (m *quadMove) Kind() int   { return 0 }
+func (m *quadMove) Apply(*Gate) bool { m.p.x += m.delta; return true }
+func (m *quadMove) Revert()          { m.p.x -= m.delta }
+func (m *quadMove) Kind() int        { return 0 }
 
 func (q *quadratic) Cost() float64 { return (q.x - 3) * (q.x - 3) }
 func (q *quadratic) Propose(rng *rand.Rand) Move {
@@ -95,9 +95,9 @@ type infeasibleProblem struct{ quadratic }
 
 type infeasibleMove struct{}
 
-func (infeasibleMove) Apply() bool { return false }
-func (infeasibleMove) Revert()     { panic("revert of unapplied move") }
-func (infeasibleMove) Kind() int   { return 1 }
+func (infeasibleMove) Apply(*Gate) bool { return false }
+func (infeasibleMove) Revert()          { panic("revert of unapplied move") }
+func (infeasibleMove) Kind() int        { return 1 }
 
 func (p *infeasibleProblem) Propose(rng *rand.Rand) Move {
 	if rng.Intn(2) == 0 {

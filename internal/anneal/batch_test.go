@@ -67,7 +67,7 @@ func (p *recordingBatch) SpeculateBatch(rng *rand.Rand, k int) int {
 	return k
 }
 
-func (p *recordingBatch) Candidate(i int) (int, bool, float64) {
+func (p *recordingBatch) Candidate(i int, _ *Gate) (int, bool, float64) {
 	p.calls++
 	if p.open >= 0 {
 		p.fail("Candidate(%d) while candidate %d is unconsumed", i, p.open)
@@ -111,7 +111,7 @@ func (s *doneAfter) Observe(float64, bool) { s.seen++ }
 func (s *doneAfter) Done() bool            { return s.seen >= s.n }
 
 // TestBatchCallOrder pins the call order an in-place batch scorer relies
-// on: every Candidate(i) is consumed before the next Candidate, Cost or
+// on: every Candidate(i, g) is consumed before the next Candidate, Cost or
 // SpeculateBatch call, and no candidate is left unconsumed, on the normal
 // path and on both exits — schedule freeze and iteration budget — with
 // rounds of several widths ending mid-round.

@@ -1,6 +1,10 @@
 package core
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"repro/internal/anneal"
+)
 
 // Speculative batch evaluation (anneal.BatchProblem): the annealer asks for
 // a round of k candidate moves drawn against the current solution, then
@@ -46,15 +50,16 @@ func (e *Explorer) SpeculateBatch(rng *rand.Rand, k int) int {
 // Candidate implements anneal.BatchProblem: apply candidate i to the
 // current solution and report its cost. A feasible candidate stays
 // applied until ConsumeCandidate(i, …). Its front offer is held back:
-// only an accepted candidate is archived, exactly once.
-func (e *Explorer) Candidate(i int) (kind int, ok bool, cost float64) {
+// only an accepted candidate is archived, exactly once — which is why a
+// candidate may be cut at its bound whatever the front holds.
+func (e *Explorer) Candidate(i int, g *anneal.Gate) (kind int, ok bool, cost float64) {
 	c := &e.spec[i]
 	if c.kind < 0 {
 		return -1, false, 0
 	}
 	e.mv.kind, e.mv.a, e.mv.b, e.mv.c, e.mv.d, e.mv.p = c.kind, c.a, c.b, c.c, c.d, c.p
 	e.speculating = true
-	e.specApplied = e.mv.Apply()
+	e.specApplied = e.mv.Apply(g)
 	e.speculating = false
 	if !e.specApplied {
 		return c.kind, false, 0

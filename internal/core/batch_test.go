@@ -162,6 +162,8 @@ func assertSameFront(t *testing.T, a, b []pareto.NPoint) {
 // candidate up front with apply → evaluate → revert against the unchanged
 // solution, then re-applies the accepted one. It shares the explorer's
 // draws, so any difference from an in-place run is a scoring difference.
+// It never hands a gate to a move, so every candidate is evaluated in
+// full: the oracle for lazy scoring, threshold cuts included.
 type eagerBatch struct {
 	*Explorer
 	ok   []bool
@@ -181,7 +183,7 @@ func (b *eagerBatch) SpeculateBatch(rng *rand.Rand, k int) int {
 		if b.spec[i].kind >= 0 {
 			b.load(i)
 			b.speculating = true
-			if b.mv.Apply() {
+			if b.mv.Apply(nil) {
 				ok, cost = true, b.curCost
 				b.mv.Revert()
 			}
@@ -192,7 +194,7 @@ func (b *eagerBatch) SpeculateBatch(rng *rand.Rand, k int) int {
 	return n
 }
 
-func (b *eagerBatch) Candidate(i int) (int, bool, float64) {
+func (b *eagerBatch) Candidate(i int, _ *anneal.Gate) (int, bool, float64) {
 	return b.spec[i].kind, b.ok[i], b.cost[i]
 }
 
@@ -201,7 +203,7 @@ func (b *eagerBatch) ConsumeCandidate(i int, accepted bool) bool {
 		return true
 	}
 	b.load(i)
-	return b.mv.Apply()
+	return b.mv.Apply(nil)
 }
 
 // batchRun is one annealing phase over a batch problem, with Start's

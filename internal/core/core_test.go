@@ -83,8 +83,13 @@ func TestExploreSeedsDiffer(t *testing.T) {
 }
 
 func TestParanoidRandomApps(t *testing.T) {
-	// Hammer the move machinery on random layered graphs; Paranoid mode
-	// panics on any mapping corruption.
+	// Hammer the move machinery on random layered graphs, on both
+	// evaluation paths, half the runs with a front. Paranoid mode panics
+	// on any mapping corruption, on an incremental evaluation a full
+	// rebuild contradicts, on a move cut at a bound that its exact cost or
+	// the front does not respect, and on a skipped no-op reorder whose
+	// evaluation is not the current one.
+	var cuts, noops int64
 	for seed := int64(0); seed < 4; seed++ {
 		rcfg := apps.DefaultRandomConfig()
 		rcfg.Tasks = 25
@@ -98,9 +103,24 @@ func TestParanoidRandomApps(t *testing.T) {
 		cfg.Warmup = 200
 		cfg.Seed = seed
 		cfg.Paranoid = true
-		if _, err := Explore(app, arch, cfg); err != nil {
-			t.Fatal(err)
+		if seed%2 == 1 {
+			cfg.FrontMetrics = []objective.Metric{objective.HWArea, objective.Makespan}
 		}
+		for _, mode := range []EvalMode{EvalFull, EvalIncremental} {
+			cfg.EvalMode = mode
+			e, err := New(app, arch, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			cuts += e.cuts
+			noops += e.noops
+		}
+	}
+	if cuts == 0 || noops == 0 {
+		t.Fatalf("the shortcuts went unchecked: %d cuts, %d no-op reorders", cuts, noops)
 	}
 }
 
@@ -170,7 +190,7 @@ func TestMoveMechanicsDirect(t *testing.T) {
 			continue
 		}
 		before := e.curCost
-		if !mv.Apply() {
+		if !mv.Apply(nil) {
 			infeasible++
 			// State must be untouched after a failed apply.
 			if e.curCost != before {

@@ -42,6 +42,17 @@ type Explorer struct {
 	scal     objective.Scalarizer
 	needsMap bool
 
+	// stop is the incremental evaluator's stop hook (cutOnBound), nil when
+	// the cost could decrease as the makespan grows, so that the
+	// chain-free makespan would bound nothing. gate is the Metropolis gate
+	// of the move in flight (nil: never cut) and cutCost the cost of the
+	// bound a move was last cut at. cuts and noops count the moves cut at
+	// their bound and the no-op reorders that skipped evaluation.
+	stop        func(sched.Result) bool
+	gate        *anneal.Gate
+	cutCost     float64
+	cuts, noops int64
+
 	// front is the in-run Pareto archive (nil when disabled); frontCoords
 	// is its reusable projection buffer and frontTick the offer sequence.
 	front       *pareto.NArchive
@@ -179,6 +190,9 @@ func (p *Prepared) New(cfg Config) (*Explorer, error) {
 	}
 	e.scal = cfg.scalarizer()
 	e.needsMap = e.scal.NeedsMapping()
+	if e.scal.Weights[objective.Makespan] >= 0 && e.scal.DeadlinePenalty >= 0 {
+		e.stop = e.cutOnBound
+	}
 	if len(cfg.FrontMetrics) > 0 {
 		for _, m := range cfg.FrontMetrics {
 			if m < 0 || m >= objective.NumMetrics {

@@ -6,12 +6,16 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/model"
+	"repro/internal/objective"
 )
 
 // FuzzEvalPathEquivalence drives randomized annealing runs — random task
 // graph, random knob settings, random seed, random speculative-batch
 // width, all drawn from the fuzz input — through both evaluation paths and
-// requires bit-identical traces and results. Run with
+// requires bit-identical traces, results and in-run fronts. The full path
+// evaluates every move in full, while the incremental path cuts rejected
+// moves short at their chain-free bound, so this is also the oracle of
+// those cuts (with and without a front to offer to). Run with
 //
 //	go test -fuzz=FuzzEvalPathEquivalence ./internal/core
 //
@@ -22,6 +26,7 @@ func FuzzEvalPathEquivalence(f *testing.F) {
 	f.Add(int64(-7), uint8(12), uint8(0b101), uint16(300), uint8(4))
 	f.Add(int64(977), uint8(35), uint8(0b110), uint16(500), uint8(8))
 	f.Add(int64(31), uint8(20), uint8(0b010), uint16(600), uint8(19))
+	f.Add(int64(5), uint8(30), uint8(0b1001), uint16(900), uint8(0))
 
 	f.Fuzz(func(t *testing.T, seed int64, nTasks, knobs uint8, iters uint16, batch uint8) {
 		tasks := 6 + int(nTasks)%40
@@ -44,6 +49,9 @@ func FuzzEvalPathEquivalence(f *testing.F) {
 		cfg.ExploreArch = knobs&0b010 != 0
 		cfg.EnableCtxSplit = knobs&0b100 != 0
 		cfg.Deadline = model.FromMillis(15)
+		if knobs&0b1000 != 0 {
+			cfg.FrontMetrics = []objective.Metric{objective.HWArea, objective.Makespan}
+		}
 		// Speculative batching must preserve the equivalence too: the batch
 		// width reshuffles the trajectory, but full and incremental must
 		// still agree on it bit for bit.
@@ -63,6 +71,9 @@ func FuzzEvalPathEquivalence(f *testing.F) {
 		if resFull.BestEval != resInc.BestEval || resFull.Stats != resInc.Stats {
 			t.Fatalf("results differ: full %+v/%+v, incremental %+v/%+v",
 				resFull.BestEval, resFull.Stats, resInc.BestEval, resInc.Stats)
+		}
+		if resFull.Front != nil {
+			assertSameFront(t, resFull.Front.Points(), resInc.Front.Points())
 		}
 	})
 }

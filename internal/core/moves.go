@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/anneal"
 	"repro/internal/model"
+	"repro/internal/objective"
 	"repro/internal/sched"
 )
 
@@ -38,14 +40,28 @@ func (m *move) Kind() int { return m.kind }
 // consumes it. Rolled-back moves therefore never resynchronize the
 // evaluator eagerly — their stale layers simply ride along with the next
 // evaluated move, which makes Revert O(journal) with no graph work at all.
-func (m *move) Apply() bool {
+//
+// Two shortcuts keep the trajectory exact. An m1 reorder that would put
+// its task back where it sits is not performed: its evaluation is the
+// current one. And on the incremental path the gate sees the chain-free
+// bound before the contention pass; a move it rejects there is left
+// unfinished and reverted unread (DESIGN.md §3.5).
+func (m *move) Apply(g *anneal.Gate) bool {
 	e := m.e
 	e.journal.reset()
 	m.prevRes, m.prevCost = e.curRes, e.curCost
+	m.prevTick = e.stateTick
+	if m.noop() {
+		e.noops++
+		if e.cfg.Paranoid {
+			e.checkEval("a no-op reorder", e.curRes)
+		}
+		e.offerFront()
+		return true
+	}
 	// Invalidate the candidate pools for the applied state; every failure
 	// or revert path restores prevTick along with the mapping, so pools
 	// built before the move stay valid across rejected moves.
-	m.prevTick = e.stateTick
 	e.stateTick++
 	if !m.mutate() {
 		// The mutation stopped midway: undo whatever it already did. The
@@ -61,7 +77,23 @@ func (m *move) Apply() bool {
 		err error
 	)
 	if e.inc != nil {
-		res, err = e.inc.Update(e.cur, e.cs)
+		e.gate = g
+		res, err = e.inc.Update(e.cur, e.cs, e.stop)
+		if err == sched.ErrCut {
+			// The layers are installed, so the change set is consumed;
+			// Revert re-marks them like any rejected move's.
+			e.cs.Reset()
+			e.cuts++
+			if e.cfg.Paranoid {
+				e.checkCut(g)
+			}
+			if e.front != nil && !e.speculating {
+				// The bound point was covered, so the exact point's
+				// offer would have been refused; it still takes its ID.
+				e.frontTick++
+			}
+			return true
+		}
 		if err != nil {
 			// The move closed a cycle: restore the mapping and leave the
 			// partially patched layers recorded in the change set; the
@@ -80,17 +112,10 @@ func (m *move) Apply() bool {
 		}
 	}
 	if e.cfg.Paranoid {
-		if err := sched.CheckMapping(e.app, e.arch, e.cur); err != nil {
-			panic(fmt.Sprintf("core: move kind %d corrupted the mapping: %v", m.kind, err))
-		}
-		if e.inc != nil {
-			full, err := e.fullEval().Evaluate(e.cur)
-			if err != nil {
-				panic(fmt.Sprintf("core: full evaluation rejects a mapping the incremental path accepted: %v", err))
-			}
-			if full != res {
-				panic(fmt.Sprintf("core: evaluation paths diverged on move kind %d: incremental %+v, full %+v", m.kind, res, full))
-			}
+		if e.inc == nil {
+			e.checkMapping(fmt.Sprintf("move kind %d", m.kind))
+		} else {
+			e.checkEval(fmt.Sprintf("the incremental update of move kind %d", m.kind), res)
 		}
 	}
 	e.curRes, e.curCost = res, e.costOf(res)
@@ -98,6 +123,84 @@ func (m *move) Apply() bool {
 	// the objective space; offer it to the in-run Pareto archive.
 	e.offerFront()
 	return true
+}
+
+// noop reports whether the move is an m1 reorder whose source task
+// already sits right before its destination task: performing it would
+// rebuild the same order.
+func (m *move) noop() bool {
+	if m.kind != MoveReorder {
+		return false
+	}
+	order := m.e.cur.SWOrders[m.a]
+	i := indexOf(order, m.b)
+	return i >= 0 && i+1 < len(order) && order[i+1] == m.c
+}
+
+// cutOnBound is the incremental evaluator's stop hook. lb is the applied
+// mapping's chain-free evaluation, exact but for a makespan that can only
+// grow, and the cost cannot decrease as the makespan grows (New checks
+// the scalarizer), so costOf(lb) bounds the move's cost from below. It
+// cuts when the gate rejects that bound and — for a serial move, which
+// offers every evaluation to the front — when the front covers the bound
+// point, so that the exact point's offer would have been refused too.
+func (e *Explorer) cutOnBound(lb sched.Result) bool {
+	cost := e.costOf(lb)
+	if !e.gate.Rejects(cost) {
+		return false
+	}
+	if e.front != nil && !e.speculating {
+		objective.Project(e.cfg.FrontMetrics, e.app, e.arch, e.cur, lb, e.frontCoords)
+		if !e.front.Covers(e.frontCoords) {
+			return false
+		}
+	}
+	e.cutCost = cost
+	return true
+}
+
+// checkMapping is the Paranoid check that the current mapping is valid
+// after what.
+func (e *Explorer) checkMapping(what string) {
+	if err := sched.CheckMapping(e.app, e.arch, e.cur); err != nil {
+		panic(fmt.Sprintf("core: mapping corrupt after %s: %v", what, err))
+	}
+}
+
+// rebuild is the Paranoid oracle: a full rebuild of the current mapping.
+func (e *Explorer) rebuild(what string) sched.Result {
+	e.checkMapping(what)
+	full, err := e.fullEval().Evaluate(e.cur)
+	if err != nil {
+		panic(fmt.Sprintf("core: a full rebuild rejects the mapping after %s: %v", what, err))
+	}
+	return full
+}
+
+// checkEval is the Paranoid check that res is the current mapping's
+// evaluation.
+func (e *Explorer) checkEval(what string, res sched.Result) {
+	if full := e.rebuild(what); full != res {
+		panic(fmt.Sprintf("core: %s diverged from a full rebuild: got %+v, full %+v", what, res, full))
+	}
+}
+
+// checkCut is the Paranoid check of a cut move: a full rebuild of the
+// applied mapping costs at least the bound, the gate's drawn u rejects
+// that exact cost, and a serial move's exact point is covered by the
+// front, as its bound point was.
+func (e *Explorer) checkCut(g *anneal.Gate) {
+	full := e.rebuild("a cut move")
+	cost := e.costOf(full)
+	if cost < e.cutCost || g.Accepts(cost) {
+		panic(fmt.Sprintf("core: move cut at bound cost %v, but its exact cost %v is not rejected (%+v)", e.cutCost, cost, full))
+	}
+	if e.front != nil && !e.speculating {
+		objective.Project(e.cfg.FrontMetrics, e.app, e.arch, e.cur, full, e.frontCoords)
+		if !e.front.Covers(e.frontCoords) {
+			panic(fmt.Sprintf("core: cut move's exact point %v is not covered by the front", e.frontCoords))
+		}
+	}
 }
 
 // Revert implements anneal.Move. The mapping is rolled back via the

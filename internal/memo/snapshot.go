@@ -98,11 +98,11 @@ func (c *Cache[V]) Snapshot(w io.Writer, encode func(V) ([]byte, error)) error {
 }
 
 // Restore loads a snapshot written by Snapshot into c, decoding each
-// value with decode. The whole file is read and its checksum verified
-// before anything is inserted, so a truncated, corrupt, or
-// version-mismatched snapshot returns an error with the cache untouched.
-// Every entry is inserted, its exp word ignored. Restore returns the
-// number of entries inserted.
+// value with decode. The whole file is read, its checksum verified and
+// every value decoded before anything is inserted, so a truncated,
+// corrupt, version-mismatched or undecodable snapshot returns an error
+// with the cache untouched. Every entry is inserted, its exp word
+// ignored. Restore returns the number of entries inserted.
 func Restore[V any](c *Cache[V], r io.Reader, decode func([]byte) (V, error)) (int, error) {
 	h := sha256.New()
 	hr := io.TeeReader(r, h)
@@ -163,12 +163,18 @@ func Restore[V any](c *Cache[V], r io.Reader, decode func([]byte) (V, error)) (i
 		return 0, fmt.Errorf("memo: snapshot checksum mismatch (file corrupt)")
 	}
 
+	// Decode everything before inserting anything: an entry that fails to
+	// decode leaves the cache untouched, like a bad checksum does.
+	vals := make([]V, len(recs))
 	for i, rc := range recs {
 		v, err := decode(rc.raw)
 		if err != nil {
-			return i, fmt.Errorf("memo: decoding snapshot entry: %w", err)
+			return 0, fmt.Errorf("memo: decoding snapshot entry %d: %w", i, err)
 		}
-		c.Put(rc.key, v)
+		vals[i] = v
+	}
+	for i, rc := range recs {
+		c.Put(rc.key, vals[i])
 	}
 	return len(recs), nil
 }

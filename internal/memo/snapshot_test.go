@@ -136,6 +136,45 @@ func TestSnapshotCodecErrorsPropagate(t *testing.T) {
 	if _, err := Restore(dst, bytes.NewReader(buf.Bytes()), decBad); err == nil {
 		t.Fatal("decoder error swallowed")
 	}
+
+	// All or nothing: when only the last entry in key order fails to
+	// decode, the entries before it must not stay loaded either.
+	multi := New[int](Options{Capacity: 16, Shards: 1})
+	last, lastKey := 0, Key{}
+	for i := 0; i < 4; i++ {
+		k := KeyOf(fmt.Sprint("entry-", i))
+		multi.Put(k, i)
+		if bytes.Compare(k[:], lastKey[:]) > 0 {
+			last, lastKey = i, k
+		}
+	}
+	if multi.Len() != 4 {
+		t.Fatalf("source cache holds %d entries, want 4", multi.Len())
+	}
+	buf.Reset()
+	if err := multi.Snapshot(&buf, encInt); err != nil {
+		t.Fatal(err)
+	}
+	decodes := 0
+	decLastBad := func(b []byte) (int, error) {
+		decodes++
+		v, err := decInt(b)
+		if err == nil && v == last {
+			return 0, fmt.Errorf("boom")
+		}
+		return v, err
+	}
+	dst = New[int](Options{Capacity: 16, Shards: 1})
+	n, err := Restore(dst, bytes.NewReader(buf.Bytes()), decLastBad)
+	if err == nil {
+		t.Fatal("decoder error on the last entry swallowed")
+	}
+	if decodes != 4 {
+		t.Fatalf("decoded %d entries, want all 4 (the failing one last)", decodes)
+	}
+	if n != 0 || dst.Len() != 0 {
+		t.Fatalf("failed restore loaded %d entries (reported %d), want none", dst.Len(), n)
+	}
 }
 
 // TestSnapshotWhileServing: snapshotting under concurrent Do traffic is

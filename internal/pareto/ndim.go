@@ -49,19 +49,30 @@ func NewNArchive(dims int) *NArchive {
 // Dims returns the dimensionality of the archive.
 func (a *NArchive) Dims() int { return a.dims }
 
+// Covers reports whether some archived point is no worse than v in every
+// coordinate — one that dominates or equals v. Add refuses exactly the
+// covered points, so a caller holding a lower bound on a point's
+// coordinates can learn that the point's offer would be refused without
+// computing it.
+func (a *NArchive) Covers(v []float64) bool {
+	for _, q := range a.pts {
+		if leqVec(q.V, v) {
+			return true
+		}
+	}
+	return false
+}
+
 // Add offers a point to the archive, copying v. It returns true when the
 // point enters the frontier (evicting any entries it dominates) and false
-// when an existing entry dominates or equals it — ties keep the incumbent,
-// so feeding points in a deterministic order yields a deterministic
-// archive.
+// when the archive covers it — ties keep the incumbent, so feeding points
+// in a deterministic order yields a deterministic archive.
 func (a *NArchive) Add(v []float64, id int) bool {
 	if len(v) != a.dims {
 		panic("pareto: NArchive.Add dimension mismatch")
 	}
-	for _, q := range a.pts {
-		if DominatesVec(q.V, v) || equalVec(q.V, v) {
-			return false
-		}
+	if a.Covers(v) {
+		return false
 	}
 	keep := a.pts[:0]
 	for _, q := range a.pts {
@@ -105,9 +116,10 @@ func (a *NArchive) Points() []NPoint {
 	return out
 }
 
-func equalVec(a, b []float64) bool {
+// leqVec reports whether a is no greater than b in every coordinate.
+func leqVec(a, b []float64) bool {
 	for i := range a {
-		if a[i] != b[i] {
+		if !(a[i] <= b[i]) {
 			return false
 		}
 	}

@@ -176,6 +176,52 @@ func TestNArchiveMergeEqualsWhole(t *testing.T) {
 	}
 }
 
+func equalVec(a, b []float64) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestNArchiveCoversIsAddRefusal pins the one definition of "covered": on
+// random archives, Covers(v) holds exactly when Add(v) would refuse v —
+// checked on a clone, so the probe never changes the archive — and
+// exactly when some point dominates or equals v.
+func TestNArchiveCoversIsAddRefusal(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	covered, open := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		dims := 1 + rng.Intn(4)
+		a := NewNArchive(dims)
+		for _, p := range randomPoints(rng, rng.Intn(30), dims, 5) {
+			a.Add(p, 0)
+		}
+		for _, v := range randomPoints(rng, 20, dims, 6) {
+			c := a.Covers(v)
+			if added := a.Clone().Add(v, 1); c == added {
+				t.Fatalf("archive %+v: Covers(%v) = %v but Add returned %v", a.Points(), v, c, added)
+			}
+			ref := false
+			for _, q := range a.Points() {
+				ref = ref || DominatesVec(q.V, v) || equalVec(q.V, v)
+			}
+			if c != ref {
+				t.Fatalf("archive %+v: Covers(%v) = %v, dominated-or-equal = %v", a.Points(), v, c, ref)
+			}
+			if c {
+				covered++
+			} else {
+				open++
+			}
+		}
+	}
+	if covered == 0 || open == 0 {
+		t.Fatalf("probes never exercised both outcomes: %d covered, %d open", covered, open)
+	}
+}
+
 // TestNArchiveEviction: a dominating point evicts everything it dominates.
 func TestNArchiveEviction(t *testing.T) {
 	a := NewNArchive(3)

@@ -149,9 +149,9 @@ func (rc *ResultCache) Snapshot(w io.Writer) error {
 }
 
 // Restore loads a snapshot written by Snapshot into the cache and
-// returns the number of entries restored. A corrupt, truncated, or
-// version-mismatched snapshot returns an error with nothing loaded — the
-// caller degrades to a cold cache.
+// returns the number of entries restored. A corrupt, truncated,
+// version-mismatched or undecodable snapshot returns an error with
+// nothing loaded — the caller degrades to a cold cache.
 func (rc *ResultCache) Restore(r io.Reader) (int, error) {
 	return memo.Restore(rc.c, r, DecodeOutcome)
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/graph"
@@ -223,15 +224,28 @@ func (e *IncEvaluator) Install(m *Mapping) (Result, error) {
 		return Result{}, err
 	}
 	e.installed = true
-	return e.finish()
+	return e.finish(nil)
 }
+
+// ErrCut reports that Update's stop hook rejected the move on its
+// chain-free bound, so the evaluation was left unfinished.
+var ErrCut = errors.New("sched: evaluation cut at the chain-free bound")
 
 // Update re-derives the layers named by the change set from mapping m and
 // returns the fresh evaluation. On ErrOrderCycle the graphs hold a partial
 // patch: the caller must revert m to its previous (acyclic) state and call
 // Update again with the same change set, which is guaranteed to succeed and
 // restores the evaluator exactly.
-func (e *IncEvaluator) Update(m *Mapping, cs *ChangeSet) (Result, error) {
+//
+// stop, when non-nil, is offered a bound before the contention pass: on a
+// bus with contention it receives the chain-free evaluation — every field
+// exact except Makespan, a lower bound, since the chain only adds edges.
+// When it returns true Update returns ErrCut at once, leaving the full
+// graph's pending changes and its installed chain to the next Update,
+// which catches both up. The layers are installed either way; the caller
+// treats a cut move as applied, and reverting it is the ordinary revert.
+// A nil stop evaluates exactly.
+func (e *IncEvaluator) Update(m *Mapping, cs *ChangeSet, stop func(lb Result) bool) (Result, error) {
 	if !e.installed {
 		panic("sched: IncEvaluator.Update before Install")
 	}
@@ -252,7 +266,7 @@ func (e *IncEvaluator) Update(m *Mapping, cs *ChangeSet) (Result, error) {
 	if err := e.applyPatches(); err != nil {
 		return Result{}, err
 	}
-	return e.finish()
+	return e.finish(stop)
 }
 
 // ---------- layer staging and diffing ----------
@@ -629,34 +643,39 @@ func (e *IncEvaluator) dropChain() {
 
 // finish flushes the pending patches, re-derives the bus contention chain
 // from the chain-free start times (patching only the edges whose order
-// changed) and assembles the Result.
-func (e *IncEvaluator) finish() (Result, error) {
-	var mk int64
+// changed) and assembles the Result. A stop hook that cuts at the
+// chain-free bound skips everything after the chain-free flush.
+func (e *IncEvaluator) finish(stop func(lb Result) bool) (Result, error) {
 	if e.p1 == nil {
-		mk = e.full.Flush()
-	} else {
-		e.p1.Flush()
-		if e.crossDead > 0 {
-			w := 0
-			for _, n := range e.crossIdx {
-				if e.crossState[int(n)-e.nTasks] == crossLive {
-					e.crossIdx[w] = n
-					w++
-				} else {
-					e.crossState[int(n)-e.nTasks] = crossAbsent
-				}
-			}
-			e.crossIdx = e.crossIdx[:w]
-			e.crossDead = 0
-		}
-		if len(e.crossIdx) > 1 {
-			e.sortCrossByStart()
-			e.patchChain()
-		} else {
-			e.dropChain()
-		}
-		mk = e.full.Flush()
+		return e.result(e.full.Flush()), nil
 	}
+	if lb := e.p1.Flush(); stop != nil && stop(e.result(lb)) {
+		return Result{}, ErrCut
+	}
+	if e.crossDead > 0 {
+		w := 0
+		for _, n := range e.crossIdx {
+			if e.crossState[int(n)-e.nTasks] == crossLive {
+				e.crossIdx[w] = n
+				w++
+			} else {
+				e.crossState[int(n)-e.nTasks] = crossAbsent
+			}
+		}
+		e.crossIdx = e.crossIdx[:w]
+		e.crossDead = 0
+	}
+	if len(e.crossIdx) > 1 {
+		e.sortCrossByStart()
+		e.patchChain()
+	} else {
+		e.dropChain()
+	}
+	return e.result(e.full.Flush()), nil
+}
+
+// result assembles a Result around makespan mk from the maintained sums.
+func (e *IncEvaluator) result(mk int64) Result {
 	return Result{
 		Makespan:        model.Time(mk),
 		InitialReconfig: model.Time(e.sumInit),
@@ -665,7 +684,7 @@ func (e *IncEvaluator) finish() (Result, error) {
 		ComputeSW:       model.Time(e.sumSW),
 		ComputeHW:       model.Time(e.sumHW),
 		Contexts:        e.sumCtx,
-	}, nil
+	}
 }
 
 // patchChain diffs the installed contention chain against the freshly
