@@ -2,7 +2,7 @@
 # these targets so local runs and CI runs cannot drift apart.
 
 GO ?= go
-BENCH_JSON ?= BENCH_PR15.json
+BENCH_JSON ?= BENCH_PR20.json
 BENCH_MICRO_JSON ?= BENCH_MICRO.json
 BENCH_BASELINE ?= bench/BENCH_BASELINE.json
 BENCH_THRESHOLD ?= 0.20

@@ -79,8 +79,8 @@ type EvalMode int
 
 const (
 	// EvalAuto (the default) picks per instance: the delta-based path when
-	// a move's affected cone is expected to be small relative to the
-	// search graph — many schedulable resources spreading the
+	// the search graph is large enough that patching it beats rebuilding
+	// it — many tasks, and many schedulable resources spreading the
 	// sequentialization chains — and the full rebuild otherwise. See
 	// DESIGN.md §3.4 for the measurements behind the heuristic.
 	EvalAuto EvalMode = iota
@@ -90,10 +90,10 @@ const (
 	// small instances where a move perturbs most of the schedule anyway.
 	EvalFull
 	// EvalIncremental patches persistent search graphs move by move,
-	// re-propagating longest paths only through the affected cone and
-	// diffing the dynamic layers and the bus contention chain
+	// diffing the dynamic layers and the bus contention chain and
+	// recomputing longest paths from the first node a move changed
 	// (sched.IncEvaluator). It wins when the graph outgrows the typical
-	// move cone — larger task sets spread over several processors and RCs.
+	// move — larger task sets spread over several processors and RCs.
 	EvalIncremental
 )
 

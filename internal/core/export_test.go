@@ -13,3 +13,8 @@ func ExploreCounting(app *model.App, arch *model.Arch, cfg Config) (res *Result,
 	res, err = e.Run()
 	return res, e.cuts, e.noops, err
 }
+
+// ResolveEvalMode is the path m resolves to on the given instance.
+func ResolveEvalMode(m EvalMode, app *model.App, arch *model.Arch) EvalMode {
+	return m.resolve(app, arch)
+}

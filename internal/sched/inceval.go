@@ -14,23 +14,13 @@ type edge3 struct {
 	w    int64
 }
 
-// patchKind distinguishes the two dynamic layer families.
-type patchKind int8
-
-const (
-	patchProc patchKind = iota
-	patchRC
-)
-
 // layerPatch is one pending layer re-derivation: the freshly generated edge
-// list lives in the shared arena at [from,to), and [oa,ob) / [fa,fb) bound
-// the differing windows of the stored and fresh lists after common
-// prefix/suffix trimming.
+// list lives in the shared arena at [from,to), and the stored list's
+// window [a,ob) gives way to the fresh list's window [a,fb) (see trim).
 type layerPatch struct {
-	kind           patchKind
-	idx            int32
-	from, to       int32
-	oa, ob, fa, fb int32
+	layer     int32
+	from, to  int32
+	a, ob, fb int32
 }
 
 // IncEvaluator is the delta-based evaluation path: it keeps persistent
@@ -46,16 +36,17 @@ type layerPatch struct {
 // installed edges (common prefix/suffix trimming plus a small window
 // scan), so the graph mutations per move are proportional to what the move
 // actually changed, not to the layer size. Longest-path start times are
-// maintained by graph.Evaluator, whose dirty propagation re-evaluates only
-// the downstream cone of the patched edges over a Pearce–Kelly dynamic
-// topological order.
+// maintained by graph.Evaluator, which recomputes the suffix of its
+// Pearce–Kelly dynamic topological order from the first node the patch
+// changed.
 //
 // Bus contention needs the two-pass semantics of the reference path: the
 // transaction serialization order is derived from the *chain-free* start
-// times. A contention-mode evaluator therefore maintains two graphs in
-// lockstep — p1 without the chain (feasibility and transaction ordering)
-// and full with it (the makespan) — and likewise only diffs the chain
-// against the new order.
+// times. A contention-mode evaluator therefore maintains two graphs: p1
+// without the chain (feasibility and transaction ordering) and full with
+// it (the makespan). A move patches p1 only; once p1's start times give
+// the new chain order, full catches up in one pass that diffs its own copy
+// of each changed layer against p1's and its chain against the new order.
 //
 // Results are bit-identical to Evaluator's: both paths derive the same
 // edge multiset and the same contention order (pass-1 start times with the
@@ -71,9 +62,16 @@ type IncEvaluator struct {
 	p1   *graph.Evaluator
 	full *graph.Evaluator
 
-	// Installed dynamic layers (edge lists present in both graphs).
-	swEdges [][]edge3 // per processor
-	rcEdges [][]edge3 // per RC
+	// layers holds the dynamic layers installed in the order graph (p1, or
+	// full without contention): processor p's order chain at index p, RC
+	// r's context layer at index len(Processors)+r.
+	layers [][]edge3
+	// With contention, fullLayers holds the layers installed in full, and
+	// lagging lists (lags marks) every layer whose full copy may differ
+	// from its order-graph list.
+	fullLayers [][]edge3
+	lagging    []int32
+	lags       []bool
 
 	// Patch scratch.
 	fresh   []edge3 // arena of freshly generated layer edge lists
@@ -81,11 +79,10 @@ type IncEvaluator struct {
 	keepScr []edge3 // failure-path scratch for rebuilding a stored list
 	uvScr   uvIndex // endpoint→index hash for large diff windows
 
-	// The installed contention chain (full graph only): the ordered member
-	// list and the successor of each member node.
-	busNodes []int32
-	busNext  []int32 // per node; -1 = not a chain member
-	newNext  []int32 // scratch for the per-move chain diff
+	// busNext is the installed contention chain (full graph only): the
+	// chain successor of each node, -1 where no chain edge leaves it. Only
+	// members of crossIdx have one.
+	busNext []int32
 
 	// Last installed node/flow durations and Result accounting. The sums
 	// are maintained incrementally: updates subtract the stored
@@ -105,8 +102,10 @@ type IncEvaluator struct {
 	// duration > 0), kept in its last sorted order across moves so the
 	// per-move re-sort is a nearly-linear insertion pass instead of a full
 	// sort from node-id order. crossState tracks membership per flow
-	// (crossAbsent/crossLive/crossStale); removals are lazy — finish
-	// compacts the list when crossDead counts any stale entries.
+	// (crossAbsent/crossLive/crossStale); removals are lazy — syncFull
+	// compacts the list when crossDead counts any stale entries. The list
+	// is never cleared wholesale: a member leaves it only through
+	// compaction, which also removes its chain edge.
 	crossIdx   []int32
 	crossState []int8
 	crossDead  int
@@ -153,13 +152,12 @@ func NewIncEvaluator(app *model.App, arch *model.Arch) (*IncEvaluator, error) {
 	if err != nil {
 		return nil, err
 	}
+	nLayers := len(arch.Processors) + len(arch.RCs)
 	e := &IncEvaluator{
 		shape:      s,
 		full:       full,
-		swEdges:    make([][]edge3, len(arch.Processors)),
-		rcEdges:    make([][]edge3, len(arch.RCs)),
+		layers:     make([][]edge3, nLayers),
 		busNext:    make([]int32, s.v),
-		newNext:    make([]int32, s.v),
 		taskDurV:   make([]int64, s.nTasks),
 		taskIsHW:   make([]bool, s.nTasks),
 		flowDurV:   make([]int64, s.nFlows),
@@ -170,12 +168,14 @@ func NewIncEvaluator(app *model.App, arch *model.Arch) (*IncEvaluator, error) {
 		rcCtx:      make([]int32, len(arch.RCs)),
 	}
 	for i := range e.busNext {
-		e.busNext[i], e.newNext[i] = -1, -1
+		e.busNext[i] = -1
 	}
 	if arch.Bus.Contention {
 		if e.p1, err = mkGraph(); err != nil {
 			return nil, err
 		}
+		e.fullLayers = make([][]edge3, nLayers)
+		e.lags = make([]bool, nLayers)
 	}
 	return e, nil
 }
@@ -197,16 +197,12 @@ func (e *IncEvaluator) Install(m *Mapping) (Result, error) {
 	for t := range e.taskDurV {
 		e.taskDurV[t], e.taskIsHW[t] = 0, false
 	}
+	// The flow refreshes below bring crossIdx's membership up to date from
+	// whatever state it is in: updateFlow's transitions read crossState,
+	// not the durations reset here.
 	for k := range e.flowDurV {
 		e.flowDurV[k] = 0
 	}
-	// flowDurV was reset directly, bypassing the updateFlow transitions, so
-	// the membership list restarts from scratch too.
-	e.crossIdx = e.crossIdx[:0]
-	for k := range e.crossState {
-		e.crossState[k] = crossAbsent
-	}
-	e.crossDead = 0
 	for t := 0; t < e.nTasks; t++ {
 		e.updateTask(m, t)
 	}
@@ -232,17 +228,19 @@ func (e *IncEvaluator) Install(m *Mapping) (Result, error) {
 var ErrCut = errors.New("sched: evaluation cut at the chain-free bound")
 
 // Update re-derives the layers named by the change set from mapping m and
-// returns the fresh evaluation. On ErrOrderCycle the graphs hold a partial
-// patch: the caller must revert m to its previous (acyclic) state and call
-// Update again with the same change set, which is guaranteed to succeed and
-// restores the evaluator exactly.
+// returns the fresh evaluation. On ErrOrderCycle only the order graph
+// holds a partial patch (the full graph of a contention bus is not touched
+// before the order graph has accepted the move): the caller must revert m
+// to its previous (acyclic) state and call Update again with the same
+// change set, which is guaranteed to succeed and restores the evaluator
+// exactly.
 //
 // stop, when non-nil, is offered a bound before the contention pass: on a
 // bus with contention it receives the chain-free evaluation — every field
 // exact except Makespan, a lower bound, since the chain only adds edges.
 // When it returns true Update returns ErrCut at once, leaving the full
-// graph's pending changes and its installed chain to the next Update,
-// which catches both up. The layers are installed either way; the caller
+// graph's layers and chain as they were; the next Update catches them up.
+// The layers are installed in the order graph either way; the caller
 // treats a cut move as applied, and reverting it is the ordinary revert.
 // A nil stop evaluates exactly.
 func (e *IncEvaluator) Update(m *Mapping, cs *ChangeSet, stop func(lb Result) bool) (Result, error) {
@@ -276,33 +274,43 @@ func (e *IncEvaluator) beginPatches() {
 	e.patches = e.patches[:0]
 }
 
-// layerOf returns the stored edge list of a staged patch.
-func (e *IncEvaluator) layerOf(pt *layerPatch) *[]edge3 {
-	if pt.kind == patchProc {
-		return &e.swEdges[pt.idx]
-	}
-	return &e.rcEdges[pt.idx]
-}
-
-// stage trims the common prefix/suffix between the stored layer and the
-// fresh range and records the patch.
-func (e *IncEvaluator) stage(kind patchKind, idx, from int) {
-	pt := layerPatch{kind: kind, idx: int32(idx), from: int32(from), to: int32(len(e.fresh))}
-	old := *e.layerOf(&pt)
-	fr := e.fresh[pt.from:pt.to]
-	a := 0
+// trim is the layer diff shared by staging and the full-graph sync: after
+// common prefix/suffix trimming, the installed list's window old[a:ob]
+// gives way to the replacement's window fr[a:fb].
+func trim(old, fr []edge3) (a, ob, fb int) {
 	for a < len(old) && a < len(fr) && old[a] == fr[a] {
 		a++
 	}
-	ob, fb := len(old), len(fr)
+	ob, fb = len(old), len(fr)
 	for ob > a && fb > a && old[ob-1] == fr[fb-1] {
 		ob--
 		fb--
 	}
-	pt.oa, pt.ob, pt.fa, pt.fb = int32(a), int32(ob), int32(a), int32(fb)
-	if pt.oa != pt.ob || pt.fa != pt.fb {
-		e.patches = append(e.patches, pt)
+	return a, ob, fb
+}
+
+// stage diffs layer l's installed list against the fresh range starting
+// at from and records the patch. On a contention bus the layer now lags
+// in the full graph.
+func (e *IncEvaluator) stage(l, from int) {
+	fr := e.fresh[from:]
+	a, ob, fb := trim(e.layers[l], fr)
+	if a == ob && a == fb {
+		return
 	}
+	e.patches = append(e.patches, layerPatch{
+		layer: int32(l), from: int32(from), to: int32(len(e.fresh)),
+		a: int32(a), ob: int32(ob), fb: int32(fb),
+	})
+	if e.p1 != nil && !e.lags[l] {
+		e.lags[l] = true
+		e.lagging = append(e.lagging, int32(l))
+	}
+}
+
+// windows returns the differing windows of a staged patch.
+func (e *IncEvaluator) windows(pt *layerPatch) (oldWin, frWin []edge3) {
+	return e.layers[pt.layer][pt.a:pt.ob], e.fresh[pt.from+pt.a : pt.from+pt.fb]
 }
 
 // stageProc generates processor p's fresh chain edges and stages the diff.
@@ -312,7 +320,7 @@ func (e *IncEvaluator) stageProc(m *Mapping, p int) {
 	for i := 1; i < len(order); i++ {
 		e.fresh = append(e.fresh, edge3{u: int32(order[i-1]), v: int32(order[i])})
 	}
-	e.stage(patchProc, p, from)
+	e.stage(p, from)
 }
 
 // stageRC generates RC r's fresh context edges, refreshes its boot
@@ -335,7 +343,7 @@ func (e *IncEvaluator) stageRC(m *Mapping, r int) {
 	e.sumCtx += len(e.nonEmpty)
 	if len(e.nonEmpty) == 0 {
 		e.setBootDur(r, 0)
-		e.stage(patchRC, r, from)
+		e.stage(len(e.arch.Processors)+r, from)
 		return
 	}
 	tr := int64(e.arch.RCs[r].TR)
@@ -369,7 +377,7 @@ func (e *IncEvaluator) stageRC(m *Mapping, r int) {
 	}
 	e.sumInit += e.rcInit[r]
 	e.sumDyn += e.rcDyn[r]
-	e.stage(patchRC, r, from)
+	e.stage(len(e.arch.Processors)+r, from)
 }
 
 // findUV returns the index of the edge (u,v) in xs, or -1.
@@ -441,85 +449,93 @@ func (ix *uvIndex) find(u, v int32) int {
 	}
 }
 
-// applyPatches performs every staged diff: first all removals, then all
-// insertions. The global remove-before-add order matters — a new edge of
-// one layer could otherwise close a phantom cycle through a doomed old
-// edge of another layer that merely had not been removed yet.
-func (e *IncEvaluator) applyPatches() error {
-	for i := range e.patches {
-		pt := &e.patches[i]
-		old := *e.layerOf(pt)
-		frWin := e.fresh[pt.from+pt.fa : pt.from+pt.fb]
-		oldWin := old[pt.oa:pt.ob]
-		hashed := len(frWin) > uvSmall && len(oldWin) > 1
+// removeStale removes from g every edge of oldWin whose endpoints frWin
+// lacks. An edge in both windows stays; addFresh updates its weight.
+func (e *IncEvaluator) removeStale(g *graph.Evaluator, oldWin, frWin []edge3) {
+	hashed := len(frWin) > uvSmall && len(oldWin) > 1
+	if hashed {
+		e.uvScr.build(frWin)
+	}
+	for _, oe := range oldWin {
+		var fi int
 		if hashed {
-			e.uvScr.build(frWin)
+			fi = e.uvScr.find(oe.u, oe.v)
+		} else {
+			fi = findUV(frWin, oe.u, oe.v)
 		}
-		for _, oe := range oldWin {
-			var fi int
-			if hashed {
-				fi = e.uvScr.find(oe.u, oe.v)
-			} else {
-				fi = findUV(frWin, oe.u, oe.v)
-			}
-			if fi < 0 {
-				e.full.RemoveEdge(int(oe.u), int(oe.v))
-				if e.p1 != nil {
-					e.p1.RemoveEdge(int(oe.u), int(oe.v))
-				}
-			}
+		if fi < 0 {
+			g.RemoveEdge(int(oe.u), int(oe.v))
 		}
+	}
+}
+
+// addFresh inserts into g every edge of frWin that oldWin lacks or carries
+// at another weight (AddEdge on an existing edge updates the weight, with
+// no cycle risk). It returns the index in frWin of an insertion that would
+// close a cycle, after applying the ones before it, or -1.
+func (e *IncEvaluator) addFresh(g *graph.Evaluator, oldWin, frWin []edge3) int {
+	hashed := len(oldWin) > uvSmall && len(frWin) > 1
+	if hashed {
+		e.uvScr.build(oldWin)
+	}
+	for wi, ne := range frWin {
+		var oi int
+		if hashed {
+			oi = e.uvScr.find(ne.u, ne.v)
+		} else {
+			oi = findUV(oldWin, ne.u, ne.v)
+		}
+		if oi >= 0 && oldWin[oi].w == ne.w {
+			continue
+		}
+		if g.AddEdge(int(ne.u), int(ne.v), ne.w) != nil {
+			return wi
+		}
+	}
+	return -1
+}
+
+// applyPatches performs every staged diff on the order graph, which
+// decides feasibility: first all removals, then all insertions. The global
+// remove-before-add order matters — a new edge of one layer could
+// otherwise close a phantom cycle through a doomed old edge of another
+// layer that merely had not been removed yet.
+func (e *IncEvaluator) applyPatches() error {
+	og := e.orderGraph()
+	for i := range e.patches {
+		oldWin, frWin := e.windows(&e.patches[i])
+		e.removeStale(og, oldWin, frWin)
 	}
 	for i := range e.patches {
 		pt := &e.patches[i]
-		layer := e.layerOf(pt)
-		oldWin := (*layer)[pt.oa:pt.ob]
-		frWin := e.fresh[pt.from+pt.fa : pt.from+pt.fb]
-		hashed := len(oldWin) > uvSmall && len(frWin) > 1
-		if hashed {
-			e.uvScr.build(oldWin)
-		}
-		for wi := range frWin {
-			ne := frWin[wi]
-			var oi int
-			if hashed {
-				oi = e.uvScr.find(ne.u, ne.v)
-			} else {
-				oi = findUV(oldWin, ne.u, ne.v)
-			}
-			if oi >= 0 && oldWin[oi].w == ne.w {
-				continue
-			}
-			// Absent edge, or weight-only change (AddEdge on an existing
-			// edge updates the weight and marks, with no cycle risk).
-			if err := e.addEdgeBoth(ne); err != nil {
-				e.recordPartial(i, wi)
-				return err
-			}
+		oldWin, frWin := e.windows(pt)
+		if wi := e.addFresh(og, oldWin, frWin); wi >= 0 {
+			e.recordPartial(i, wi)
+			return ErrOrderCycle
 		}
 		// Success: the installed layer is exactly the fresh list.
-		*layer = append((*layer)[:0], e.fresh[pt.from:pt.to]...)
+		e.layers[pt.layer] = append(e.layers[pt.layer][:0], e.fresh[pt.from:pt.to]...)
 	}
 	return nil
 }
 
 // recordPartial rewrites the stored lists of the failed patch and every
 // patch after it following a mid-add cycle failure, so that each list
-// reflects exactly what is installed: the trimmed prefix/suffix, the
-// window survivors, and — for the failed layer — the window edges applied
-// before the failure. (Patches before failedIdx committed normally; later
-// patches had their removals applied but no insertions.) The caller then
-// reverts the mapping and re-runs Update with the same change set, which
-// diffs these recorded lists back to the pre-move state.
+// reflects exactly what is installed in the order graph: the trimmed
+// prefix/suffix, the window survivors, and — for the failed layer — the
+// window edges applied before the failure. (Patches before failedIdx
+// committed normally; later patches had their removals applied but no
+// insertions.) The caller then reverts the mapping and re-runs Update with
+// the same change set, which diffs these recorded lists back to the
+// pre-move state.
 func (e *IncEvaluator) recordPartial(failedIdx, added int) {
 	for i := failedIdx; i < len(e.patches); i++ {
 		pt := &e.patches[i]
-		layer := e.layerOf(pt)
-		old := *layer
-		frWin := e.fresh[pt.from+pt.fa : pt.from+pt.fb]
+		old := e.layers[pt.layer]
+		_, frWin := e.windows(pt)
 		scr := e.keepScr[:0]
-		scr = append(scr, old[:pt.oa]...)
-		for _, oe := range old[pt.oa:pt.ob] {
+		scr = append(scr, old[:pt.a]...)
+		for _, oe := range old[pt.a:pt.ob] {
 			if findUV(frWin, oe.u, oe.v) >= 0 {
 				scr = append(scr, oe)
 			}
@@ -534,34 +550,9 @@ func (e *IncEvaluator) recordPartial(failedIdx, added int) {
 				}
 			}
 		}
-		*layer = append((*layer)[:0], scr...)
+		e.layers[pt.layer] = append(old[:0], scr...)
 		e.keepScr = scr
 	}
-}
-
-// addEdgeBoth inserts one sequentialization edge into both graphs.
-//
-// Feasibility is decided by the chain-free graph: the full graph may
-// report a phantom cycle through a stale contention-chain edge (the chain
-// still follows the previous move's start times). In that case the chain
-// is dropped — finish re-derives it anyway — and the insertion retried.
-func (e *IncEvaluator) addEdgeBoth(ed edge3) error {
-	if e.p1 != nil {
-		if err := e.p1.AddEdge(int(ed.u), int(ed.v), ed.w); err != nil {
-			return ErrOrderCycle
-		}
-		if err := e.full.AddEdge(int(ed.u), int(ed.v), ed.w); err != nil {
-			e.dropChain()
-			if err := e.full.AddEdge(int(ed.u), int(ed.v), ed.w); err != nil {
-				panic(fmt.Sprintf("sched: edge (%d,%d) cyclic in chain-free full graph but acyclic in p1", ed.u, ed.v))
-			}
-		}
-		return nil
-	}
-	if err := e.full.AddEdge(int(ed.u), int(ed.v), ed.w); err != nil {
-		return ErrOrderCycle
-	}
-	return nil
 }
 
 // ---------- durations and accounting ----------
@@ -630,21 +621,9 @@ func (e *IncEvaluator) setBootDur(r int, d int64) {
 
 // ---------- the contention chain ----------
 
-// dropChain removes the whole contention chain from the full graph.
-func (e *IncEvaluator) dropChain() {
-	for _, a := range e.busNodes {
-		if nx := e.busNext[a]; nx >= 0 {
-			e.full.RemoveEdge(int(a), int(nx))
-			e.busNext[a] = -1
-		}
-	}
-	e.busNodes = e.busNodes[:0]
-}
-
-// finish flushes the pending patches, re-derives the bus contention chain
-// from the chain-free start times (patching only the edges whose order
-// changed) and assembles the Result. A stop hook that cuts at the
-// chain-free bound skips everything after the chain-free flush.
+// finish flushes the pending patches, brings the full graph up to date
+// and assembles the Result. A stop hook that cuts at the chain-free bound
+// skips everything after the chain-free flush.
 func (e *IncEvaluator) finish(stop func(lb Result) bool) (Result, error) {
 	if e.p1 == nil {
 		return e.result(e.full.Flush()), nil
@@ -652,26 +631,78 @@ func (e *IncEvaluator) finish(stop func(lb Result) bool) (Result, error) {
 	if lb := e.p1.Flush(); stop != nil && stop(e.result(lb)) {
 		return Result{}, ErrCut
 	}
+	e.syncFull()
+	return e.result(e.full.Flush()), nil
+}
+
+// syncFull makes the full graph p1's graph plus the contention chain: the
+// cross-resource flows in chain-free start order. It diffs the full copy
+// of every lagging layer against p1's list and the installed chain
+// against the freshly sorted cross list, and applies every removal before
+// any insertion. A cross list of fewer than two members has no chain
+// edges.
+//
+// No insertion can close a cycle. After the removals the full graph is a
+// subgraph of the target, and the target is acyclic: p1 is, and chain
+// edges follow the chain-free start order. Around any would-be cycle the
+// chain-free starts must be non-decreasing, hence all equal, which forces
+// every p1 edge on it to leave a zero-duration node and every chain edge
+// to leave a positive-duration one — so the cycle would consist of chain
+// edges alone, and the chain is a simple path. A failed insertion is
+// therefore a bug.
+func (e *IncEvaluator) syncFull() {
+	for _, l := range e.lagging {
+		old, fr := e.fullLayers[l], e.layers[l]
+		a, ob, fb := trim(old, fr)
+		e.removeStale(e.full, old[a:ob], fr[a:fb])
+	}
 	if e.crossDead > 0 {
 		w := 0
 		for _, n := range e.crossIdx {
 			if e.crossState[int(n)-e.nTasks] == crossLive {
 				e.crossIdx[w] = n
 				w++
-			} else {
-				e.crossState[int(n)-e.nTasks] = crossAbsent
+				continue
+			}
+			e.crossState[int(n)-e.nTasks] = crossAbsent
+			if nx := e.busNext[n]; nx >= 0 {
+				e.full.RemoveEdge(int(n), int(nx))
+				e.busNext[n] = -1
 			}
 		}
 		e.crossIdx = e.crossIdx[:w]
 		e.crossDead = 0
 	}
-	if len(e.crossIdx) > 1 {
-		e.sortCrossByStart()
-		e.patchChain()
-	} else {
-		e.dropChain()
+	e.sortCrossByStart()
+	for i, a := range e.crossIdx {
+		nx := int32(-1)
+		if i+1 < len(e.crossIdx) {
+			nx = e.crossIdx[i+1]
+		}
+		if old := e.busNext[a]; old >= 0 && old != nx {
+			e.full.RemoveEdge(int(a), int(old))
+			e.busNext[a] = -1
+		}
 	}
-	return e.result(e.full.Flush()), nil
+	for _, l := range e.lagging {
+		old, fr := e.fullLayers[l], e.layers[l]
+		a, ob, fb := trim(old, fr)
+		if wi := e.addFresh(e.full, old[a:ob], fr[a:fb]); wi >= 0 {
+			panic(fmt.Sprintf("sched: layer edge (%d,%d) cyclic in the full graph but acyclic in p1", fr[a+wi].u, fr[a+wi].v))
+		}
+		e.fullLayers[l] = append(old[:0], fr...)
+		e.lags[l] = false
+	}
+	e.lagging = e.lagging[:0]
+	for i := 0; i+1 < len(e.crossIdx); i++ {
+		a, b := e.crossIdx[i], e.crossIdx[i+1]
+		if e.busNext[a] != b {
+			if err := e.full.AddEdge(int(a), int(b), 0); err != nil {
+				panic(fmt.Sprintf("sched: contention chain edge (%d,%d) created a cycle", a, b))
+			}
+			e.busNext[a] = b
+		}
+	}
 }
 
 // result assembles a Result around makespan mk from the maintained sums.
@@ -685,39 +716,6 @@ func (e *IncEvaluator) result(mk int64) Result {
 		ComputeHW:       model.Time(e.sumHW),
 		Contexts:        e.sumCtx,
 	}
-}
-
-// patchChain diffs the installed contention chain against the freshly
-// sorted crossIdx and applies only the changed edges to the full graph.
-// Chain edges follow the chain-free start order, so insertion can never
-// close a cycle: around any would-be cycle the chain-free starts must be
-// non-decreasing, hence all equal, which forces every graph edge on it to
-// leave a zero-duration node and every chain edge to leave a positive-
-// duration one — so the cycle would consist of chain edges alone, and the
-// chain is a simple path.
-func (e *IncEvaluator) patchChain() {
-	for i := 0; i+1 < len(e.crossIdx); i++ {
-		e.newNext[e.crossIdx[i]] = e.crossIdx[i+1]
-	}
-	// Remove members whose successor changed or vanished.
-	for _, a := range e.busNodes {
-		if old := e.busNext[a]; old >= 0 && e.newNext[a] != old {
-			e.full.RemoveEdge(int(a), int(old))
-			e.busNext[a] = -1
-		}
-	}
-	// Add the missing links and reset the scratch.
-	for i := 0; i+1 < len(e.crossIdx); i++ {
-		a, b := e.crossIdx[i], e.crossIdx[i+1]
-		if e.busNext[a] != b {
-			if err := e.full.AddEdge(int(a), int(b), 0); err != nil {
-				panic(fmt.Sprintf("sched: contention chain edge (%d,%d) created a cycle", a, b))
-			}
-			e.busNext[a] = b
-		}
-		e.newNext[a] = -1
-	}
-	e.busNodes = append(e.busNodes[:0], e.crossIdx...)
 }
 
 // sortCrossByStart insertion-sorts the cross-resource flow nodes by
