@@ -2,7 +2,7 @@
 # these targets so local runs and CI runs cannot drift apart.
 
 GO ?= go
-BENCH_JSON ?= BENCH_PR20.json
+BENCH_JSON ?= BENCH_PR21.json
 BENCH_MICRO_JSON ?= BENCH_MICRO.json
 BENCH_BASELINE ?= bench/BENCH_BASELINE.json
 BENCH_THRESHOLD ?= 0.20
@@ -31,9 +31,10 @@ race:
 	$(GO) test -race ./...
 
 # Cross-path oracle smoke: 30 s of FuzzEvalPathEquivalence, which replays
-# random annealing runs through the full rebuild (which never cuts a move
-# short) and the incremental path (which cuts rejected moves at their
-# chain-free bound) and requires bit-identical traces, results and fronts.
+# random annealing runs through the full rebuild (run without its stop
+# hook, so no move is cut short) and the incremental path (which cuts
+# rejected moves at their chain-free bound) and requires bit-identical
+# traces, results and fronts.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEvalPathEquivalence -fuzztime 30s ./internal/core
 

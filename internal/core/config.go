@@ -158,8 +158,10 @@ type Config struct {
 	EvalMode EvalMode
 	// Paranoid re-validates every mapping mutation against
 	// sched.CheckMapping — and, in incremental mode, cross-checks every
-	// incremental evaluation against a full rebuild; used by the test
-	// suite to catch state corruption, far too slow for production runs.
+	// incremental evaluation against a full rebuild; every cut move and
+	// every refused placement is confirmed by a full rebuild too. Used by
+	// the test suite to catch state corruption, far too slow for
+	// production runs.
 	Paranoid bool
 	// Objective overrides the scalarization of the multi-criteria cost.
 	// nil selects the paper's cost for the mode — objective.FixedArch()

@@ -87,9 +87,10 @@ func TestParanoidRandomApps(t *testing.T) {
 	// evaluation paths, half the runs with a front. Paranoid mode panics
 	// on any mapping corruption, on an incremental evaluation a full
 	// rebuild contradicts, on a move cut at a bound that its exact cost or
-	// the front does not respect, and on a skipped no-op reorder whose
-	// evaluation is not the current one.
-	var cuts, noops int64
+	// the front does not respect, on a skipped no-op reorder whose
+	// evaluation is not the current one, and on a refused placement that a
+	// full rebuild finds acyclic.
+	var cuts, fullCuts, noops, refusals int64
 	for seed := int64(0); seed < 4; seed++ {
 		rcfg := apps.DefaultRandomConfig()
 		rcfg.Tasks = 25
@@ -117,10 +118,15 @@ func TestParanoidRandomApps(t *testing.T) {
 			}
 			cuts += e.cuts
 			noops += e.noops
+			refusals += e.refusals
+			if mode == EvalFull {
+				fullCuts += e.cuts
+			}
 		}
 	}
-	if cuts == 0 || noops == 0 {
-		t.Fatalf("the shortcuts went unchecked: %d cuts, %d no-op reorders", cuts, noops)
+	if cuts == 0 || fullCuts == 0 || noops == 0 || refusals == 0 {
+		t.Fatalf("the shortcuts went unchecked: %d cuts (%d on the full path), %d no-op reorders, %d refusals",
+			cuts, fullCuts, noops, refusals)
 	}
 }
 

@@ -18,6 +18,9 @@ type equivTracePoint struct {
 	moveKind int
 }
 
+// runWithMode runs one Explore on the given path with a trace tap. The
+// full path runs without its stop hook: it evaluates every move in full,
+// the exact reference that the incremental path's cuts must reproduce.
 func runWithMode(t *testing.T, app *model.App, arch *model.Arch, cfg Config, mode EvalMode) (*Result, []equivTracePoint) {
 	t.Helper()
 	cfg.EvalMode = mode
@@ -30,7 +33,14 @@ func runWithMode(t *testing.T, app *model.App, arch *model.Arch, cfg Config, mod
 			moveKind: p.MoveKind,
 		})
 	}
-	res, err := Explore(app, arch, cfg)
+	e, err := New(app, arch, cfg)
+	if err != nil {
+		t.Fatalf("mode %v: %v", mode, err)
+	}
+	if mode == EvalFull {
+		e.stop = nil
+	}
+	res, err := e.Run()
 	if err != nil {
 		t.Fatalf("mode %v: %v", mode, err)
 	}

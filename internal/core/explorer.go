@@ -26,7 +26,9 @@ type Explorer struct {
 	inc  *sched.IncEvaluator
 	// precReach is the transitive closure of the (static) precedence
 	// graph, used as the O(1) legality pre-check of Section 4.3 before the
-	// full cycle detection performed by evaluation.
+	// full cycle detection performed by evaluation: on m1 reorders and
+	// context swaps when they are drawn, on m2/m3 placements when they
+	// are made (closesCycle).
 	precReach *graph.Closure
 
 	// topoPos[t] is task t's rank in a fixed topological order of the
@@ -42,16 +44,17 @@ type Explorer struct {
 	scal     objective.Scalarizer
 	needsMap bool
 
-	// stop is the incremental evaluator's stop hook (cutOnBound), nil when
-	// the cost could decrease as the makespan grows, so that the
-	// chain-free makespan would bound nothing. gate is the Metropolis gate
-	// of the move in flight (nil: never cut) and cutCost the cost of the
-	// bound a move was last cut at. cuts and noops count the moves cut at
-	// their bound and the no-op reorders that skipped evaluation.
-	stop        func(sched.Result) bool
-	gate        *anneal.Gate
-	cutCost     float64
-	cuts, noops int64
+	// stop is the evaluators' stop hook (cutOnBound), nil when the cost
+	// could decrease as the makespan grows, so that the chain-free
+	// makespan would bound nothing. gate is the Metropolis gate of the
+	// move in flight (nil: never cut) and cutCost the cost of the bound a
+	// move was last cut at. cuts, noops and refusals count the moves cut
+	// at their bound, the no-op reorders that skipped evaluation and the
+	// placements closesCycle refused.
+	stop                  func(sched.Result) bool
+	gate                  *anneal.Gate
+	cutCost               float64
+	cuts, noops, refusals int64
 
 	// front is the in-run Pareto archive (nil when disabled); frontCoords
 	// is its reusable projection buffer and frontTick the offer sequence.

@@ -13,9 +13,10 @@ import (
 // graph, random knob settings, random seed, random speculative-batch
 // width, all drawn from the fuzz input — through both evaluation paths and
 // requires bit-identical traces, results and in-run fronts. The full path
-// evaluates every move in full, while the incremental path cuts rejected
-// moves short at their chain-free bound, so this is also the oracle of
-// those cuts (with and without a front to offer to). Run with
+// runs without its stop hook and evaluates every move in full, while the
+// incremental path cuts rejected moves short at their chain-free bound,
+// so this is also the oracle of those cuts (with and without a front to
+// offer to). Run with
 //
 //	go test -fuzz=FuzzEvalPathEquivalence ./internal/core
 //

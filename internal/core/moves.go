@@ -12,10 +12,11 @@ import (
 
 // move is the single reusable anneal.Move of an explorer. Propose fills in
 // kind and parameters; Apply journals and performs the mutation, then
-// re-evaluates the search graph through the configured path — an evaluation
-// cycle (contradictory orders) makes the move infeasible and rolls the
-// journal back, realizing the "a move will not be performed if a cycle
-// appears" rule of Section 4.3. Revert replays the journal.
+// re-evaluates the search graph through the configured path — a cycle
+// (contradictory orders), found by the placement check or by the
+// evaluation, makes the move infeasible and rolls the journal back,
+// realizing the "a move will not be performed if a cycle appears" rule of
+// Section 4.3. Revert replays the journal.
 type move struct {
 	e    *Explorer
 	kind int
@@ -41,11 +42,13 @@ func (m *move) Kind() int { return m.kind }
 // evaluator eagerly — their stale layers simply ride along with the next
 // evaluated move, which makes Revert O(journal) with no graph work at all.
 //
-// Two shortcuts keep the trajectory exact. An m1 reorder that would put
-// its task back where it sits is not performed: its evaluation is the
-// current one. And on the incremental path the gate sees the chain-free
-// bound before the contention pass; a move it rejects there is left
-// unfinished and reverted unread (DESIGN.md §3.5).
+// Three shortcuts keep the trajectory exact. An m1 reorder that would
+// put its task back where it sits is not performed: its evaluation is the
+// current one. A reassignment whose placement orders its task against its
+// own precedence is refused before any evaluation (doReassignTo). And on
+// both paths the gate sees the chain-free bound before the contention
+// pass; a move it rejects there is left unfinished and reverted unread
+// (DESIGN.md §3.5).
 func (m *move) Apply(g *anneal.Gate) bool {
 	e := m.e
 	e.journal.reset()
@@ -76,41 +79,36 @@ func (m *move) Apply(g *anneal.Gate) bool {
 		res sched.Result
 		err error
 	)
+	e.gate = g
 	if e.inc != nil {
-		e.gate = g
 		res, err = e.inc.Update(e.cur, e.cs, e.stop)
-		if err == sched.ErrCut {
-			// The layers are installed, so the change set is consumed;
-			// Revert re-marks them like any rejected move's.
-			e.cs.Reset()
-			e.cuts++
-			if e.cfg.Paranoid {
-				e.checkCut(g)
-			}
-			if e.front != nil && !e.speculating {
-				// The bound point was covered, so the exact point's
-				// offer would have been refused; it still takes its ID.
-				e.frontTick++
-			}
-			return true
-		}
-		if err != nil {
-			// The move closed a cycle: restore the mapping and leave the
-			// partially patched layers recorded in the change set; the
-			// next update re-derives them from the restored state.
-			e.rollback()
-			e.stateTick = m.prevTick
-			return false
-		}
-		e.cs.Reset()
 	} else {
-		res, err = e.fullEval().Evaluate(e.cur)
-		if err != nil {
-			e.rollback()
-			e.stateTick = m.prevTick
-			return false
-		}
+		res, err = e.fullEval().EvaluateStop(e.cur, e.stop)
 	}
+	switch {
+	case err == sched.ErrCut:
+		// On the incremental path the layers are installed, so the change
+		// set is consumed; Revert re-marks them like any rejected move's.
+		e.cs.Reset()
+		e.cuts++
+		if e.cfg.Paranoid {
+			e.checkCut(g)
+		}
+		if e.front != nil && !e.speculating {
+			// The bound point was covered, so the exact point's offer
+			// would have been refused; it still takes its ID.
+			e.frontTick++
+		}
+		return true
+	case err != nil:
+		// The move closed a cycle: restore the mapping and leave the
+		// partially patched layers recorded in the change set; the next
+		// update re-derives them from the restored state.
+		e.rollback()
+		e.stateTick = m.prevTick
+		return false
+	}
+	e.cs.Reset()
 	if e.cfg.Paranoid {
 		if e.inc == nil {
 			e.checkMapping(fmt.Sprintf("move kind %d", m.kind))
@@ -137,10 +135,10 @@ func (m *move) noop() bool {
 	return i >= 0 && i+1 < len(order) && order[i+1] == m.c
 }
 
-// cutOnBound is the incremental evaluator's stop hook. lb is the applied
-// mapping's chain-free evaluation, exact but for a makespan that can only
-// grow, and the cost cannot decrease as the makespan grows (New checks
-// the scalarizer), so costOf(lb) bounds the move's cost from below. It
+// cutOnBound is the evaluators' stop hook. lb is the applied mapping's
+// chain-free evaluation, exact but for a makespan that can only grow, and
+// the cost cannot decrease as the makespan grows (New checks the
+// scalarizer), so costOf(lb) bounds the move's cost from below. It
 // cuts when the gate rejects that bound and — for a serial move, which
 // offers every evaluation to the front — when the front covers the bound
 // point, so that the exact point's offer would have been refused too.
@@ -182,6 +180,15 @@ func (e *Explorer) rebuild(what string) sched.Result {
 func (e *Explorer) checkEval(what string, res sched.Result) {
 	if full := e.rebuild(what); full != res {
 		panic(fmt.Sprintf("core: %s diverged from a full rebuild: got %+v, full %+v", what, res, full))
+	}
+}
+
+// checkRefusal is the Paranoid check of a placement doReassignTo
+// refused: a full rebuild of the mapping as placed must find the cycle.
+func (e *Explorer) checkRefusal(t int) {
+	e.checkMapping("a refused placement")
+	if _, err := e.fullEval().Evaluate(e.cur); err != sched.ErrOrderCycle {
+		panic(fmt.Sprintf("core: refused the placement %+v of task %d, but a full rebuild finds no cycle (%v)", e.cur.Assign[t], t, err))
 	}
 }
 
@@ -704,7 +711,9 @@ func (e *Explorer) doReorder(p, vs, vd int) bool {
 // doReassignTo realizes m2/m3: detach vs from its resource and attach it to
 // the destination resource. Detaching may delete vs's emptied context,
 // shifting later context indices of the same RC, so the destination index
-// is adjusted first.
+// is adjusted first. A placement that closes a cycle on its own resource
+// (closesCycle) is refused: the move fails as the evaluation's cycle
+// detection would have failed it, without the evaluation.
 func (e *Explorer) doReassignTo(vs int, kind model.ResourceKind, res, ctx, before int) bool {
 	pl := e.cur.Assign[vs]
 	if kind == model.KindRC && pl.Kind == model.KindRC && pl.Res == res && ctx >= 0 &&
@@ -723,11 +732,60 @@ func (e *Explorer) doReassignTo(vs int, kind model.ResourceKind, res, ctx, befor
 			return false
 		}
 		e.attachSWBefore(vs, res, before)
-		return true
 	case model.KindRC:
-		return e.attachCtx(vs, res, ctx)
+		if !e.attachCtx(vs, res, ctx) {
+			return false
+		}
 	case model.KindASIC:
 		return e.attachASIC(vs, res)
+	default:
+		return false
+	}
+	if e.closesCycle(vs) {
+		e.refusals++
+		if e.cfg.Paranoid {
+			e.checkRefusal(vs)
+		}
+		return false
+	}
+	return true
+}
+
+// closesCycle is the legality check of Section 4.3 for task t just placed
+// on a processor or an RC, on the precedence closure. The resource orders
+// every task before t's position (on a processor) or in an earlier
+// context (on an RC) ahead of t, and t ahead of every task after it: the
+// processor chain links consecutive tasks, and each context's terminal
+// tasks precede every initial task of the next, while every task of a
+// context reaches one of its terminals and is reached from one of its
+// initials. So a precedence descendant of t among the tasks before it, or
+// an ancestor among the tasks after it, closes a cycle. Cycles that pass
+// through another resource are left to the evaluation.
+func (e *Explorer) closesCycle(t int) bool {
+	pl := e.cur.Assign[t]
+	reach := e.precReach
+	switch pl.Kind {
+	case model.KindProcessor:
+		order := e.cur.SWOrders[pl.Res]
+		i := indexOf(order, t)
+		for _, y := range order[:i] {
+			if reach.Reaches(t, y) {
+				return true
+			}
+		}
+		for _, y := range order[i+1:] {
+			if reach.Reaches(y, t) {
+				return true
+			}
+		}
+	case model.KindRC:
+		for ci, c := range e.cur.Contexts[pl.Res] {
+			for _, y := range c.Tasks {
+				if ci < pl.Ctx && reach.Reaches(t, y) || ci > pl.Ctx && reach.Reaches(y, t) {
+					return true
+				}
+			}
+		}
 	}
 	return false
 }

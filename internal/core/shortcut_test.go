@@ -12,12 +12,12 @@ import (
 
 // shortcutRun is everything a run decides, for comparing two runs.
 type shortcutRun struct {
-	trace       []core.TracePoint
-	res         *core.Result
-	cuts, noops int64
+	trace  []core.TracePoint
+	res    *core.Result
+	counts core.Counts
 }
 
-func runCounting(t *testing.T, name string, cfg core.Config) shortcutRun {
+func runCounting(t *testing.T, name string, cfg core.Config, noHook bool) shortcutRun {
 	t.Helper()
 	sc, ok := scenario.Lookup(name)
 	if !ok {
@@ -29,18 +29,41 @@ func runCounting(t *testing.T, name string, cfg core.Config) shortcutRun {
 	}
 	var out shortcutRun
 	cfg.Trace = func(p core.TracePoint) { out.trace = append(out.trace, p) }
-	out.res, out.cuts, out.noops, err = core.ExploreCounting(app, arch, cfg)
+	out.res, out.counts, err = core.ExploreCounting(app, arch, cfg, noHook)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return out
 }
 
+// sameRun fails unless two runs decided exactly the same: every trace
+// point, the statistics, the best evaluation and the front with its offer
+// IDs.
+func sameRun(t *testing.T, name string, a, b shortcutRun) {
+	t.Helper()
+	if len(a.trace) != len(b.trace) {
+		t.Fatalf("%s: trace lengths differ: %d vs %d", name, len(a.trace), len(b.trace))
+	}
+	for i := range a.trace {
+		if a.trace[i] != b.trace[i] {
+			t.Fatalf("%s: traces diverge at %d:\n  %+v\n  %+v", name, i, a.trace[i], b.trace[i])
+		}
+	}
+	if a.res.Stats != b.res.Stats || a.res.MoveStats != b.res.MoveStats || a.res.BestEval != b.res.BestEval {
+		t.Fatalf("%s: results differ:\n  %+v %+v %+v\n  %+v %+v %+v", name,
+			a.res.Stats, a.res.MoveStats, a.res.BestEval, b.res.Stats, b.res.MoveStats, b.res.BestEval)
+	}
+	if pa, pb := a.res.Front.Points(), b.res.Front.Points(); !reflect.DeepEqual(pa, pb) {
+		t.Fatalf("%s: fronts differ:\n  %+v\n  %+v", name, pa, pb)
+	}
+}
+
 // TestShortcutsKeepTheTrajectory: on layered-large, serial and at batch
-// 8, the incremental path cuts moves at their chain-free bound and the
-// explorer skips no-op reorders — and the run still decides exactly what
-// the full path, which never cuts, decides: every trace point, the
-// statistics, the best evaluation and the front with its offer IDs.
+// 8, both evaluation paths cut moves at their chain-free bound, skip
+// no-op reorders and refuse placements that close a cycle on their own
+// resource — and each path's run still decides exactly what the same path
+// decides with its stop hook removed, which evaluates every move in full.
+// Both paths cut the same moves, and the two paths' runs are identical.
 func TestShortcutsKeepTheTrajectory(t *testing.T) {
 	sc, _ := scenario.Lookup("layered-large")
 	for _, batch := range []int{0, 8} {
@@ -48,34 +71,31 @@ func TestShortcutsKeepTheTrajectory(t *testing.T) {
 		cfg.Seed = 3
 		cfg.Batch = batch
 		cfg.FrontMetrics = []objective.Metric{objective.HWArea, objective.Makespan}
-		cfg.EvalMode = core.EvalIncremental
-		inc := runCounting(t, "layered-large", cfg)
-		cfg.EvalMode = core.EvalFull
-		full := runCounting(t, "layered-large", cfg)
-
-		name := fmt.Sprintf("layered-large/batch%d", batch)
-		evals := inc.res.Stats.Accepted + inc.res.Stats.Rejected
-		t.Logf("%s: %d of %d feasible evaluations cut, %d no-op reorders skipped", name, inc.cuts, evals, inc.noops)
-		if inc.cuts == 0 || inc.noops == 0 {
-			t.Fatalf("%s: shortcuts never taken: %d cuts, %d no-ops", name, inc.cuts, inc.noops)
-		}
-		if full.cuts != 0 {
-			t.Fatalf("%s: the full path cut %d moves", name, full.cuts)
-		}
-		if len(inc.trace) != len(full.trace) {
-			t.Fatalf("%s: trace lengths differ: %d vs %d", name, len(inc.trace), len(full.trace))
-		}
-		for i := range inc.trace {
-			if inc.trace[i] != full.trace[i] {
-				t.Fatalf("%s: traces diverge at %d:\n  incremental %+v\n  full        %+v", name, i, inc.trace[i], full.trace[i])
+		var runs [2]shortcutRun
+		for i, path := range []struct {
+			name string
+			mode core.EvalMode
+		}{{"incremental", core.EvalIncremental}, {"full", core.EvalFull}} {
+			cfg.EvalMode = path.mode
+			cut := runCounting(t, "layered-large", cfg, false)
+			exact := runCounting(t, "layered-large", cfg, true)
+			name := fmt.Sprintf("layered-large/batch%d/%s", batch, path.name)
+			evals := cut.res.Stats.Accepted + cut.res.Stats.Rejected
+			t.Logf("%s: %d of %d feasible evaluations cut, %d no-op reorders skipped, %d placements refused",
+				name, cut.counts.Cuts, evals, cut.counts.Noops, cut.counts.Refusals)
+			if cut.counts.Cuts == 0 || cut.counts.Noops == 0 || cut.counts.Refusals == 0 {
+				t.Fatalf("%s: shortcuts never taken: %+v", name, cut.counts)
 			}
+			if exact.counts.Cuts != 0 {
+				t.Fatalf("%s: %d moves cut without a stop hook", name, exact.counts.Cuts)
+			}
+			sameRun(t, name+" without its hook", cut, exact)
+			runs[i] = cut
 		}
-		if inc.res.Stats != full.res.Stats || inc.res.MoveStats != full.res.MoveStats || inc.res.BestEval != full.res.BestEval {
-			t.Fatalf("%s: results differ:\n  incremental %+v %+v %+v\n  full        %+v %+v %+v", name,
-				inc.res.Stats, inc.res.MoveStats, inc.res.BestEval, full.res.Stats, full.res.MoveStats, full.res.BestEval)
+		name := fmt.Sprintf("layered-large/batch%d", batch)
+		if inc, full := runs[0].counts, runs[1].counts; inc != full {
+			t.Fatalf("%s: the paths took different shortcuts: incremental %+v, full %+v", name, inc, full)
 		}
-		if a, b := inc.res.Front.Points(), full.res.Front.Points(); !reflect.DeepEqual(a, b) {
-			t.Fatalf("%s: fronts differ:\n  incremental %+v\n  full        %+v", name, a, b)
-		}
+		sameRun(t, name+" incremental vs full", runs[0], runs[1])
 	}
 }

@@ -104,6 +104,17 @@ func DecodeOutcome(b []byte) (*Outcome, error) {
 	if err := json.Unmarshal(b, &w); err != nil {
 		return nil, fmt.Errorf("runner: decoding outcome: %w", err)
 	}
+	// The encoder omits an empty counter map or arm list, so they decode
+	// as absent: a decoded outcome then survives a round trip unchanged.
+	if len(w.MoveProposed) == 0 {
+		w.MoveProposed = nil
+	}
+	if len(w.MoveAccepted) == 0 {
+		w.MoveAccepted = nil
+	}
+	if w.Sched != nil && len(w.Sched.Arms) == 0 {
+		w.Sched.Arms = nil
+	}
 	o := &Outcome{
 		Best:         w.Best,
 		Eval:         w.Eval,

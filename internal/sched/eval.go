@@ -10,6 +10,10 @@ import (
 // application's precedence constraints (the search graph has a cycle).
 var ErrOrderCycle = errors.New("sched: mapping orders contradict precedence (cycle in search graph)")
 
+// ErrCut reports that an evaluation's stop hook rejected the move on its
+// chain-free bound, so the evaluation was left unfinished.
+var ErrCut = errors.New("sched: evaluation cut at the chain-free bound")
+
 // Result summarizes one evaluation. All fields are totals over the whole
 // solution; Makespan is the longest path of the search graph — the system
 // execution time the paper optimizes.
@@ -195,7 +199,15 @@ func (e *Evaluator) ctxCLBs(m *Mapping, r, ci int) int64 {
 // Evaluate builds the search graph of mapping m and returns its evaluation.
 // The mapping must satisfy CheckMapping; contradictory orders yield
 // ErrOrderCycle.
-func (e *Evaluator) Evaluate(m *Mapping) (Result, error) {
+func (e *Evaluator) Evaluate(m *Mapping) (Result, error) { return e.EvaluateStop(m, nil) }
+
+// EvaluateStop is Evaluate with IncEvaluator.Update's stop hook: on a bus
+// with contention, stop is offered the chain-free evaluation after pass 1
+// — every field exact except Makespan, a lower bound, since pass 2 only
+// delays starts — and when it returns true EvaluateStop returns ErrCut
+// before the contention sort and the chain relaxation. A nil stop
+// evaluates exactly.
+func (e *Evaluator) EvaluateStop(m *Mapping, stop func(lb Result) bool) (Result, error) {
 	var res Result
 
 	// Reset every CSR row to its static prefix, the start times to zero and
@@ -301,6 +313,7 @@ func (e *Evaluator) Evaluate(m *Mapping) (Result, error) {
 	if !ok {
 		return res, ErrOrderCycle
 	}
+	res.Makespan = model.Time(mk)
 
 	// Pass 2: serialize bus transactions in data-ready order (a total order
 	// consistent with the data-ready times, ties broken by flow index) and
@@ -310,6 +323,9 @@ func (e *Evaluator) Evaluate(m *Mapping) (Result, error) {
 	// reaches the same fixed point as a full re-evaluation — without paying
 	// for a second Kahn pass over the whole graph.
 	if e.arch.Bus.Contention {
+		if stop != nil && stop(res) {
+			return Result{}, ErrCut
+		}
 		e.crossIdx = e.crossIdx[:0]
 		for k := 0; k < e.nFlows; k++ {
 			cn := e.nTasks + k

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/graph"
@@ -99,9 +98,10 @@ type IncEvaluator struct {
 	sumCtx                                 int
 
 	// crossIdx is the persistent list of cross-resource flow nodes (comm
-	// duration > 0), kept in its last sorted order across moves so the
-	// per-move re-sort is a nearly-linear insertion pass instead of a full
-	// sort from node-id order. crossState tracks membership per flow
+	// duration > 0) on a contention bus, kept in its last sorted order
+	// across moves so the per-move re-sort is a nearly-linear insertion
+	// pass instead of a full sort from node-id order. Without contention
+	// it and crossState stay nil. crossState tracks membership per flow
 	// (crossAbsent/crossLive/crossStale); removals are lazy — syncFull
 	// compacts the list when crossDead counts any stale entries. The list
 	// is never cleared wholesale: a member leaves it only through
@@ -154,18 +154,17 @@ func NewIncEvaluator(app *model.App, arch *model.Arch) (*IncEvaluator, error) {
 	}
 	nLayers := len(arch.Processors) + len(arch.RCs)
 	e := &IncEvaluator{
-		shape:      s,
-		full:       full,
-		layers:     make([][]edge3, nLayers),
-		busNext:    make([]int32, s.v),
-		taskDurV:   make([]int64, s.nTasks),
-		taskIsHW:   make([]bool, s.nTasks),
-		flowDurV:   make([]int64, s.nFlows),
-		crossState: make([]int8, s.nFlows),
-		clbOf:      make([]int32, s.nTasks),
-		rcInit:     make([]int64, len(arch.RCs)),
-		rcDyn:      make([]int64, len(arch.RCs)),
-		rcCtx:      make([]int32, len(arch.RCs)),
+		shape:    s,
+		full:     full,
+		layers:   make([][]edge3, nLayers),
+		busNext:  make([]int32, s.v),
+		taskDurV: make([]int64, s.nTasks),
+		taskIsHW: make([]bool, s.nTasks),
+		flowDurV: make([]int64, s.nFlows),
+		clbOf:    make([]int32, s.nTasks),
+		rcInit:   make([]int64, len(arch.RCs)),
+		rcDyn:    make([]int64, len(arch.RCs)),
+		rcCtx:    make([]int32, len(arch.RCs)),
 	}
 	for i := range e.busNext {
 		e.busNext[i] = -1
@@ -176,6 +175,7 @@ func NewIncEvaluator(app *model.App, arch *model.Arch) (*IncEvaluator, error) {
 		}
 		e.fullLayers = make([][]edge3, nLayers)
 		e.lags = make([]bool, nLayers)
+		e.crossState = make([]int8, s.nFlows)
 	}
 	return e, nil
 }
@@ -222,10 +222,6 @@ func (e *IncEvaluator) Install(m *Mapping) (Result, error) {
 	e.installed = true
 	return e.finish(nil)
 }
-
-// ErrCut reports that Update's stop hook rejected the move on its
-// chain-free bound, so the evaluation was left unfinished.
-var ErrCut = errors.New("sched: evaluation cut at the chain-free bound")
 
 // Update re-derives the layers named by the change set from mapping m and
 // returns the fresh evaluation. On ErrOrderCycle only the order graph
@@ -586,14 +582,21 @@ func (e *IncEvaluator) updateTask(m *Mapping, t int) {
 	}
 }
 
-// updateFlow refreshes flow k's communication duration and the flow's
-// membership in the persistent cross-resource list. A flow can be refreshed
-// twice in one Update (both endpoints in the change set); the state machine
-// makes the second refresh a no-op instead of a duplicate entry.
+// updateFlow refreshes flow k's communication duration and, on a bus with
+// contention, the flow's membership in the persistent cross-resource
+// list. A flow can be refreshed twice in one Update (both endpoints in the
+// change set); the state machine makes the second refresh a no-op instead
+// of a duplicate entry.
 func (e *IncEvaluator) updateFlow(m *Mapping, k int) {
 	d := e.flowDur(m, k)
 	e.sumComm += d - e.flowDurV[k]
 	e.flowDurV[k] = d
+	e.full.SetDur(e.nTasks+k, d)
+	if e.p1 == nil {
+		// Without contention there is no chain to keep the list for.
+		return
+	}
+	e.p1.SetDur(e.nTasks+k, d)
 	switch cross := d > 0; {
 	case cross && e.crossState[k] == crossAbsent:
 		e.crossState[k] = crossLive
@@ -604,10 +607,6 @@ func (e *IncEvaluator) updateFlow(m *Mapping, k int) {
 	case !cross && e.crossState[k] == crossLive:
 		e.crossState[k] = crossStale
 		e.crossDead++
-	}
-	e.full.SetDur(e.nTasks+k, d)
-	if e.p1 != nil {
-		e.p1.SetDur(e.nTasks+k, d)
 	}
 }
 

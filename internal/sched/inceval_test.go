@@ -16,9 +16,11 @@ import (
 // cut at its chain-free bound, so the next exact update must catch the
 // full graph up from the state a cut leaves behind; every 25th mapping is
 // seated with Install instead, as the run recycler re-seats a used
-// evaluator. The fork instance covers contention chains of zero, one and
-// two members; the four large corpus instances run with contention on and
-// off.
+// evaluator. The full rebuild offers its own stop hook the same bound, on
+// a contention bus only, and after one of its own cuts in every five it
+// must still be exact. The fork instance covers contention chains of zero,
+// one and two members; the four large corpus instances run with
+// contention on and off.
 func TestIncUpdateMatchesEvaluate(t *testing.T) {
 	type instance struct {
 		name string
@@ -79,17 +81,26 @@ func TestIncUpdateMatchesEvaluate(t *testing.T) {
 			for r := range in.arch.RCs {
 				cs.AddRC(r)
 			}
-			want, err := ref.Evaluate(m)
+			if in.arch.Bus.Contention && i%5 == 2 {
+				if _, err := ref.EvaluateStop(m, func(sched.Result) bool { return true }); err != sched.ErrCut {
+					t.Fatalf("%s update %d: a full-path cut returned %v", in.name, i, err)
+				}
+			}
+			var fullLB *sched.Result
+			want, err := ref.EvaluateStop(m, func(lb sched.Result) bool { fullLB = &lb; return false })
 			if err != nil {
 				t.Fatal(err)
+			}
+			if (fullLB != nil) != in.arch.Bus.Contention {
+				t.Fatalf("%s contention=%v update %d: the full path offered its hook %v", in.name, in.arch.Bus.Contention, i, fullLB)
 			}
 			var stop func(sched.Result) bool
 			if in.arch.Bus.Contention && i%5 == 4 {
 				stop = func(lb sched.Result) bool {
 					exact := lb
 					exact.Makespan = want.Makespan
-					if lb.Makespan > want.Makespan || exact != want {
-						t.Errorf("%s update %d: chain-free bound %+v does not bound %+v", in.name, i, lb, want)
+					if lb.Makespan > want.Makespan || exact != want || lb != *fullLB {
+						t.Errorf("%s update %d: chain-free bound %+v does not bound %+v or differs from the full path's %+v", in.name, i, lb, want, *fullLB)
 					}
 					return true
 				}
