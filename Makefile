@@ -30,13 +30,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Cross-path oracle smoke: 30 s of FuzzEvalPathEquivalence, which replays
-# random annealing runs through the full rebuild (run without its stop
-# hook, so no move is cut short) and the incremental path (which cuts
-# rejected moves at their chain-free bound) and requires bit-identical
-# traces, results and fronts.
+# Fuzz smoke, 30 s per target. FuzzEvalPathEquivalence is the cross-path
+# oracle: it replays random annealing runs through the full rebuild (run
+# without its stop hook, so no move is cut short) and the incremental
+# path (which cuts rejected moves at their chain-free bound) and requires
+# bit-identical traces, results and fronts. FuzzDecodeOutcome feeds the
+# snapshot decoder arbitrary bytes: no panic, and whatever decodes must
+# round-trip through EncodeOutcome.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEvalPathEquivalence -fuzztime 30s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzDecodeOutcome -fuzztime 30s ./internal/runner
 
 # Bench smoke: compile and run every benchmark exactly once. Catches rotted
 # benchmark code without paying for a full measurement run.

@@ -13,9 +13,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"repro/internal/apps"
@@ -300,69 +298,6 @@ func BenchmarkPortfolio(b *testing.B) {
 		if out.Eval.Makespan <= 0 {
 			b.Fatal("empty result")
 		}
-	}
-}
-
-// ---------- scratch-buffer pooling (runner) ----------
-
-// TestRunnerScratchPoolingAllocs pins the evaluator-recycling contract of
-// the multi-run drivers (runner/scratch.go): once the pool is warm, a
-// batch run allocates strictly less than a fresh exploration of the same
-// seed — the instance-sized SoA evaluator state is reused, not rebuilt —
-// while producing a bit-identical outcome.
-func TestRunnerScratchPoolingAllocs(t *testing.T) {
-	app, arch := motionSetup(2000)
-	cfg := search.DefaultConfig()
-	cfg.SA.MaxIters = 600
-	cfg.SA.Warmup = 150
-	cfg.SA.QuenchIters = 150
-	// The recycler only carries incremental-path state; force that path so
-	// the assertion is meaningful on this small instance.
-	cfg.SA.EvalMode = core.EvalIncremental
-
-	// runner.Strategy installs its recycler on the factory it is given,
-	// so the fresh runs need a factory of their own.
-	newFactory := func() *search.Factory {
-		f, err := search.NewFactory("sa", app, arch, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-	pooled := runner.Strategy(newFactory())
-	freshFactory := newFactory()
-	fresh := func(seed int64) *search.Outcome {
-		out, err := search.Run(context.Background(), freshFactory, seed, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-
-	// Bit-identity: the recycled run must reproduce the fresh run exactly.
-	const seed = 42
-	want := fresh(seed)
-	out, err := pooled(context.Background(), 0, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Eval != want.Eval {
-		t.Fatalf("recycled run diverged: eval %+v, want %+v", out.Eval, want.Eval)
-	}
-	if !reflect.DeepEqual(out.Best, want.Best) {
-		t.Fatal("recycled run found a different best mapping")
-	}
-
-	// Keep the sync.Pool from being drained by a GC cycle mid-measurement.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	pooledAllocs := testing.AllocsPerRun(3, func() {
-		if _, err := pooled(context.Background(), 0, seed); err != nil {
-			t.Fatal(err)
-		}
-	})
-	freshAllocs := testing.AllocsPerRun(3, func() { fresh(seed) })
-	if pooledAllocs >= freshAllocs {
-		t.Fatalf("pooling saved nothing: %.0f allocs/run pooled, %.0f fresh", pooledAllocs, freshAllocs)
 	}
 }
 

@@ -15,8 +15,8 @@
 // machine-specific: regenerate it (make bench-baseline) when the
 // reference machine or build flags change.
 //
-// With -cache every cell runs behind the sharded memoized result cache
-// and is then run a second, cache-warm time: the warm pass must reproduce
+// With -cache every cell runs behind the memoized result cache and is
+// then run a second, cache-warm time: the warm pass must reproduce
 // the cold pass's quality fields bit-for-bit (the run is a pure function
 // of its key) and the row records the warm wall time and hit count — the
 // cold-vs-warm trajectory BENCH_PR5.json archives.

@@ -192,8 +192,8 @@ func (c *Client) CancelJob(ctx context.Context, id string) error {
 }
 
 // CacheInfo mirrors the server's GET /v1/cache response: whether the
-// result cache is enabled plus its full statistics (aggregate counters,
-// policy, capacity, per-shard breakdown).
+// result cache is enabled plus its statistics (counters, resident
+// entries, policy, capacity).
 type CacheInfo = serve.CacheInfo
 
 // CacheStats fetches the server's cache statistics.

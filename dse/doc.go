@@ -40,7 +40,7 @@
 //	out, err := dse.Search(ctx, "portfolio", app, arch, opts, 1)
 //
 // Explorations can also be served remotely: cmd/dsed runs the engine as
-// a long-lived HTTP job service with a sharded memoized result cache
+// a long-lived HTTP job service with a memoized result cache
 // (every run is a pure function of its (app, arch, objective, strategy,
 // seed, budget) key), and Client talks to it — submit asynchronous jobs,
 // stream per-run progress, cancel, or run synchronously:

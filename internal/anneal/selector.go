@@ -18,9 +18,14 @@ import (
 // floored so that no kind is ever starved (every region of the move space
 // stays reachable, preserving the irreducibility the convergence theory
 // needs).
+//
+// The weights change only when a kind is observed, so the selector keeps
+// one per kind: Observe refreshes the observed kind's, and Pick only sums
+// and walks them.
 type AdaptiveSelector struct {
 	base    []float64
-	accepts []*stats.EWMA
+	accepts []stats.EWMA
+	weights []float64
 	floor   float64
 }
 
@@ -31,17 +36,20 @@ type AdaptiveSelector struct {
 func NewAdaptiveSelector(base []float64) *AdaptiveSelector {
 	s := &AdaptiveSelector{
 		base:    append([]float64(nil), base...),
-		accepts: make([]*stats.EWMA, len(base)),
+		accepts: make([]stats.EWMA, len(base)),
+		weights: make([]float64, len(base)),
 		floor:   0.05,
 	}
-	for i := range s.accepts {
-		s.accepts[i] = stats.NewEWMA(1.0 / 128)
-		s.accepts[i].Set(0.5) // optimistic start: explore every kind
+	for k := range s.accepts {
+		s.accepts[k] = *stats.NewEWMA(1.0 / 128)
+		s.accepts[k].Set(0.5) // optimistic start: explore every kind
+		s.weights[k] = s.weight(k)
 	}
 	return s
 }
 
-// weight computes the current generation weight of kind k.
+// weight computes the generation weight of kind k from its acceptance
+// estimate.
 func (s *AdaptiveSelector) weight(k int) float64 {
 	if s.base[k] <= 0 {
 		return 0
@@ -53,23 +61,23 @@ func (s *AdaptiveSelector) weight(k int) float64 {
 // Pick draws a kind proportionally to the adaptive weights.
 func (s *AdaptiveSelector) Pick(rng *rand.Rand) int {
 	var total float64
-	for k := range s.base {
-		total += s.weight(k)
+	for _, w := range s.weights {
+		total += w
 	}
 	if total <= 0 {
 		return 0
 	}
 	x := rng.Float64() * total
-	for k := range s.base {
-		x -= s.weight(k)
+	for k, w := range s.weights {
+		x -= w
 		if x < 0 {
 			return k
 		}
 	}
-	return len(s.base) - 1
+	return len(s.weights) - 1
 }
 
-// Observe updates the acceptance estimate of kind k.
+// Observe updates the acceptance estimate, and so the weight, of kind k.
 func (s *AdaptiveSelector) Observe(k int, accepted bool) {
 	if k < 0 || k >= len(s.accepts) {
 		return
@@ -79,4 +87,5 @@ func (s *AdaptiveSelector) Observe(k int, accepted bool) {
 	} else {
 		s.accepts[k].Add(0)
 	}
+	s.weights[k] = s.weight(k)
 }

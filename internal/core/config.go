@@ -184,24 +184,6 @@ type Config struct {
 	// with the same seed, but is itself fully deterministic for a given
 	// (Seed, Batch).
 	Batch int
-	// Recycler, when non-nil, recycles the large instance-sized evaluator
-	// state across runs instead of reallocating it per run (the multi-run
-	// drivers pool it with a sync.Pool). Install rebuilds every dynamic
-	// layer when an explorer adopts an evaluator — the same wholesale
-	// resynchronization quench restarts already perform — so a recycled
-	// run is bit-identical to a fresh one. Pure throughput: excluded from
-	// fingerprints and cache keys, and never makes a run uncacheable.
-	Recycler Recycler
-}
-
-// Recycler recycles incremental evaluators across exploration runs over
-// one (app, arch) pair. Get may return nil (the explorer then builds a
-// fresh evaluator); Put hands back an evaluator the finished run no
-// longer touches. Implementations must be safe for concurrent use, and
-// must never serve an evaluator built over different models.
-type Recycler interface {
-	GetIncEvaluator() *sched.IncEvaluator
-	PutIncEvaluator(*sched.IncEvaluator)
 }
 
 // DefaultConfig mirrors the paper's Figure 2 run: 1200 warmup iterations,
@@ -255,8 +237,8 @@ type Result struct {
 // scored speculated candidates in shared multi-lane sweeps. Nothing
 // records it any more — batched rounds are scored in place (batch.go) —
 // so every field is always zero. The type survives because search.Stats,
-// runner.Outcome, runner.Aggregate and the outcome codec still carry it
-// and perfbench reads it.
+// runner.Outcome and runner.Aggregate still carry it and perfbench reads
+// it.
 type LaneStats struct {
 	Rounds     int64
 	Lanes      int64

@@ -206,16 +206,11 @@ func (p *Prepared) New(cfg Config) (*Explorer, error) {
 		e.frontCoords = make([]float64, len(cfg.FrontMetrics))
 	}
 	if cfg.EvalMode.resolve(p.app, p.arch) == EvalIncremental {
-		if cfg.Recycler != nil {
-			e.inc = cfg.Recycler.GetIncEvaluator()
+		inc, err := sched.NewIncEvaluator(p.app, p.arch)
+		if err != nil {
+			return nil, err
 		}
-		if e.inc == nil {
-			inc, err := sched.NewIncEvaluator(p.app, p.arch)
-			if err != nil {
-				return nil, err
-			}
-			e.inc = inc
-		}
+		e.inc = inc
 	}
 	e.selector = anneal.NewAdaptiveSelector(moveWeights(cfg.ExploreArch))
 	e.mv.e = e
@@ -502,7 +497,7 @@ func (e *Explorer) Finish() *Result {
 	r := e.run
 	if r == nil {
 		e.KeepBest()
-		res := &Result{
+		return &Result{
 			Best:        e.best.Clone(),
 			BestEval:    e.bestRes,
 			InitialEval: e.curRes,
@@ -510,10 +505,8 @@ func (e *Explorer) Finish() *Result {
 			MetDeadline: e.cfg.Deadline <= 0 || e.bestRes.Makespan <= e.cfg.Deadline,
 			Front:       e.front,
 		}
-		e.releaseEvaluators()
-		return res
 	}
-	res := &Result{
+	return &Result{
 		Best:        e.best.Clone(),
 		BestEval:    e.bestRes,
 		InitialEval: r.initial,
@@ -521,19 +514,6 @@ func (e *Explorer) Finish() *Result {
 		MoveStats:   e.MoveStatsSnapshot(),
 		MetDeadline: e.cfg.Deadline <= 0 || e.bestRes.Makespan <= e.cfg.Deadline,
 		Front:       e.front,
-	}
-	e.releaseEvaluators()
-	return res
-}
-
-// releaseEvaluators hands the run's incremental evaluator back to the
-// configured recycler so the next run over the same models can adopt it
-// instead of reallocating. Idempotent: Finish may be called more than
-// once, the evaluator is released exactly once.
-func (e *Explorer) releaseEvaluators() {
-	if rec := e.cfg.Recycler; rec != nil && e.inc != nil {
-		rec.PutIncEvaluator(e.inc)
-		e.inc = nil
 	}
 }
 

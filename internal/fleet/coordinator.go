@@ -511,8 +511,7 @@ func (c *Coordinator) handleCache(w http.ResponseWriter, r *http.Request) {
 		out.Workers = append(out.Workers, WorkerCache{ID: t.id, CacheInfo: *info})
 		if info.Enabled {
 			out.Enabled = true
-			out.ShardStats.Add(info.ShardStats)
-			out.Capacity += info.Capacity
+			out.Stats.Add(info.Stats)
 		}
 	}
 	serve.WriteJSON(w, http.StatusOK, out)

@@ -446,19 +446,17 @@ func TestFleetCacheAndMetricsAggregation(t *testing.T) {
 	if len(fleetInfo.Workers) != 3 {
 		t.Fatalf("fleet cache lists %d workers, want 3", len(fleetInfo.Workers))
 	}
-	var sum memo.ShardStats
-	capacity := 0
+	sum := memo.Stats{Policy: "fleet"}
 	for _, w := range fleetInfo.Workers {
 		sum.Hits += w.Hits
 		sum.Misses += w.Misses
 		sum.Shared += w.Shared
 		sum.Evictions += w.Evictions
 		sum.Entries += w.Entries
-		capacity += w.Capacity
+		sum.Capacity += w.Capacity
 	}
-	if fleetInfo.ShardStats != sum || fleetInfo.Capacity != capacity {
-		t.Errorf("fleet totals %+v capacity %d, want the workers' sum %+v capacity %d",
-			fleetInfo.ShardStats, fleetInfo.Capacity, sum, capacity)
+	if fleetInfo.Stats != sum {
+		t.Errorf("fleet totals %+v, want the workers' sum %+v", fleetInfo.Stats, sum)
 	}
 
 	resp, err = http.Get(f.coordTS.URL + "/v1/metrics")

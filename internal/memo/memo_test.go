@@ -26,7 +26,7 @@ func TestKeyOfPartBoundaries(t *testing.T) {
 }
 
 func TestGetPut(t *testing.T) {
-	c := New[int](Options{Capacity: 8, Shards: 2})
+	c := New[int](8)
 	k := KeyOf("a")
 	if _, ok := c.Get(k); ok {
 		t.Fatal("hit on empty cache")
@@ -48,27 +48,26 @@ func TestGetPut(t *testing.T) {
 	}
 }
 
-// lruOrder lists shard 0's keys from the next victim to the most
+// lruOrder lists the cache's keys from the next victim to the most
 // recently used entry, failing the test unless the recency list links
 // exactly the resident entries.
 func lruOrder(t *testing.T, c *Cache[int]) []Key {
 	t.Helper()
-	s := &c.shards[0]
 	var order []Key
-	for e := s.lru.prev; e != &s.lru; e = e.prev {
-		if s.items[e.key] != e {
+	for e := c.lru.prev; e != &c.lru; e = e.prev {
+		if c.items[e.key] != e {
 			t.Fatalf("listed key %x is not resident", e.key[:4])
 		}
 		order = append(order, e.key)
 	}
-	if len(order) != len(s.items) {
-		t.Fatalf("recency list links %d entries, shard holds %d", len(order), len(s.items))
+	if len(order) != len(c.items) {
+		t.Fatalf("recency list links %d entries, cache holds %d", len(order), len(c.items))
 	}
 	return order
 }
 
-// TestLRUEviction drives one shard through each point that moves the
-// replacement order — hits and re-puts touch; a full shard evicts its
+// TestLRUEviction drives the cache through each point that moves the
+// replacement order — hits and re-puts touch; a full cache evicts its
 // least recently used entry before admitting — and checks the resulting
 // order, victim first.
 func TestLRUEviction(t *testing.T) {
@@ -106,7 +105,7 @@ func TestLRUEviction(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := New[int](Options{Capacity: tc.capacity, Shards: 1})
+			c := New[int](tc.capacity)
 			ks := make([]Key, 16)
 			for i := range ks {
 				ks[i] = KeyOf(fmt.Sprintf("k%d", i))
@@ -128,77 +127,112 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-// TestPolicyRemoveConsistency drives a shard's LRU list directly through
-// admit/touch/remove/victim cycles, checking that removal of arbitrary
-// keys never corrupts victim selection.
+// TestPolicyRemoveConsistency drives the cache's LRU list directly
+// through admit/touch/remove/victim cycles, checking that removal of
+// arbitrary keys never corrupts victim selection.
 func TestPolicyRemoveConsistency(t *testing.T) {
 	t.Run("lru", func(t *testing.T) {
-		c := New[int](Options{Capacity: 8, Shards: 1})
-		s := &c.shards[0]
+		c := New[int](8)
 		ks := make([]Key, 8)
 		for i := range ks {
 			ks[i] = KeyOf(fmt.Sprintf("k%d", i))
 		}
 		for i, k := range ks {
 			e := &entry[int]{key: k, val: i}
-			s.items[k] = e
-			s.pushFront(e)
+			c.items[k] = e
+			c.pushFront(e)
 		}
 		for i, k := range ks {
 			for j := 0; j < i; j++ {
-				s.touch(s.items[k])
+				c.touch(c.items[k])
 			}
 		}
 		// Remove half the keys explicitly.
 		for i := 0; i < 4; i++ {
 			k := ks[i*2]
-			s.unlink(s.items[k])
-			delete(s.items, k)
+			c.unlink(c.items[k])
+			delete(c.items, k)
 		}
 		lruOrder(t, c) // the list still links exactly the resident entries
 		// Victims must drain exactly the remaining keys, least recently
 		// touched first, each once.
 		want := []int{1, 3, 5, 7}
-		for n := 0; s.lru.prev != &s.lru; n++ {
-			victim := s.lru.prev
+		for n := 0; c.lru.prev != &c.lru; n++ {
+			victim := c.lru.prev
 			if n >= len(want) {
 				t.Fatalf("victim %x beyond the %d remaining keys", victim.key[:4], len(want))
 			}
 			if victim.key != ks[want[n]] {
 				t.Fatalf("victim %d is %x, want key %d", n, victim.key[:4], want[n])
 			}
-			s.unlink(victim)
-			delete(s.items, victim.key)
+			c.unlink(victim)
+			delete(c.items, victim.key)
 		}
-		if len(s.items) != 0 {
-			t.Fatalf("%d entries left after draining the list", len(s.items))
+		if len(c.items) != 0 {
+			t.Fatalf("%d entries left after draining the list", len(c.items))
 		}
 	})
 }
 
-// TestStatsReportPolicy checks the policy name, capacity and shard count
+// TestStatsReportPolicy checks that the policy name and the capacity
 // surface through Stats.
 func TestStatsReportPolicy(t *testing.T) {
-	st := New[int](Options{Capacity: 64, Shards: 4}).Stats()
+	st := New[int](64).Stats()
 	if st.Policy != "lru" {
 		t.Fatalf("policy = %q", st.Policy)
 	}
-	if st.Capacity < 64 {
-		t.Fatalf("capacity = %d", st.Capacity)
+	if st.Capacity != 64 {
+		t.Fatalf("capacity = %d, want 64", st.Capacity)
 	}
-	if len(st.Shards) != 4 {
-		t.Fatalf("shards = %d", len(st.Shards))
+}
+
+// TestCacheHoldsItsCapacity: a cache takes exactly as many distinct keys
+// as its capacity before it evicts, and then evicts the least recently
+// used key of the whole cache.
+func TestCacheHoldsItsCapacity(t *testing.T) {
+	for _, capacity := range []int{8, 100} {
+		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
+			c := New[int](capacity)
+			if got := c.Stats().Capacity; got != capacity {
+				t.Fatalf("capacity %d, want %d", got, capacity)
+			}
+			ks := make([]Key, capacity+1)
+			for i := range ks {
+				ks[i] = KeyOf(fmt.Sprintf("k%d", i))
+			}
+			for i := 0; i < capacity; i++ {
+				c.Put(ks[i], i)
+			}
+			if st := c.Stats(); st.Evictions != 0 || st.Entries != capacity {
+				t.Fatalf("after %d puts: %d evictions, %d entries; want 0, %d", capacity, st.Evictions, st.Entries, capacity)
+			}
+			// Touch every key but the second, so it is the one victim.
+			for i := 0; i < capacity; i++ {
+				if i != 1 {
+					c.Get(ks[i])
+				}
+			}
+			c.Put(ks[capacity], capacity)
+			if st := c.Stats(); st.Evictions != 1 || st.Entries != capacity {
+				t.Fatalf("after one more put: %d evictions, %d entries; want 1, %d", st.Evictions, st.Entries, capacity)
+			}
+			for i, k := range ks {
+				if _, ok := c.Get(k); ok == (i == 1) {
+					t.Fatalf("key %d resident = %v, want only key 1 evicted", i, ok)
+				}
+			}
+		})
 	}
 }
 
 // TestLRUReplayGolden replays a fixed Zipf-skewed stream of 5,000 draws
-// over 1,000 keys through a 480-entry, 16-shard cache, mixing Get, Do and
+// over 1,000 keys through a 480-entry cache, mixing Get, Do and
 // re-Put, with a last phase of Get-or-Put and re-Put only. The counters
 // and the snapshot bytes (which keys survived, with which values) are
 // pinned, so any change to the replacement order or the touch points
 // shows.
 func TestLRUReplayGolden(t *testing.T) {
-	c := New[int](Options{Capacity: 480})
+	c := New[int](480)
 	keys := make([]Key, 1000)
 	for i := range keys {
 		keys[i] = KeyOf(fmt.Sprintf("k%d", i))
@@ -235,7 +269,7 @@ func TestLRUReplayGolden(t *testing.T) {
 	st := c.Stats()
 	got := fmt.Sprintf("hits %d misses %d evictions %d entries %d snapshot %x",
 		st.Hits, st.Misses, st.Evictions, st.Entries, sha256.Sum256(snap.Bytes()))
-	const want = "hits 2778 misses 389 evictions 106 entries 472 snapshot 7c4b5bc94e7c580f876bd2dc4a3b9302241632f909e66860d8bbeeeebd180053"
+	const want = "hits 2785 misses 382 evictions 86 entries 480 snapshot 3d0b2de0cee00c9d5d6b236d5b35f94fe72ad92ad6d5e7b9f78151f9247d34d2"
 	if got != want {
 		t.Fatalf("replay changed:\n  got  %s\n  want %s", got, want)
 	}
@@ -244,7 +278,7 @@ func TestLRUReplayGolden(t *testing.T) {
 // TestSingleflight is the contract test of the tentpole: N concurrent
 // requests for one missing key run exactly one compute.
 func TestSingleflight(t *testing.T) {
-	c := New[int](Options{Capacity: 16})
+	c := New[int](16)
 	k := KeyOf("job")
 	const n = 32
 	var computes atomic.Int32
@@ -286,7 +320,7 @@ func TestSingleflight(t *testing.T) {
 }
 
 func TestDoErrorNotCached(t *testing.T) {
-	c := New[int](Options{Capacity: 8})
+	c := New[int](8)
 	k := KeyOf("fail")
 	boom := errors.New("boom")
 	calls := 0
@@ -311,7 +345,7 @@ func TestDoErrorNotCached(t *testing.T) {
 // panicking compute re-panics in the leader, while waiters receive an
 // error — never a successful zero value — and nothing is cached.
 func TestDoPanicPropagatesErrorToWaiters(t *testing.T) {
-	c := New[int](Options{Capacity: 8})
+	c := New[int](8)
 	k := KeyOf("boom")
 	leaderIn := make(chan struct{})
 	release := make(chan struct{})
@@ -347,7 +381,7 @@ func TestDoPanicPropagatesErrorToWaiters(t *testing.T) {
 }
 
 func TestDoWaiterCancellation(t *testing.T) {
-	c := New[int](Options{Capacity: 8})
+	c := New[int](8)
 	k := KeyOf("slow")
 	gate := make(chan struct{})
 	leaderIn := make(chan struct{})
@@ -373,7 +407,7 @@ func TestDoWaiterCancellation(t *testing.T) {
 // and asserted exactly. Run under -race this also exercises the
 // concurrent counter paths.
 func TestExactCounterAccounting(t *testing.T) {
-	c := New[int](Options{Capacity: 2, Shards: 1})
+	c := New[int](2)
 	k := KeyOf("counted")
 
 	// Phase 1: one leader, K waiters coalesce on the same missing key.
@@ -435,11 +469,11 @@ func TestExactCounterAccounting(t *testing.T) {
 	}
 	st = c.Stats()
 	if st.Hits != 3 || st.Misses != 1+waiters {
-		t.Fatalf("after hits: %+v", st.ShardStats)
+		t.Fatalf("after hits: %+v", st)
 	}
 
-	// Phase 3: capacity 2, shard 1 — inserting two more keys evicts
-	// exactly one entry.
+	// Phase 3: capacity 2 — inserting two more keys evicts exactly one
+	// entry.
 	c.Put(KeyOf("b"), 2)
 	c.Put(KeyOf("c"), 3)
 	st = c.Stats()
@@ -449,20 +483,12 @@ func TestExactCounterAccounting(t *testing.T) {
 	if st.Entries != 2 {
 		t.Fatalf("entries = %d, want 2", st.Entries)
 	}
-	// The sum of shard counters equals the aggregate.
-	var sum ShardStats
-	for _, sh := range st.Shards {
-		sum.Add(sh)
-	}
-	if sum != st.ShardStats {
-		t.Fatalf("aggregate %+v != shard sum %+v", st.ShardStats, sum)
-	}
 }
 
 // TestShardEvictionRace hammers a small cache from many goroutines; run
-// under -race this is the satellite's shard-eviction concurrency test.
+// under -race it checks eviction under concurrent Get, Put and Do.
 func TestShardEvictionRace(t *testing.T) {
-	c := New[int](Options{Capacity: 32, Shards: 4})
+	c := New[int](32)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -488,16 +514,16 @@ func TestShardEvictionRace(t *testing.T) {
 }
 
 func TestCapacityDistribution(t *testing.T) {
-	// 1000 distinct digest keys across a 64-entry, 8-shard cache must
-	// never exceed the global bound.
-	c := New[int](Options{Capacity: 64, Shards: 8})
+	// 1000 distinct digest keys through a 64-entry cache must never
+	// exceed its bound, and it must fill it.
+	c := New[int](64)
 	for i := 0; i < 1000; i++ {
 		c.Put(KeyOf(fmt.Sprint(i)), i)
 	}
-	if c.Len() > 64 {
-		t.Fatalf("Len = %d, want <= 64", c.Len())
+	if c.Len() != 64 {
+		t.Fatalf("Len = %d, want 64", c.Len())
 	}
-	if c.Stats().Evictions == 0 {
-		t.Fatal("no evictions recorded")
+	if ev := c.Stats().Evictions; ev != 1000-64 {
+		t.Fatalf("evictions = %d, want %d", ev, 1000-64)
 	}
 }

@@ -40,8 +40,8 @@ const maxSnapshotValueBytes = 64 << 20
 
 // Snapshot writes every resident entry to w: a versioned header, the
 // entries in deterministic (key-sorted) order, and a trailing sha256
-// checksum. encode serializes one value; it runs outside the shard
-// locks, so it must not race with mutators of the value (values handed
+// checksum. encode serializes one value; it runs outside the cache's
+// lock, so it must not race with mutators of the value (values handed
 // to a cache of deep-copied entries, like the runner's result cache, are
 // safe).
 func (c *Cache[V]) Snapshot(w io.Writer, encode func(V) ([]byte, error)) error {
@@ -49,15 +49,12 @@ func (c *Cache[V]) Snapshot(w io.Writer, encode func(V) ([]byte, error)) error {
 		key Key
 		val V
 	}
-	var recs []rec
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for k, e := range s.items {
-			recs = append(recs, rec{key: k, val: e.val})
-		}
-		s.mu.Unlock()
+	c.mu.Lock()
+	recs := make([]rec, 0, len(c.items))
+	for k, e := range c.items {
+		recs = append(recs, rec{key: k, val: e.val})
 	}
+	c.mu.Unlock()
 	sort.Slice(recs, func(i, j int) bool {
 		return bytes.Compare(recs[i].key[:], recs[j].key[:]) < 0
 	})

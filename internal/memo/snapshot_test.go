@@ -16,7 +16,7 @@ func encBad(int) ([]byte, error)   { return nil, fmt.Errorf("boom") }
 func decBad(b []byte) (int, error) { return 0, fmt.Errorf("boom") }
 
 func TestSnapshotRoundTrip(t *testing.T) {
-	src := New[int](Options{Capacity: 64, Shards: 4})
+	src := New[int](64)
 	want := map[Key]int{}
 	for i := 0; i < 40; i++ {
 		k := KeyOf(fmt.Sprintf("entry-%d", i))
@@ -28,7 +28,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dst := New[int](Options{Capacity: 64, Shards: 4})
+	dst := New[int](64)
 	n, err := Restore(dst, bytes.NewReader(buf.Bytes()), decInt)
 	if err != nil {
 		t.Fatal(err)
@@ -47,8 +47,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // TestSnapshotDeterministic: two snapshots of the same content are
 // byte-identical regardless of insertion order.
 func TestSnapshotDeterministic(t *testing.T) {
-	a := New[int](Options{Capacity: 64})
-	b := New[int](Options{Capacity: 64})
+	a := New[int](64)
+	b := New[int](64)
 	for i := 0; i < 20; i++ {
 		a.Put(KeyOf(fmt.Sprint(i)), i)
 	}
@@ -70,7 +70,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 // TestRestoreCorruptSnapshot: flipping any byte fails the checksum and
 // loads nothing — the cache degrades to cold, never to poisoned.
 func TestRestoreCorruptSnapshot(t *testing.T) {
-	src := New[int](Options{Capacity: 16})
+	src := New[int](16)
 	for i := 0; i < 8; i++ {
 		src.Put(KeyOf(fmt.Sprint(i)), i)
 	}
@@ -82,7 +82,7 @@ func TestRestoreCorruptSnapshot(t *testing.T) {
 	// Flip a byte in the middle of the entry section.
 	corrupt := append([]byte(nil), raw...)
 	corrupt[len(corrupt)/2] ^= 0xff
-	dst := New[int](Options{Capacity: 16})
+	dst := New[int](16)
 	if _, err := Restore(dst, bytes.NewReader(corrupt), decInt); err == nil {
 		t.Fatal("corrupt snapshot restored without error")
 	}
@@ -99,7 +99,7 @@ func TestRestoreCorruptSnapshot(t *testing.T) {
 }
 
 func TestRestoreVersionAndMagicMismatch(t *testing.T) {
-	src := New[int](Options{Capacity: 16})
+	src := New[int](16)
 	src.Put(KeyOf("x"), 1)
 	var buf bytes.Buffer
 	if err := src.Snapshot(&buf, encInt); err != nil {
@@ -109,7 +109,7 @@ func TestRestoreVersionAndMagicMismatch(t *testing.T) {
 
 	future := append([]byte(nil), raw...)
 	binary.LittleEndian.PutUint32(future[8:12], SnapshotVersion+1)
-	dst := New[int](Options{Capacity: 16})
+	dst := New[int](16)
 	if _, err := Restore(dst, bytes.NewReader(future), decInt); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("future version accepted: %v", err)
 	}
@@ -123,7 +123,7 @@ func TestRestoreVersionAndMagicMismatch(t *testing.T) {
 }
 
 func TestSnapshotCodecErrorsPropagate(t *testing.T) {
-	src := New[int](Options{Capacity: 16})
+	src := New[int](16)
 	src.Put(KeyOf("x"), 1)
 	if err := src.Snapshot(&bytes.Buffer{}, encBad); err == nil {
 		t.Fatal("encoder error swallowed")
@@ -132,14 +132,14 @@ func TestSnapshotCodecErrorsPropagate(t *testing.T) {
 	if err := src.Snapshot(&buf, encInt); err != nil {
 		t.Fatal(err)
 	}
-	dst := New[int](Options{Capacity: 16})
+	dst := New[int](16)
 	if _, err := Restore(dst, bytes.NewReader(buf.Bytes()), decBad); err == nil {
 		t.Fatal("decoder error swallowed")
 	}
 
 	// All or nothing: when only the last entry in key order fails to
 	// decode, the entries before it must not stay loaded either.
-	multi := New[int](Options{Capacity: 16, Shards: 1})
+	multi := New[int](16)
 	last, lastKey := 0, Key{}
 	for i := 0; i < 4; i++ {
 		k := KeyOf(fmt.Sprint("entry-", i))
@@ -164,7 +164,7 @@ func TestSnapshotCodecErrorsPropagate(t *testing.T) {
 		}
 		return v, err
 	}
-	dst = New[int](Options{Capacity: 16, Shards: 1})
+	dst = New[int](16)
 	n, err := Restore(dst, bytes.NewReader(buf.Bytes()), decLastBad)
 	if err == nil {
 		t.Fatal("decoder error on the last entry swallowed")
@@ -180,7 +180,7 @@ func TestSnapshotCodecErrorsPropagate(t *testing.T) {
 // TestSnapshotWhileServing: snapshotting under concurrent Do traffic is
 // race-free (run with -race) and captures a consistent subset.
 func TestSnapshotWhileServing(t *testing.T) {
-	c := New[int](Options{Capacity: 128, Shards: 4})
+	c := New[int](128)
 	stop := make(chan struct{})
 	go func() {
 		i := 0
@@ -200,7 +200,7 @@ func TestSnapshotWhileServing(t *testing.T) {
 		if err := c.Snapshot(&buf, encInt); err != nil {
 			t.Fatal(err)
 		}
-		dst := New[int](Options{Capacity: 128, Shards: 4})
+		dst := New[int](128)
 		if _, err := Restore(dst, bytes.NewReader(buf.Bytes()), decInt); err != nil {
 			t.Fatal(err)
 		}

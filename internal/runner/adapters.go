@@ -19,10 +19,6 @@ func Strategy(f *search.Factory) RunFunc { return StrategyBudget(f, 0) }
 // reports the strategy's evaluation telemetry in Outcome.Evaluations —
 // the budgeted batch primitive behind the dsebench scenario matrix.
 func StrategyBudget(f *search.Factory, maxSteps int) RunFunc {
-	// Recycle evaluator scratch across the batch's runs (see scratch.go);
-	// results are bit-identical with or without it, so the factory's
-	// fingerprint — and thus every cache key — is unaffected.
-	f.SetRecycler(recyclerFor(f.App(), f.Arch()))
 	return func(ctx context.Context, run int, seed int64) (*Outcome, error) {
 		out, stats, err := search.RunStats(ctx, f, seed, maxSteps)
 		if err != nil {

@@ -21,7 +21,7 @@ type ResultCache struct {
 	c *memo.Cache[*Outcome]
 
 	// The transfer-donor index (see transfer.go): per instance pair, the
-	// best outcome seen so far, kept outside the memo shards because it
+	// best outcome seen so far, kept outside the memo cache because it
 	// survives eviction and is keyed by (app, arch) rather than the full
 	// run key. Lazily initialized under donorMu; not persisted by
 	// Snapshot — replayed runs repopulate it.
@@ -29,25 +29,22 @@ type ResultCache struct {
 	donors  map[string]donorEntry
 }
 
-// ResultCacheOptions sizes a ResultCache: capacity and shard count. The
-// zero value selects the memo defaults. Outcomes never expire by the
-// clock; an outcome of other code misses by its key (ResultEpoch) and
-// ages out under LRU.
+// ResultCacheOptions sizes a ResultCache. The zero value selects the
+// memo default. Outcomes never expire by the clock; an outcome of other
+// code misses by its key (ResultEpoch) and ages out under LRU.
 type ResultCacheOptions struct {
-	// Capacity bounds the total cached outcome count (<=0 selects
+	// Capacity bounds the cached outcome count (<=0 selects
 	// memo.DefaultCapacity).
 	Capacity int
-	// Shards is the lock-shard count (<=0 selects memo.DefaultShards).
-	Shards int
 }
 
 // NewResultCacheWith creates a cache shaped by opts.
 func NewResultCacheWith(opts ResultCacheOptions) *ResultCache {
-	return &ResultCache{c: memo.New[*Outcome](memo.Options{Capacity: opts.Capacity, Shards: opts.Shards})}
+	return &ResultCache{c: memo.New[*Outcome](opts.Capacity)}
 }
 
 // NewResultCache creates a cache bounded to capacity entries (<=0 selects
-// memo.DefaultCapacity). Use NewResultCacheWith for shard control.
+// memo.DefaultCapacity).
 func NewResultCache(capacity int) *ResultCache {
 	return NewResultCacheWith(ResultCacheOptions{Capacity: capacity})
 }
@@ -108,17 +105,17 @@ const ResultEpoch = 1
 // run index is deliberately absent — a run's result depends on its seed
 // alone. Factories carrying function-typed hooks are uncacheable.
 func StrategyKey(f *search.Factory, maxSteps int) KeyFunc {
-	return strategyKey(ResultEpoch, f, maxSteps)
+	return strategyKey(ResultEpoch, f.App().Digest(), f.Arch().Digest(), f, maxSteps)
 }
 
-// strategyKey is StrategyKey at a given result epoch.
-func strategyKey(epoch int, f *search.Factory, maxSteps int) KeyFunc {
+// strategyKey is StrategyKey at a given result epoch, over instance
+// digests the caller already holds.
+func strategyKey(epoch int, appD, archD string, f *search.Factory, maxSteps int) KeyFunc {
 	fp, ok := f.Fingerprint()
 	if !ok {
 		return uncacheable
 	}
 	ep := strconv.Itoa(epoch)
-	appD, archD := f.App().Digest(), f.Arch().Digest()
 	steps := strconv.Itoa(maxSteps)
 	return func(run int, seed int64) (memo.Key, bool) {
 		return memo.KeyOf(ep, appD, archD, fp, steps, strconv.FormatInt(seed, 10)), true
@@ -151,23 +148,26 @@ type CacheConfig struct {
 // copy, and returns the original; concurrent identical misses compute
 // once (singleflight); errors — including the cancellation errors
 // truncated runs return — are never cached. With cfg.Cache nil the
-// source runs uncached.
+// source runs uncached: WithCache returns StrategyBudget itself.
 func WithCache(cfg CacheConfig) (RunFunc, error) {
-	if cfg.Factory == nil {
+	f := cfg.Factory
+	if f == nil {
 		return nil, errors.New("runner: WithCache needs a Factory")
 	}
-	if cfg.Transfer {
-		applyTransfer(cfg.Factory, cfg.Cache)
-	}
-	keyFor := StrategyKey(cfg.Factory, cfg.MaxSteps)
-	fn := cached(cfg.Cache, keyFor, StrategyBudget(cfg.Factory, cfg.MaxSteps))
 	if cfg.Cache == nil {
-		return fn, nil
+		return StrategyBudget(f, cfg.MaxSteps), nil
 	}
+	// The instance digests are hashed once per job: they name the pair in
+	// the donor index and in every run key.
+	appD, archD := f.App().Digest(), f.Arch().Digest()
+	if cfg.Transfer {
+		applyTransfer(f, cfg.Cache, appD, archD)
+	}
+	keyFor := strategyKey(ResultEpoch, appD, archD, f, cfg.MaxSteps)
+	fn := cached(cfg.Cache, keyFor, StrategyBudget(f, cfg.MaxSteps))
 	// Every successful outcome — fresh or replayed from a restored
 	// snapshot — is offered to the transfer-donor index, so later jobs on
 	// the same instance pair can warm-start from it (see transfer.go).
-	appD, archD := cfg.Factory.App().Digest(), cfg.Factory.Arch().Digest()
 	return func(ctx context.Context, run int, seed int64) (*Outcome, error) {
 		out, err := fn(ctx, run, seed)
 		if err == nil {
@@ -179,12 +179,8 @@ func WithCache(cfg CacheConfig) (RunFunc, error) {
 	}, nil
 }
 
-// cached wraps fn with the memoized result cache under keyFor. A nil
-// cache returns fn unchanged.
+// cached wraps fn with the memoized result cache under keyFor.
 func cached(cache *ResultCache, keyFor KeyFunc, fn RunFunc) RunFunc {
-	if cache == nil {
-		return fn
-	}
 	return func(ctx context.Context, run int, seed int64) (*Outcome, error) {
 		k, ok := keyFor(run, seed)
 		if !ok {

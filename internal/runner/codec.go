@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/memo"
 	"repro/internal/pareto"
 	"repro/internal/sched"
@@ -50,13 +49,6 @@ type outcomeWire struct {
 	EarlyStopped bool             `json:"earlyStopped,omitempty"`
 	MoveProposed map[string]int64 `json:"moveProposed,omitempty"`
 	MoveAccepted map[string]int64 `json:"moveAccepted,omitempty"`
-	// The retired lane kernel's telemetry follows the same convention:
-	// absent for every run of this release, decoded from outcomes cached
-	// by earlier ones.
-	LaneRounds int64 `json:"laneRounds,omitempty"`
-	LaneLanes  int64 `json:"laneLanes,omitempty"`
-	LaneVisits int64 `json:"laneSweepNodes,omitempty"`
-	LaneRelax  int64 `json:"laneRelax,omitempty"`
 	// Sched carries the scheduler/transfer telemetry; absent for runs
 	// without it, so pre-PR10 snapshots decode to nil and non-scheduled
 	// outcomes encode byte-identically to earlier releases.
@@ -80,10 +72,6 @@ func EncodeOutcome(o *Outcome) ([]byte, error) {
 		EarlyStopped: o.EarlyStopped,
 		MoveProposed: o.MoveProposed,
 		MoveAccepted: o.MoveAccepted,
-		LaneRounds:   o.LaneStats.Rounds,
-		LaneLanes:    o.LaneStats.Lanes,
-		LaneVisits:   o.LaneStats.SweepNodes,
-		LaneRelax:    o.LaneStats.LaneRelax,
 		Sched:        o.Sched,
 	}
 	if o.Front != nil {
@@ -127,13 +115,7 @@ func DecodeOutcome(b []byte) (*Outcome, error) {
 		EarlyStopped: w.EarlyStopped,
 		MoveProposed: w.MoveProposed,
 		MoveAccepted: w.MoveAccepted,
-		LaneStats: core.LaneStats{
-			Rounds:     w.LaneRounds,
-			Lanes:      w.LaneLanes,
-			SweepNodes: w.LaneVisits,
-			LaneRelax:  w.LaneRelax,
-		},
-		Sched: w.Sched,
+		Sched:        w.Sched,
 	}
 	if w.Front != nil {
 		if w.Front.Dims < 1 {
@@ -154,7 +136,7 @@ func DecodeOutcome(b []byte) (*Outcome, error) {
 // Snapshot writes every cached outcome to w in the versioned,
 // checksummed memo snapshot format. Safe to call while the cache serves
 // traffic: cached outcomes are immutable by the deep-copy contract, so
-// encoding outside the shard locks cannot race.
+// encoding outside the cache's lock cannot race.
 func (rc *ResultCache) Snapshot(w io.Writer) error {
 	return rc.c.Snapshot(w, EncodeOutcome)
 }

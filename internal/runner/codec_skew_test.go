@@ -90,3 +90,21 @@ func TestCodecCarriesBatchTelemetry(t *testing.T) {
 		t.Fatal("cloneOutcome aliases the counter maps")
 	}
 }
+
+// TestDecodeSkipsLaneKeys: an outcome written by a release that still
+// recorded the lane kernel's counts restores, with its lane keys ignored.
+func TestDecodeSkipsLaneKeys(t *testing.T) {
+	withLanes := strings.TrimSuffix(oldWireOutcome, "}") +
+		`,"laneRounds":7,"laneLanes":40,"laneSweepNodes":900,"laneRelax":350}`
+	o, err := DecodeOutcome([]byte(withLanes))
+	if err != nil {
+		t.Fatalf("outcome with lane keys rejected: %v", err)
+	}
+	old, err := DecodeOutcome([]byte(oldWireOutcome))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameOutcome(o, old) {
+		t.Fatalf("lane keys changed the decoded outcome:\n  %+v\n  %+v", o, old)
+	}
+}

@@ -99,10 +99,8 @@ type Outcome struct {
 	// reports none (non-SA strategies). Only non-zero kinds appear.
 	MoveProposed map[string]int64
 	MoveAccepted map[string]int64
-	// LaneStats is always zero for runs of this release: the lane batch
-	// kernel that filled it is retired (see core.LaneStats). The codec
-	// still round-trips it, so an outcome cached by an earlier release
-	// keeps its counts.
+	// LaneStats is always zero: the lane batch kernel that filled it is
+	// retired (see core.LaneStats), and the codec does not carry it.
 	LaneStats core.LaneStats
 	// Sched carries the scheduler/transfer telemetry (per-arm budget
 	// slices, steps and rewards; warm-start donor key and incumbent cost);

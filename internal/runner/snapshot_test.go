@@ -143,7 +143,7 @@ func TestSnapshotAcrossEpochs(t *testing.T) {
 		sameEpoch := epoch == ResultEpoch
 		for _, strat := range strategies {
 			f := matrixFactory(t, strat)
-			fn := cached(cache, strategyKey(epoch, f, 50), StrategyBudget(f, 50))
+			fn := cached(cache, strategyKey(epoch, f.App().Digest(), f.Arch().Digest(), f, 50), StrategyBudget(f, 50))
 			for _, seed := range seeds {
 				o, err := fn(context.Background(), 0, seed)
 				if err != nil {

@@ -79,13 +79,13 @@ func (rc *ResultCache) DonorCount() int {
 }
 
 // applyTransfer injects the best available donor for the factory's
-// instance pair as a warm start, returning whether one was installed. It
-// runs before StrategyKey so the donor key is part of the run's
-// fingerprint — and therefore its cache key. A nil cache, a missing
-// donor, or a non-warmable strategy kind leaves the factory untouched
-// (false).
-func applyTransfer(f *search.Factory, rc *ResultCache) bool {
-	key, out, ok := rc.Donor(f.App().Digest(), f.Arch().Digest())
+// instance pair (appD, archD: its digests) as a warm start, returning
+// whether one was installed. It runs before the run keys are derived, so
+// the donor key is part of the run's fingerprint — and therefore its
+// cache key. A nil cache, a missing donor, or a non-warmable strategy
+// kind leaves the factory untouched (false).
+func applyTransfer(f *search.Factory, rc *ResultCache, appD, archD string) bool {
+	key, out, ok := rc.Donor(appD, archD)
 	if !ok || out == nil || out.Best == nil || !out.HasCost {
 		return false
 	}

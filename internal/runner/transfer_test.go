@@ -40,7 +40,7 @@ func TestDonorRecordingAndApplyTransfer(t *testing.T) {
 
 	warm := testFactory(t, app, arch)
 	coldFP, _ := warm.Fingerprint()
-	if !applyTransfer(warm, cache) {
+	if !applyTransfer(warm, cache, app.Digest(), arch.Digest()) {
 		t.Fatal("applyTransfer found no donor")
 	}
 	warmFP, _ := warm.Fingerprint()
@@ -152,10 +152,10 @@ func TestApplyTransferNilAndMissing(t *testing.T) {
 	f := testFactory(t, app, arch)
 	before, _ := f.Fingerprint()
 
-	if applyTransfer(f, nil) {
+	if applyTransfer(f, nil, app.Digest(), arch.Digest()) {
 		t.Fatal("nil cache produced a donor")
 	}
-	if applyTransfer(f, NewResultCache(8)) { // empty index
+	if applyTransfer(f, NewResultCache(8), app.Digest(), arch.Digest()) { // empty index
 		t.Fatal("empty cache produced a donor")
 	}
 	mustWithCache(t, CacheConfig{Cache: nil, Factory: f, Transfer: true})
@@ -230,7 +230,7 @@ func TestWarmRunCachesUnderDistinctKey(t *testing.T) {
 	}
 
 	warm := testFactory(t, app, arch)
-	if !applyTransfer(warm, cache) {
+	if !applyTransfer(warm, cache, app.Digest(), arch.Digest()) {
 		t.Fatal("no donor")
 	}
 	ck, _ := StrategyKey(cold, 0)(0, 7)

@@ -15,7 +15,7 @@ import (
 // rebuild of the same mapping. On a contention bus every fifth update is
 // cut at its chain-free bound, so the next exact update must catch the
 // full graph up from the state a cut leaves behind; every 25th mapping is
-// seated with Install instead, as the run recycler re-seats a used
+// seated with Install instead, as a quench restart re-seats a used
 // evaluator. The full rebuild offers its own stop hook the same bound, on
 // a contention bus only, and after one of its own cuts in every five it
 // must still be exact. The fork instance covers contention chains of zero,

@@ -228,12 +228,6 @@ func (f *Factory) schedPolicy() (policy string, slice int) {
 // Name returns the factory's strategy kind.
 func (f *Factory) Name() string { return f.name }
 
-// SetRecycler installs an evaluator recycler on the SA configuration of
-// every strategy the factory builds from now on (see core.Config.Recycler
-// — pure throughput, bit-identical results, no fingerprint impact). Call
-// before the first New/Init; the multi-run drivers do.
-func (f *Factory) SetRecycler(r core.Recycler) { f.cfg.SA.Recycler = r }
-
 // SetWarmStart installs ws as the transfer warm start of every strategy
 // the factory builds from now on: SA (standalone or as a scheduler member)
 // starts from the donor mapping instead of a random one, and the

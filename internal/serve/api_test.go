@@ -84,9 +84,9 @@ func TestErrorEnvelope(t *testing.T) {
 }
 
 // TestCacheEndpointShape pins the /v1/cache wire struct: enabled flag,
-// policy, capacity, aggregate counters, and the per-shard breakdown.
+// policy, capacity and counters, with no per-shard breakdown.
 func TestCacheEndpointShape(t *testing.T) {
-	cache := runner.NewResultCacheWith(runner.ResultCacheOptions{Capacity: 64, Shards: 4})
+	cache := runner.NewResultCacheWith(runner.ResultCacheOptions{Capacity: 64})
 	_, ts := testServer(t, cache)
 
 	spec := JobSpec{Scenario: "fig2-small", Strategy: "sa", Runs: 2, MaxSteps: 8}
@@ -100,11 +100,13 @@ func TestCacheEndpointShape(t *testing.T) {
 		Capacity int    `json:"capacity"`
 		Entries  int    `json:"entries"`
 		Misses   uint64 `json:"misses"`
-		Shards   []struct {
-			Entries int `json:"entries"`
-		} `json:"shards"`
 	}
 	getJSON(t, ts.URL+"/v1/cache", &info)
+	var raw map[string]json.RawMessage
+	getJSON(t, ts.URL+"/v1/cache", &raw)
+	if _, ok := raw["shards"]; ok {
+		t.Fatal("/v1/cache still reports shards")
+	}
 	if !info.Enabled {
 		t.Fatal("cache reported disabled")
 	}
@@ -113,9 +115,6 @@ func TestCacheEndpointShape(t *testing.T) {
 	}
 	if info.Capacity != 64 {
 		t.Fatalf("capacity = %d, want 64", info.Capacity)
-	}
-	if len(info.Shards) != 4 {
-		t.Fatalf("%d shards reported, want 4", len(info.Shards))
 	}
 	if info.Entries != 2 || info.Misses == 0 {
 		t.Fatalf("entries=%d misses=%d after a 2-run job", info.Entries, info.Misses)
@@ -133,10 +132,11 @@ func TestCacheEndpointShape(t *testing.T) {
 }
 
 // TestMetricsExposition pins the Prometheus text format: after a cached
-// resubmit, per-shard hit and miss counters are present and non-zero, and
-// the retired expiry families are absent.
+// resubmit, each cache family carries one unlabeled sample, the hit and
+// miss counters are non-zero, and the retired expiry families and shard
+// labels are absent.
 func TestMetricsExposition(t *testing.T) {
-	cache := runner.NewResultCacheWith(runner.ResultCacheOptions{Capacity: 64, Shards: 2})
+	cache := runner.NewResultCacheWith(runner.ResultCacheOptions{Capacity: 64})
 	_, ts := testServer(t, cache)
 
 	spec := JobSpec{Scenario: "fig2-small", Strategy: "sa", Runs: 2, MaxSteps: 8}
@@ -171,31 +171,38 @@ func TestMetricsExposition(t *testing.T) {
 			t.Errorf("metrics still expose the retired family %s", family)
 		}
 	}
-	// Per-shard samples exist for both shards.
-	for _, sample := range []string{`dse_cache_hits_total{shard="0"}`, `dse_cache_hits_total{shard="1"}`} {
-		if !strings.Contains(body, sample) {
-			t.Errorf("metrics missing sample %s", sample)
-		}
+	if strings.Contains(body, "shard=") {
+		t.Error("metrics still carry a shard label")
 	}
-	// The resubmitted job hit the cache: total hits across shards > 0,
-	// and the first job's misses are recorded.
-	sumFamily := func(name string) uint64 {
-		var sum uint64
+	// Each cache family has exactly one sample, unlabeled.
+	sample := func(name string) uint64 {
+		var v uint64
+		n := 0
 		for _, line := range strings.Split(body, "\n") {
-			if !strings.HasPrefix(line, name+"{") {
+			if strings.HasPrefix(line, name+"{") {
+				t.Errorf("labeled sample %q", line)
+			}
+			rest, ok := strings.CutPrefix(line, name+" ")
+			if !ok {
 				continue
 			}
-			if i := strings.LastIndexByte(line, ' '); i >= 0 {
-				v, err := strconv.ParseUint(line[i+1:], 10, 64)
-				if err != nil {
-					t.Fatalf("unparseable sample %q: %v", line, err)
-				}
-				sum += v
+			var err error
+			if v, err = strconv.ParseUint(rest, 10, 64); err != nil {
+				t.Fatalf("unparseable sample %q: %v", line, err)
 			}
+			n++
 		}
-		return sum
+		if n != 1 {
+			t.Errorf("%s has %d samples, want 1", name, n)
+		}
+		return v
 	}
-	hits, misses := sumFamily("dse_cache_hits_total"), sumFamily("dse_cache_misses_total")
+	for _, family := range []string{"dse_cache_coalesced_total", "dse_cache_evictions_total", "dse_cache_entries"} {
+		sample(family)
+	}
+	// The resubmitted job hit the cache, and the first job's misses are
+	// recorded.
+	hits, misses := sample("dse_cache_hits_total"), sample("dse_cache_misses_total")
 	if hits == 0 {
 		t.Error("resubmitted job produced no cache hits in /metrics")
 	}

@@ -1,8 +1,8 @@
 // Package serve turns the exploration library into a long-running
 // design-space-exploration service: an HTTP API over the parallel
 // multi-run engine with asynchronous job submission, NDJSON progress
-// streaming, context-propagated cancellation, and the sharded memoized
-// result cache in front of every run — so resubmitting an identical
+// streaming, context-propagated cancellation, and the memoized result
+// cache in front of every run — so resubmitting an identical
 // (application, architecture, objective, strategy, seed, budget) job is
 // answered from memory, bit-identically, in microseconds.
 //

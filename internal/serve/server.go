@@ -337,8 +337,8 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 }
 
 // CacheInfo is the /cache wire shape: whether caching is on, plus the
-// full cache statistics (aggregate counters, policy, capacity, and the
-// per-shard breakdown) when it is.
+// cache statistics (counters, resident entries, policy and capacity)
+// when it is.
 type CacheInfo struct {
 	Enabled bool `json:"enabled"`
 	memo.Stats
