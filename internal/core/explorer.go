@@ -39,6 +39,15 @@ type Explorer struct {
 	curRes  sched.Result
 	curCost float64
 
+	// area is the current mapping's hardware area (objective.HWAreaOf),
+	// kept current move by move: the journal helpers take a task's
+	// contribution out when they first log its placement or
+	// implementation, settleArea puts the new one back once the move is
+	// made, and rollback restores the value the move started from.
+	// areaPend lists the tasks whose contribution is out.
+	area     int
+	areaPend []int32
+
 	// scal is the run's resolved cost function; needsMap caches whether it
 	// reads mapping-derived metrics (skipped in the hot loop otherwise).
 	scal     objective.Scalarizer
@@ -264,9 +273,12 @@ func (e *Explorer) reset(m *sched.Mapping) error {
 		return err
 	}
 	e.cur = m
+	e.area = objective.HWAreaOf(e.app, m)
+	e.areaPend = e.areaPend[:0]
 	e.curRes = res
 	e.curCost = e.costOf(res)
 	e.journal.reset()
+	e.journal.area = e.area
 	e.cs.Reset()
 	e.stateTick++
 	e.offerFront()
@@ -284,7 +296,7 @@ func (e *Explorer) SetSolution(m *sched.Mapping) error { return e.reset(m) }
 func (e *Explorer) costOf(res sched.Result) float64 {
 	v := objective.FromResult(res)
 	if e.needsMap {
-		objective.CompleteMapping(e.app, e.arch, e.cur, &v)
+		objective.CompleteMappingArea(e.arch, e.cur, e.area, &v)
 	}
 	return e.scal.Cost(res, v)
 }
@@ -300,7 +312,7 @@ func (e *Explorer) offerFront() {
 		// (ConsumeCandidate), never when it is merely scored.
 		return
 	}
-	objective.Project(e.cfg.FrontMetrics, e.app, e.arch, e.cur, e.curRes, e.frontCoords)
+	objective.ProjectArea(e.cfg.FrontMetrics, e.arch, e.cur, e.curRes, e.area, e.frontCoords)
 	e.front.Add(e.frontCoords, e.frontTick)
 	e.frontTick++
 }

@@ -28,6 +28,9 @@ func FuzzEvalPathEquivalence(f *testing.F) {
 	f.Add(int64(977), uint8(35), uint8(0b110), uint16(500), uint8(8))
 	f.Add(int64(31), uint8(20), uint8(0b010), uint16(600), uint8(19))
 	f.Add(int64(5), uint8(30), uint8(0b1001), uint16(900), uint8(0))
+	// Parallel flows, also beside order and context edges.
+	f.Add(int64(3), uint8(16), uint8(0b10001), uint16(600), uint8(0))
+	f.Add(int64(8), uint8(24), uint8(0b10111), uint16(800), uint8(4))
 
 	f.Fuzz(func(t *testing.T, seed int64, nTasks, knobs uint8, iters uint16, batch uint8) {
 		tasks := 6 + int(nTasks)%40
@@ -39,6 +42,9 @@ func FuzzEvalPathEquivalence(f *testing.F) {
 		app, err := apps.Layered(rand.New(rand.NewSource(seed)), rcfg)
 		if err != nil {
 			t.Skip() // degenerate generator parameters
+		}
+		if knobs&0b10000 != 0 {
+			addParallelFlows(app)
 		}
 		arch := wideArch(knobs&0b001 != 0)
 
@@ -77,4 +83,15 @@ func FuzzEvalPathEquivalence(f *testing.F) {
 			assertSameFront(t, resFull.Front.Points(), resInc.Front.Points())
 		}
 	})
+}
+
+// addParallelFlows gives every third flow of app a parallel twin of
+// another volume: a flow edge must live beside its twin and beside any
+// order or context edge that joins the same task pair.
+func addParallelFlows(app *model.App) {
+	for k, n := 0, len(app.Flows); k < n; k += 3 {
+		fl := app.Flows[k]
+		fl.Qty = fl.Qty/2 + 1024
+		app.Flows = append(app.Flows, fl)
+	}
 }

@@ -55,6 +55,7 @@ type undoOp struct {
 type journal struct {
 	ops   []undoOp
 	arena []int32 // backing storage for opCtxTasks snapshots
+	area  int     // the running hardware area before the move
 }
 
 func (j *journal) reset() {
@@ -76,10 +77,12 @@ func (j *journal) snapshotTasks(r, ci int, tasks []int) {
 }
 
 // rollback undoes every journaled mutation of the current move, leaving
-// e.cur exactly as it was before the move started, and clears the journal.
+// e.cur and the running area exactly as they were before the move
+// started, and clears the journal.
 func (e *Explorer) rollback() {
 	m := e.cur
 	j := &e.journal
+	e.area, e.areaPend = j.area, e.areaPend[:0]
 	for i := len(j.ops) - 1; i >= 0; i-- {
 		op := j.ops[i]
 		switch op.kind {
@@ -149,12 +152,43 @@ func (e *Explorer) logAssign(t int) {
 	pl := e.cur.Assign[t]
 	e.journal.log(opAssign, int32(t), int32(pl.Kind), int32(pl.Res), int32(pl.Ctx))
 	e.cs.AddTask(t)
+	e.pendArea(t)
 }
 
 // logImpl records the current implementation of task t before it changes.
 func (e *Explorer) logImpl(t int) {
 	e.journal.log(opImpl, int32(t), int32(e.cur.Impl[t]), 0, 0)
 	e.cs.AddTask(t)
+	e.pendArea(t)
+}
+
+// pendArea takes task t's contribution out of the running area until
+// settleArea puts its new one back; a task already pending stays as is.
+func (e *Explorer) pendArea(t int) {
+	for _, p := range e.areaPend {
+		if int(p) == t {
+			return
+		}
+	}
+	e.area -= e.areaOf(t)
+	e.areaPend = append(e.areaPend, int32(t))
+}
+
+// settleArea adds the contributions of the pending tasks, now placed,
+// back into the running area.
+func (e *Explorer) settleArea() {
+	for _, t := range e.areaPend {
+		e.area += e.areaOf(int(t))
+	}
+	e.areaPend = e.areaPend[:0]
+}
+
+// areaOf is task t's contribution to objective.HWAreaOf.
+func (e *Explorer) areaOf(t int) int {
+	if pl := e.cur.Assign[t]; pl.Kind == model.KindRC || pl.Kind == model.KindASIC {
+		return e.app.Tasks[t].HW[e.cur.Impl[t]].CLBs
+	}
+	return 0
 }
 
 // swRemove takes task t out of processor p's order.

@@ -52,6 +52,7 @@ func (m *move) Kind() int { return m.kind }
 func (m *move) Apply(g *anneal.Gate) bool {
 	e := m.e
 	e.journal.reset()
+	e.journal.area = e.area
 	m.prevRes, m.prevCost = e.curRes, e.curCost
 	m.prevTick = e.stateTick
 	if m.noop() {
@@ -75,6 +76,7 @@ func (m *move) Apply(g *anneal.Gate) bool {
 		e.stateTick = m.prevTick
 		return false
 	}
+	e.settleArea()
 	var (
 		res sched.Result
 		err error
@@ -148,7 +150,7 @@ func (e *Explorer) cutOnBound(lb sched.Result) bool {
 		return false
 	}
 	if e.front != nil && !e.speculating {
-		objective.Project(e.cfg.FrontMetrics, e.app, e.arch, e.cur, lb, e.frontCoords)
+		objective.ProjectArea(e.cfg.FrontMetrics, e.arch, e.cur, lb, e.area, e.frontCoords)
 		if !e.front.Covers(e.frontCoords) {
 			return false
 		}
@@ -158,10 +160,13 @@ func (e *Explorer) cutOnBound(lb sched.Result) bool {
 }
 
 // checkMapping is the Paranoid check that the current mapping is valid
-// after what.
+// after what and that the running area is its area.
 func (e *Explorer) checkMapping(what string) {
 	if err := sched.CheckMapping(e.app, e.arch, e.cur); err != nil {
 		panic(fmt.Sprintf("core: mapping corrupt after %s: %v", what, err))
+	}
+	if area := objective.HWAreaOf(e.app, e.cur); e.area != area || len(e.areaPend) > 0 {
+		panic(fmt.Sprintf("core: running area %d (%d tasks pending) after %s, but the mapping's area is %d", e.area, len(e.areaPend), what, area))
 	}
 }
 
@@ -186,6 +191,7 @@ func (e *Explorer) checkEval(what string, res sched.Result) {
 // checkRefusal is the Paranoid check of a placement doReassignTo
 // refused: a full rebuild of the mapping as placed must find the cycle.
 func (e *Explorer) checkRefusal(t int) {
+	e.settleArea() // the placement is made; the rollback that follows restores the area
 	e.checkMapping("a refused placement")
 	if _, err := e.fullEval().Evaluate(e.cur); err != sched.ErrOrderCycle {
 		panic(fmt.Sprintf("core: refused the placement %+v of task %d, but a full rebuild finds no cycle (%v)", e.cur.Assign[t], t, err))
@@ -203,7 +209,7 @@ func (e *Explorer) checkCut(g *anneal.Gate) {
 		panic(fmt.Sprintf("core: move cut at bound cost %v, but its exact cost %v is not rejected (%+v)", e.cutCost, cost, full))
 	}
 	if e.front != nil && !e.speculating {
-		objective.Project(e.cfg.FrontMetrics, e.app, e.arch, e.cur, full, e.frontCoords)
+		objective.ProjectArea(e.cfg.FrontMetrics, e.arch, e.cur, full, e.area, e.frontCoords)
 		if !e.front.Covers(e.frontCoords) {
 			panic(fmt.Sprintf("core: cut move's exact point %v is not covered by the front", e.frontCoords))
 		}
@@ -224,6 +230,9 @@ func (m *move) Revert() {
 	e.curRes, e.curCost = m.prevRes, m.prevCost
 	// The rollback restored the exact state the pools at prevTick describe.
 	e.stateTick = m.prevTick
+	if e.cfg.Paranoid {
+		e.checkMapping("a revert")
+	}
 }
 
 // remark translates the journaled undo ops of the applied move back into

@@ -14,9 +14,18 @@ var ErrCycle = errors.New("graph: cycle detected")
 // (degrees are single digits), so a linear scan beats hashing, iteration is
 // a contiguous sweep, and edge churn performs no steady-state allocation
 // once the slices have grown to their working size.
+//
+// A flow edge carries 1 + its flow id in flow; a plain edge carries 0.
 type halfEdge struct {
-	to int32
-	w  int64
+	to   int32
+	flow int32
+	w    int64
+}
+
+// flowRec is one flow edge: its endpoints and its current weight.
+type flowRec struct {
+	u, v int32
+	w    int64
 }
 
 // DAG is a directed graph over nodes 0..N-1 with int64 edge weights.
@@ -24,10 +33,15 @@ type halfEdge struct {
 // is enforced by the callers (via Closure or DynTopo) because the explorer
 // needs to *test* whether an edge insertion would create a cycle before
 // committing to it.
+//
+// Besides the plain edges, at most one per ordered pair, a graph can hold
+// flow edges (AddFlow): static edges numbered by a flow id, any number of
+// them per pair and beside a plain edge, which only SetFlowWeight changes.
 type DAG struct {
-	succ [][]halfEdge
-	pred [][]halfEdge
-	m    int // number of edges
+	succ  [][]halfEdge
+	pred  [][]halfEdge
+	flows []flowRec
+	m     int // number of edges, flow edges included
 }
 
 // New returns an edgeless graph with n nodes.
@@ -55,10 +69,10 @@ func (g *DAG) check(u int) {
 	}
 }
 
-// findHalf returns the index of the half-edge toward v in hs, or -1.
+// findHalf returns the index of the plain half-edge toward v in hs, or -1.
 func findHalf(hs []halfEdge, v int) int {
 	for i := range hs {
-		if int(hs[i].to) == v {
+		if int(hs[i].to) == v && hs[i].flow == 0 {
 			return i
 		}
 	}
@@ -68,6 +82,8 @@ func findHalf(hs []halfEdge, v int) int {
 // AddEdge inserts edge (u,v) with weight w, overwriting the weight if the
 // edge already exists. Self-loops are rejected with ErrCycle. It reports
 // whether a new edge was created (false when only the weight changed).
+// Like RemoveEdge, HasEdge, Weight and SetWeight, it never matches a flow
+// edge.
 func (g *DAG) AddEdge(u, v int, w int64) (bool, error) {
 	g.check(u)
 	g.check(v)
@@ -83,6 +99,57 @@ func (g *DAG) AddEdge(u, v int, w int64) (bool, error) {
 	g.pred[v] = append(g.pred[v], halfEdge{to: int32(u), w: w})
 	g.m++
 	return true, nil
+}
+
+// AddFlow inserts a flow edge (u,v) with weight w and returns its flow id:
+// the number of flow edges added before it. Self-loops are rejected with
+// ErrCycle. Add every flow edge before building a DynTopo, Evaluator or
+// Closure over the graph.
+func (g *DAG) AddFlow(u, v int, w int64) (int, error) {
+	g.check(u)
+	g.check(v)
+	if u == v {
+		return 0, ErrCycle
+	}
+	id := len(g.flows)
+	g.flows = append(g.flows, flowRec{u: int32(u), v: int32(v), w: w})
+	g.succ[u] = append(g.succ[u], halfEdge{to: int32(v), flow: int32(id + 1), w: w})
+	g.pred[v] = append(g.pred[v], halfEdge{to: int32(u), flow: int32(id + 1), w: w})
+	g.m++
+	return id, nil
+}
+
+// NumFlows returns the number of flow edges.
+func (g *DAG) NumFlows() int { return len(g.flows) }
+
+// Flow returns the endpoints and the weight of flow edge id.
+func (g *DAG) Flow(id int) (u, v int, w int64) {
+	f := &g.flows[id]
+	return int(f.u), int(f.v), f.w
+}
+
+// SetFlowWeight changes the weight of flow edge id and reports whether it
+// differed from the weight installed.
+func (g *DAG) SetFlowWeight(id int, w int64) bool {
+	f := &g.flows[id]
+	if f.w == w {
+		return false
+	}
+	f.w = w
+	tag := int32(id + 1)
+	for i := range g.succ[f.u] {
+		if g.succ[f.u][i].flow == tag {
+			g.succ[f.u][i].w = w
+			break
+		}
+	}
+	for i := range g.pred[f.v] {
+		if g.pred[f.v][i].flow == tag {
+			g.pred[f.v][i].w = w
+			break
+		}
+	}
+	return true
 }
 
 // removeHalf deletes index i from hs by swapping in the last element.
@@ -189,7 +256,7 @@ type Edge struct {
 	W    int64
 }
 
-// Edges returns every edge. The order is unspecified.
+// Edges returns every edge, flow edges included. The order is unspecified.
 func (g *DAG) Edges() []Edge {
 	out := make([]Edge, 0, g.m)
 	for u := range g.succ {
@@ -209,6 +276,7 @@ func (g *DAG) Clone() *DAG {
 	for v := range g.pred {
 		c.pred[v] = append([]halfEdge(nil), g.pred[v]...)
 	}
+	c.flows = append([]flowRec(nil), g.flows...)
 	c.m = g.m
 	return c
 }

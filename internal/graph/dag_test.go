@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -179,5 +181,92 @@ func TestRandomDAGIsAcyclic(t *testing.T) {
 		if !IsAcyclic(g) {
 			t.Fatal("randomDAG produced a cycle")
 		}
+	}
+}
+
+// Flow edges live beside the plain edges: AddEdge, RemoveEdge, HasEdge,
+// Weight and SetWeight never match one, parallel flow edges coexist, and
+// only SetFlowWeight re-weights a flow edge.
+func TestFlowEdgesBesidePlainEdges(t *testing.T) {
+	g := New(3)
+	for want := 0; want < 2; want++ {
+		id, err := g.AddFlow(0, 1, int64(10+want))
+		if err != nil || id != want {
+			t.Fatalf("AddFlow = %d, %v; want %d", id, err, want)
+		}
+	}
+	if _, err := g.AddFlow(2, 2, 0); err != ErrCycle {
+		t.Fatalf("self-loop flow: err = %v, want ErrCycle", err)
+	}
+	if g.HasEdge(0, 1) || g.SetWeight(0, 1, 3) || g.RemoveEdge(0, 1) {
+		t.Fatal("a plain-edge operation matched a flow edge")
+	}
+	if _, ok := g.Weight(0, 1); ok {
+		t.Fatal("Weight matched a flow edge")
+	}
+	created, err := g.AddEdge(0, 1, 5)
+	if err != nil || !created {
+		t.Fatalf("AddEdge beside two flows = %v, %v; want a new edge", created, err)
+	}
+	if w, ok := g.Weight(0, 1); !ok || w != 5 {
+		t.Fatalf("plain weight = %d, %v; want 5", w, ok)
+	}
+	if g.M() != 3 || g.OutDegree(0) != 3 || g.InDegree(1) != 3 || g.NumFlows() != 2 {
+		t.Fatalf("M=%d out=%d in=%d flows=%d, want 3, 3, 3, 2", g.M(), g.OutDegree(0), g.InDegree(1), g.NumFlows())
+	}
+	if g.SetFlowWeight(1, 11) || !g.SetFlowWeight(1, 7) {
+		t.Fatal("SetFlowWeight must report exactly the weight changes")
+	}
+	if _, _, w := g.Flow(0); w != 10 {
+		t.Fatalf("flow 0 weight = %d, want 10 after re-weighting flow 1", w)
+	}
+	var preds []int64
+	g.EachPred(1, func(_ int, w int64) { preds = append(preds, w) })
+	sort.Slice(preds, func(i, j int) bool { return preds[i] < preds[j] })
+	if fmt.Sprint(preds) != "[5 7 10]" {
+		t.Fatalf("pred weights of node 1 = %v, want [5 7 10]", preds)
+	}
+	c := g.Clone()
+	if !g.RemoveEdge(0, 1) || g.RemoveEdge(0, 1) {
+		t.Fatal("RemoveEdge must remove the plain edge once")
+	}
+	if g.M() != 2 || g.NumFlows() != 2 || g.HasEdge(0, 1) {
+		t.Fatalf("after removing the plain edge: M=%d flows=%d", g.M(), g.NumFlows())
+	}
+	if c.M() != 3 || !c.HasEdge(0, 1) || c.NumFlows() != 2 {
+		t.Fatal("clone lost an edge")
+	}
+	c.SetFlowWeight(0, 1)
+	if _, _, w := g.Flow(0); w != 10 {
+		t.Fatal("clone flow mutation leaked into original")
+	}
+}
+
+// A cycle through a flow edge is refused like any other.
+func TestFlowEdgeCycleRefused(t *testing.T) {
+	g := New(3)
+	if _, err := g.AddFlow(0, 1, 4); err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEvaluator(g, []int64{1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddEdge(1, 2, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range []int{1, 2} {
+		if err := e.AddEdge(u, 0, 0); err != ErrCycle {
+			t.Fatalf("AddEdge(%d,0) through flow 0→1: err = %v, want ErrCycle", u, err)
+		}
+	}
+	if mk := e.Flush(); mk != 7 { // 1 + 4 + 1 + 1
+		t.Fatalf("makespan = %d, want 7", mk)
+	}
+	g2 := New(2)
+	g2.AddFlow(0, 1, 0) //nolint:errcheck
+	g2.AddFlow(1, 0, 0) //nolint:errcheck
+	if _, err := NewEvaluator(g2, []int64{1, 1}); err != ErrCycle {
+		t.Fatalf("a flow cycle built an evaluator: err = %v", err)
 	}
 }

@@ -33,6 +33,9 @@ type Evaluator struct {
 	maxFin  int64
 	maxNode int32
 	rescan  bool
+
+	// con is the state of ContendedMakespan, nil until its first call.
+	con *contention
 }
 
 // NewEvaluator builds an evaluator over g with node durations dur. The

@@ -2,6 +2,7 @@ package objective
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/sched"
@@ -86,7 +87,13 @@ func FromResult(res sched.Result) Vector {
 
 // CompleteMapping fills in the mapping-derived coordinates.
 func CompleteMapping(app *model.App, arch *model.Arch, m *sched.Mapping, v *Vector) {
-	v[HWArea] = float64(HWAreaOf(app, m))
+	CompleteMappingArea(arch, m, HWAreaOf(app, m), v)
+}
+
+// CompleteMappingArea is CompleteMapping for a caller that keeps the
+// mapping's area — HWAreaOf's value — current itself.
+func CompleteMappingArea(arch *model.Arch, m *sched.Mapping, area int, v *Vector) {
+	v[HWArea] = float64(area)
 	v[UsedResourceCost] = UsedResourceCostOf(arch, m)
 }
 
@@ -94,6 +101,16 @@ func CompleteMapping(app *model.App, arch *model.Arch, m *sched.Mapping, v *Vect
 // (len(out) == len(metrics)) — the cheap path for per-move archiving:
 // mapping-derived coordinates are computed only when actually requested.
 func Project(metrics []Metric, app *model.App, arch *model.Arch, m *sched.Mapping, res sched.Result, out []float64) {
+	area := 0
+	if slices.Contains(metrics, HWArea) {
+		area = HWAreaOf(app, m)
+	}
+	ProjectArea(metrics, arch, m, res, area, out)
+}
+
+// ProjectArea is Project for a caller that keeps the mapping's area —
+// HWAreaOf's value — current itself.
+func ProjectArea(metrics []Metric, arch *model.Arch, m *sched.Mapping, res sched.Result, area int, out []float64) {
 	for i, mt := range metrics {
 		switch mt {
 		case Makespan:
@@ -101,7 +118,7 @@ func Project(metrics []Metric, app *model.App, arch *model.Arch, m *sched.Mappin
 		case Contexts:
 			out[i] = float64(res.Contexts)
 		case HWArea:
-			out[i] = float64(HWAreaOf(app, m))
+			out[i] = float64(area)
 		case UsedResourceCost:
 			out[i] = UsedResourceCostOf(arch, m)
 		case InitialReconfig:

@@ -35,10 +35,13 @@ type Result struct {
 	Contexts int
 }
 
-// csrEdge is one compacted out-edge: target node and edge weight.
+// csrEdge is one compacted out-edge: target node, flow tag and edge
+// weight. A flow's entry carries 1 + the flow index in flow (in what would
+// otherwise be padding); a sequentialization edge carries 0.
 type csrEdge struct {
-	to int32
-	w  int64
+	to   int32
+	flow int32
+	w    int64
 }
 
 // Evaluator computes makespans of candidate mappings of one (application,
@@ -51,45 +54,54 @@ type csrEdge struct {
 // rebuilding, and the equivalence tests replay move streams through both.
 //
 // The graph is stored in a bucketed CSR (compressed sparse row) layout that
-// persists across calls: every node owns a capacity row in one flat edge
-// array, the static flow edges (task → comm node → task) are pre-placed at
-// the front of their rows once, and Evaluate scatters only the dynamic
-// sequentialization edges directly into the remaining slots — no per-call
-// adjacency reset, no counting pass, no prefix sum. A row that outgrows its
-// capacity triggers a relayout; rows never shrink, so relayouts stop once
-// every row has held its fullest mapping.
+// persists across calls: every task and boot node owns a capacity row in
+// one flat edge array, the static flow entries (producer → consumer, one
+// per flow) are pre-placed at the front of their rows once and re-weighted
+// per call, and Evaluate scatters only the dynamic sequentialization edges
+// directly into the remaining slots — no per-call adjacency reset, no
+// counting pass, no prefix sum. A row that outgrows its capacity triggers a
+// relayout; rows never shrink, so relayouts stop once every row has held
+// its fullest mapping.
 type Evaluator struct {
 	shape
 
-	csrHead   []int32   // len v+1: row start per node (row capacity = head[u+1]-head[u])
+	csrHead   []int32   // len nG+1: row start per node (row capacity = head[u+1]-head[u])
 	csr       []csrEdge // flat row storage
 	rowLen    []int32   // live entries per row (static prefix + dynamic)
 	staticDeg []int32   // static out-degree per node (row reset value)
 	staticIn  []int32   // static in-degree per node (indeg reset value)
+	flowAt    []int32   // csr index of each flow's entry
 
 	// Per-node evaluation state in struct-of-arrays layout: the Kahn pass
-	// reads start/dur/indeg densely and never touches stamp/chainNext, so
-	// splitting the old packed record into parallel slices keeps the hot
-	// loop's cache lines free of cold fields and lets the reset between
-	// calls be two bulk copies instead of a record-prototype copy (dur is
-	// fully rewritten every call; stamp and chainNext are self-cleaning —
-	// the relaxation pass zeroes each stamp on dequeue and unthreads the
-	// chain before returning). BenchmarkNodeLayout pins the layouts against
-	// each other on the isolated relaxation kernel.
-	start     []int64
-	dur       []int64
-	indeg     []int32
-	stamp     []int32 // in-queue marking for the relaxation pass
-	chainNext []int32 // successor in the contention chain, -1 outside it
+	// reads start/dur/indeg densely and never touches the contention
+	// pass's fields, so splitting the old packed record into parallel
+	// slices keeps the hot loop's cache lines free of cold fields and lets
+	// the reset between calls be two bulk copies instead of a
+	// record-prototype copy (dur is fully rewritten every call; stamp and
+	// chainNext are self-cleaning — the relaxation pass zeroes each stamp
+	// on dequeue and unthreads the chain before returning).
+	// BenchmarkNodeLayout pins the layouts against each other on the
+	// isolated relaxation kernel.
+	start []int64
+	dur   []int64
+	indeg []int32
 
 	queue  []int32
 	clbOf  []int32 // per-task CLB count under the current Impl (HW tasks)
 	resTag []int32 // per-task packed (kind,resource) of the current Assign
 
-	// Pass-2 (bus contention) scratch.
-	crossIdx []int32 // cross-resource flow node ids
-	relaxQ   []int32
-	qepoch   int32
+	// flowDur is each flow's bus time as of the last call. The contention
+	// pass treats the cross-resource flows (flowDur > 0) as virtual nodes
+	// nG+k: fstart is their start, stamp (over nodes and virtual nodes) the
+	// in-queue marking and chainNext their successor in the chain, -1
+	// outside it.
+	flowDur   []int64
+	fstart    []int64
+	stamp     []int32
+	chainNext []int32
+	crossIdx  []int32 // cross-resource flow indices
+	relaxQ    []int32
+	qepoch    int32
 }
 
 // NewEvaluator builds an evaluator for the given application and
@@ -98,25 +110,25 @@ func NewEvaluator(app *model.App, arch *model.Arch) *Evaluator {
 	s := newShape(app, arch)
 	e := &Evaluator{
 		shape:     s,
-		csrHead:   make([]int32, s.v+1),
-		rowLen:    make([]int32, s.v),
-		staticDeg: make([]int32, s.v),
-		staticIn:  make([]int32, s.v),
-		start:     make([]int64, s.v),
-		dur:       make([]int64, s.v),
-		indeg:     make([]int32, s.v),
-		stamp:     make([]int32, s.v),
-		chainNext: make([]int32, s.v),
-		queue:     make([]int32, s.v),
+		csrHead:   make([]int32, s.nG+1),
+		rowLen:    make([]int32, s.nG),
+		staticDeg: make([]int32, s.nG),
+		staticIn:  make([]int32, s.nG),
+		flowAt:    make([]int32, s.nFlows),
+		start:     make([]int64, s.nG),
+		dur:       make([]int64, s.nG),
+		indeg:     make([]int32, s.nG),
+		queue:     make([]int32, s.nG),
 		clbOf:     make([]int32, s.nTasks),
 		resTag:    make([]int32, s.nTasks),
+		flowDur:   make([]int64, s.nFlows),
+		fstart:    make([]int64, s.nFlows),
+		stamp:     make([]int32, s.nG+s.nFlows),
+		chainNext: make([]int32, s.nFlows),
 	}
 	for k := range app.Flows {
 		fl := &app.Flows[k]
-		cn := s.nTasks + k
 		e.staticDeg[fl.From]++
-		e.staticDeg[cn]++
-		e.staticIn[cn]++
 		e.staticIn[fl.To]++
 	}
 	for i := range e.chainNext {
@@ -134,30 +146,31 @@ func NewEvaluator(app *model.App, arch *model.Arch) *Evaluator {
 // entries (rowLen beyond the static prefix) are preserved, so it is safe
 // to call mid-emission when a row overflows.
 func (e *Evaluator) relayout(headroom int32) {
-	newHead := make([]int32, e.v+1)
-	for u := 0; u < e.v; u++ {
+	newHead := make([]int32, e.nG+1)
+	for u := 0; u < e.nG; u++ {
 		used := e.staticDeg[u]
 		if e.rowLen != nil && e.rowLen[u] > used {
 			used = e.rowLen[u]
 		}
 		newHead[u+1] = newHead[u] + max(used+headroom, e.csrHead[u+1]-e.csrHead[u])
 	}
-	newCSR := make([]csrEdge, newHead[e.v])
+	newCSR := make([]csrEdge, newHead[e.nG])
 	if e.csr == nil {
-		// First layout: place the static flow edges at their row fronts.
-		fill := make([]int32, e.v)
+		// First layout: place the static flow entries at their row fronts.
 		for k := range e.app.Flows {
 			fl := &e.app.Flows[k]
-			cn := e.nTasks + k
-			newCSR[newHead[fl.From]+fill[fl.From]] = csrEdge{to: int32(cn)}
-			fill[fl.From]++
-			newCSR[newHead[cn]+fill[cn]] = csrEdge{to: int32(fl.To)}
-			fill[cn]++
+			at := newHead[fl.From] + e.rowLen[fl.From]
+			newCSR[at] = csrEdge{to: int32(fl.To), flow: int32(k + 1)}
+			e.flowAt[k] = at
+			e.rowLen[fl.From]++
 		}
-		copy(e.rowLen, e.staticDeg)
 	} else {
-		for u := 0; u < e.v; u++ {
+		for u := 0; u < e.nG; u++ {
 			copy(newCSR[newHead[u]:], e.csr[e.csrHead[u]:e.csrHead[u]+e.rowLen[u]])
+		}
+		for k := range e.app.Flows {
+			u := e.app.Flows[k].From
+			e.flowAt[k] += newHead[u] - e.csrHead[u]
 		}
 	}
 	e.csrHead = newHead
@@ -165,12 +178,28 @@ func (e *Evaluator) relayout(headroom int32) {
 }
 
 // StartOf returns the start time of a search-graph node as of the last
-// Evaluate call.
-func (e *Evaluator) StartOf(node int) model.Time { return model.Time(e.start[node]) }
+// Evaluate call. A communication node starts when its producer finishes,
+// unless the contention pass delayed it.
+func (e *Evaluator) StartOf(node int) model.Time {
+	if node < e.nG {
+		return model.Time(e.start[node])
+	}
+	k := node - e.nG
+	if e.arch.Bus.Contention && e.flowDur[k] > 0 {
+		return model.Time(e.fstart[k])
+	}
+	u := e.app.Flows[k].From
+	return model.Time(e.start[u] + e.dur[u])
+}
 
 // DurOf returns the duration of a search-graph node as of the last
 // Evaluate call.
-func (e *Evaluator) DurOf(node int) model.Time { return model.Time(e.dur[node]) }
+func (e *Evaluator) DurOf(node int) model.Time {
+	if node < e.nG {
+		return model.Time(e.dur[node])
+	}
+	return model.Time(e.flowDur[node-e.nG])
+}
 
 // emit scatters one dynamic search-graph edge into u's CSR row, growing the
 // layout when the row is full.
@@ -211,9 +240,9 @@ func (e *Evaluator) EvaluateStop(m *Mapping, stop func(lb Result) bool) (Result,
 	var res Result
 
 	// Reset every CSR row to its static prefix, the start times to zero and
-	// the in-degrees to their static values. The durations are all
-	// rewritten below; stamps and chain links are self-cleaning (see the
-	// field comments).
+	// the in-degrees to their static values. The durations and flow
+	// weights are all rewritten below; stamps and chain links are
+	// self-cleaning (see the field comments).
 	copy(e.rowLen, e.staticDeg)
 	clear(e.start)
 	copy(e.indeg, e.staticIn)
@@ -239,9 +268,9 @@ func (e *Evaluator) EvaluateStop(m *Mapping, stop func(lb Result) bool) (Result,
 	res.ComputeSW = model.Time(sumSW)
 	res.ComputeHW = model.Time(sumHW)
 
-	// Flows: the precedence edges through the communication nodes are part
-	// of the static prefix; only the durations depend on the mapping. A
-	// flow costs bus time exactly when its endpoints' resource tags differ.
+	// Flows: their entries are part of the static prefix; only the weights
+	// depend on the mapping. A flow costs bus time exactly when its
+	// endpoints' resource tags differ.
 	var sumComm int64
 	for k := range e.app.Flows {
 		fl := &e.app.Flows[k]
@@ -249,7 +278,8 @@ func (e *Evaluator) EvaluateStop(m *Mapping, stop func(lb Result) bool) (Result,
 		if e.resTag[fl.From] != e.resTag[fl.To] {
 			d = e.busTime[k]
 		}
-		e.dur[e.nTasks+k] = d
+		e.flowDur[k] = d
+		e.csr[e.flowAt[k]].w = d
 		sumComm += d
 	}
 	res.Comm = model.Time(sumComm)
@@ -317,24 +347,27 @@ func (e *Evaluator) EvaluateStop(m *Mapping, stop func(lb Result) bool) (Result,
 
 	// Pass 2: serialize bus transactions in data-ready order (a total order
 	// consistent with the data-ready times, ties broken by flow index) and
-	// propagate the added constraints. Serialization edges always point
-	// from an earlier-ready to a later-ready transaction, so they can never
-	// create a cycle and a targeted monotone relaxation from the chain
-	// reaches the same fixed point as a full re-evaluation — without paying
-	// for a second Kahn pass over the whole graph.
+	// propagate the added constraints. Each cross-resource flow becomes a
+	// virtual node on its edge, ready when its producer finishes.
+	// Serialization edges always point from an earlier-ready to a
+	// later-ready transaction, so they can never create a cycle and a
+	// targeted monotone relaxation from the chain reaches the same fixed
+	// point as a full re-evaluation — without paying for a second Kahn pass
+	// over the whole graph.
 	if e.arch.Bus.Contention {
 		if stop != nil && stop(res) {
 			return Result{}, ErrCut
 		}
 		e.crossIdx = e.crossIdx[:0]
 		for k := 0; k < e.nFlows; k++ {
-			cn := e.nTasks + k
-			if e.dur[cn] > 0 {
-				e.crossIdx = append(e.crossIdx, int32(cn))
+			if e.flowDur[k] > 0 {
+				u := e.app.Flows[k].From
+				e.fstart[k] = e.start[u] + e.dur[u]
+				e.crossIdx = append(e.crossIdx, int32(k))
 			}
 		}
 		if len(e.crossIdx) > 1 {
-			sortByStart(e.crossIdx, e.start)
+			sortByStart(e.crossIdx, e.fstart)
 			mk = e.relaxChain(mk)
 		}
 	}
@@ -344,7 +377,8 @@ func (e *Evaluator) EvaluateStop(m *Mapping, stop func(lb Result) bool) (Result,
 }
 
 // runDP performs Kahn-order longest-path propagation over the CSR
-// adjacency. It reports false when the graph is cyclic.
+// adjacency of the task and boot nodes, each flow entry weighted with its
+// bus time. It reports false when the graph is cyclic.
 func (e *Evaluator) runDP() (int64, bool) {
 	start, dur, indeg := e.start, e.dur, e.indeg
 	head, csr := e.csrHead, e.csr
@@ -378,42 +412,76 @@ func (e *Evaluator) runDP() (int64, bool) {
 			}
 		}
 	}
-	return mk, qlen == e.v
+	return mk, qlen == e.nG
 }
 
 // relaxChain threads the sorted contention chain through the pass-1 start
 // times and propagates the induced increases through the downstream cone,
-// returning the updated makespan. Starts only ever grow, so a simple
-// worklist converges to the unique longest-path fixed point of the graph
-// plus chain.
+// returning the updated makespan. The worklist holds nodes and the virtual
+// nodes nG+k of the cross flows: a node's flow entry of positive weight
+// leads to its virtual node, which leads to the flow's consumer and to its
+// chain successor. Starts only ever grow, so a simple worklist converges to
+// the unique longest-path fixed point of the graph plus chain. A virtual
+// node's finish never exceeds its consumer's, so the makespan is the
+// nodes' maximum finish.
 func (e *Evaluator) relaxChain(mk int64) int64 {
-	start, dur := e.start, e.dur
+	start, dur, fstart, fdur := e.start, e.dur, e.fstart, e.flowDur
 	stamp, chainNext := e.stamp, e.chainNext
-	head, csr := e.csrHead, e.csr
+	head, csr, rowLen := e.csrHead, e.csr, e.rowLen
+	nG := int32(e.nG)
 	e.qepoch++
 	epoch := e.qepoch
 	q := e.relaxQ[:0]
 	for i := 1; i < len(e.crossIdx); i++ {
 		a, b := e.crossIdx[i-1], e.crossIdx[i]
 		chainNext[a] = b
-		if fin := start[a] + dur[a]; fin > start[b] {
-			start[b] = fin
-			if stamp[b] != epoch {
-				stamp[b] = epoch
-				q = append(q, b)
+		if fin := fstart[a] + fdur[a]; fin > fstart[b] {
+			fstart[b] = fin
+			if stamp[nG+b] != epoch {
+				stamp[nG+b] = epoch
+				q = append(q, nG+b)
 			}
 		}
 	}
-	rowLen := e.rowLen
 	for h := 0; h < len(q); h++ {
-		u := q[h]
-		stamp[u] = 0 // allow re-queueing if start[u] grows again later
-		fin := start[u] + dur[u]
+		x := q[h]
+		stamp[x] = 0 // allow re-queueing if the start grows again later
+		if x >= nG {
+			k := x - nG
+			fin := fstart[k] + fdur[k]
+			if to := int32(e.app.Flows[k].To); fin > start[to] {
+				start[to] = fin
+				if stamp[to] != epoch {
+					stamp[to] = epoch
+					q = append(q, to)
+				}
+			}
+			if nx := chainNext[k]; nx >= 0 && fin > fstart[nx] {
+				fstart[nx] = fin
+				if stamp[nG+nx] != epoch {
+					stamp[nG+nx] = epoch
+					q = append(q, nG+nx)
+				}
+			}
+			continue
+		}
+		fin := start[x] + dur[x]
 		if fin > mk {
 			mk = fin
 		}
-		row := head[u]
-		for _, ed := range csr[row : row+rowLen[u]] {
+		row := head[x]
+		for _, ed := range csr[row : row+rowLen[x]] {
+			if ed.flow != 0 && ed.w > 0 {
+				// A cross flow: its virtual node starts at this finish.
+				if k := ed.flow - 1; fin > fstart[k] {
+					fstart[k] = fin
+					if stamp[nG+k] != epoch {
+						stamp[nG+k] = epoch
+						q = append(q, nG+k)
+					}
+				}
+				continue
+			}
 			if s := fin + ed.w; s > start[ed.to] {
 				start[ed.to] = s
 				if stamp[ed.to] != epoch {
@@ -422,29 +490,21 @@ func (e *Evaluator) relaxChain(mk int64) int64 {
 				}
 			}
 		}
-		if nx := chainNext[u]; nx >= 0 {
-			if fin > start[nx] {
-				start[nx] = fin
-				if stamp[nx] != epoch {
-					stamp[nx] = epoch
-					q = append(q, nx)
-				}
-			}
-		}
 	}
 	e.relaxQ = q
 	// Clear the chain threading for the next call.
-	for _, c := range e.crossIdx {
-		chainNext[c] = -1
+	for _, k := range e.crossIdx {
+		chainNext[k] = -1
 	}
 	return mk
 }
 
-// sortByStart insertion-sorts flow nodes by (pass-1 start time, node id).
+// sortByStart insertion-sorts flow indices by (pass-1 start time, index).
 // The slices are short and nearly sorted between consecutive moves, and an
-// insertion sort — unlike sort.Slice — allocates nothing. The node-id tie
-// break keeps the serialization order independent of evaluation internals,
-// so the full-rebuild and incremental paths derive the same chain.
+// insertion sort — unlike sort.Slice — allocates nothing. The index tie
+// break (the flow node id's order) keeps the serialization order
+// independent of evaluation internals, so the full-rebuild and incremental
+// paths derive the same chain.
 func sortByStart(idx []int32, start []int64) {
 	for i := 1; i < len(idx); i++ {
 		x := idx[i]

@@ -7,3 +7,7 @@ var (
 	ForkApp = forkApp
 	RefArch = refArch
 )
+
+// VerifySweep checks the order of the last contention sweep (see
+// graph.Evaluator.VerifySweep).
+func (e *IncEvaluator) VerifySweep() error { return e.g.VerifySweep() }

@@ -22,13 +22,14 @@ type layerPatch struct {
 	a, ob, fb int32
 }
 
-// IncEvaluator is the delta-based evaluation path: it keeps persistent
-// search graphs per (application, architecture) pair and patches them move
+// IncEvaluator is the delta-based evaluation path: it keeps a persistent
+// search graph per (application, architecture) pair and patches it move
 // by move instead of rebuilding.
 //
-// The graph splits into a static skeleton — the task, flow and boot nodes
-// plus the precedence edges through the communication nodes, built once at
-// construction — and dynamic layers re-derived only when a move touches
+// The graph holds the task and boot nodes only. Its static skeleton is one
+// flow edge per data flow, producer to consumer, weighted with the flow's
+// current bus time, so without contention its longest path is the
+// makespan. Its dynamic layers are re-derived only when a move touches
 // them: one software order chain per processor and one context layer per
 // RC (boot duration, terminal→initial transition edges and their
 // reconfiguration weights). A re-derived layer is *diffed* against its
@@ -41,11 +42,10 @@ type layerPatch struct {
 //
 // Bus contention needs the two-pass semantics of the reference path: the
 // transaction serialization order is derived from the *chain-free* start
-// times. A contention-mode evaluator therefore maintains two graphs: p1
-// without the chain (feasibility and transaction ordering) and full with
-// it (the makespan). A move patches p1 only; once p1's start times give
-// the new chain order, full catches up in one pass that diffs its own copy
-// of each changed layer against p1's and its chain against the new order.
+// times, which the graph's flush yields. The chained makespan then takes
+// one sweep over the graph nodes and the cross-resource flows in
+// chain-free start order (graph.Evaluator.ContendedMakespan); no chain is
+// ever installed in the graph.
 //
 // Results are bit-identical to Evaluator's: both paths derive the same
 // edge multiset and the same contention order (pass-1 start times with the
@@ -55,33 +55,17 @@ type layerPatch struct {
 type IncEvaluator struct {
 	shape
 
-	// p1 excludes the contention chain; nil when the bus is
-	// contention-free (then full has no chain either and plays both
-	// roles). full always exists and carries the makespan.
-	p1   *graph.Evaluator
-	full *graph.Evaluator
+	g *graph.Evaluator
 
-	// layers holds the dynamic layers installed in the order graph (p1, or
-	// full without contention): processor p's order chain at index p, RC
-	// r's context layer at index len(Processors)+r.
+	// layers holds the dynamic layers installed in g: processor p's order
+	// chain at index p, RC r's context layer at index len(Processors)+r.
 	layers [][]edge3
-	// With contention, fullLayers holds the layers installed in full, and
-	// lagging lists (lags marks) every layer whose full copy may differ
-	// from its order-graph list.
-	fullLayers [][]edge3
-	lagging    []int32
-	lags       []bool
 
 	// Patch scratch.
 	fresh   []edge3 // arena of freshly generated layer edge lists
 	patches []layerPatch
 	keepScr []edge3 // failure-path scratch for rebuilding a stored list
 	uvScr   uvIndex // endpoint→index hash for large diff windows
-
-	// busNext is the installed contention chain (full graph only): the
-	// chain successor of each node, -1 where no chain edge leaves it. Only
-	// members of crossIdx have one.
-	busNext []int32
 
 	// Last installed node/flow durations and Result accounting. The sums
 	// are maintained incrementally: updates subtract the stored
@@ -97,67 +81,28 @@ type IncEvaluator struct {
 	sumSW, sumHW, sumComm, sumInit, sumDyn int64
 	sumCtx                                 int
 
-	// crossIdx is the persistent list of cross-resource flow nodes (comm
-	// duration > 0) on a contention bus, kept in its last sorted order
-	// across moves so the per-move re-sort is a nearly-linear insertion
-	// pass instead of a full sort from node-id order. Without contention
-	// it and crossState stay nil. crossState tracks membership per flow
-	// (crossAbsent/crossLive/crossStale); removals are lazy — syncFull
-	// compacts the list when crossDead counts any stale entries. The list
-	// is never cleared wholesale: a member leaves it only through
-	// compaction, which also removes its chain edge.
-	crossIdx   []int32
-	crossState []int8
-	crossDead  int
-	crossScr   []crossKey // start-time scratch for the re-sort
-	installed  bool
+	installed bool
 }
 
-// crossKey pairs a cross-resource flow node with its chain-free start time
-// for the contention-order sort.
-type crossKey struct {
-	s  int64
-	id int32
-}
-
-const (
-	crossAbsent int8 = iota
-	crossLive
-	crossStale
-)
-
-// NewIncEvaluator builds the static skeletons for the given pair. The
-// models must already be validated; a cyclic precedence graph is an error.
+// NewIncEvaluator builds the static skeleton for the given pair. The models
+// must already be validated; a cyclic precedence graph is an error.
 func NewIncEvaluator(app *model.App, arch *model.Arch) (*IncEvaluator, error) {
 	s := newShape(app, arch)
-	mkGraph := func() (*graph.Evaluator, error) {
-		dag := graph.New(s.v)
-		for k := range app.Flows {
-			fl := &app.Flows[k]
-			cn := s.nTasks + k
-			if _, err := dag.AddEdge(fl.From, cn, 0); err != nil {
-				return nil, err
-			}
-			if _, err := dag.AddEdge(cn, fl.To, 0); err != nil {
-				return nil, err
-			}
-		}
-		ge, err := graph.NewEvaluator(dag, make([]int64, s.v))
-		if err != nil {
+	dag := graph.New(s.nG)
+	for k := range app.Flows {
+		fl := &app.Flows[k]
+		if _, err := dag.AddFlow(fl.From, fl.To, 0); err != nil {
 			return nil, fmt.Errorf("sched: precedence graph is cyclic: %w", err)
 		}
-		return ge, nil
 	}
-	full, err := mkGraph()
+	g, err := graph.NewEvaluator(dag, make([]int64, s.nG))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sched: precedence graph is cyclic: %w", err)
 	}
-	nLayers := len(arch.Processors) + len(arch.RCs)
-	e := &IncEvaluator{
+	return &IncEvaluator{
 		shape:    s,
-		full:     full,
-		layers:   make([][]edge3, nLayers),
-		busNext:  make([]int32, s.v),
+		g:        g,
+		layers:   make([][]edge3, len(arch.Processors)+len(arch.RCs)),
 		taskDurV: make([]int64, s.nTasks),
 		taskIsHW: make([]bool, s.nTasks),
 		flowDurV: make([]int64, s.nFlows),
@@ -165,28 +110,7 @@ func NewIncEvaluator(app *model.App, arch *model.Arch) (*IncEvaluator, error) {
 		rcInit:   make([]int64, len(arch.RCs)),
 		rcDyn:    make([]int64, len(arch.RCs)),
 		rcCtx:    make([]int32, len(arch.RCs)),
-	}
-	for i := range e.busNext {
-		e.busNext[i] = -1
-	}
-	if arch.Bus.Contention {
-		if e.p1, err = mkGraph(); err != nil {
-			return nil, err
-		}
-		e.fullLayers = make([][]edge3, nLayers)
-		e.lags = make([]bool, nLayers)
-		e.crossState = make([]int8, s.nFlows)
-	}
-	return e, nil
-}
-
-// orderGraph returns the evaluator whose start times define the bus
-// transaction order: the chain-free graph.
-func (e *IncEvaluator) orderGraph() *graph.Evaluator {
-	if e.p1 != nil {
-		return e.p1
-	}
-	return e.full
+	}, nil
 }
 
 // Install (re)builds every dynamic layer for mapping m and evaluates it.
@@ -197,9 +121,8 @@ func (e *IncEvaluator) Install(m *Mapping) (Result, error) {
 	for t := range e.taskDurV {
 		e.taskDurV[t], e.taskIsHW[t] = 0, false
 	}
-	// The flow refreshes below bring crossIdx's membership up to date from
-	// whatever state it is in: updateFlow's transitions read crossState,
-	// not the durations reset here.
+	// The graph re-weights a flow edge against the weight installed in it,
+	// not against these sums' stored contributions.
 	for k := range e.flowDurV {
 		e.flowDurV[k] = 0
 	}
@@ -224,19 +147,16 @@ func (e *IncEvaluator) Install(m *Mapping) (Result, error) {
 }
 
 // Update re-derives the layers named by the change set from mapping m and
-// returns the fresh evaluation. On ErrOrderCycle only the order graph
-// holds a partial patch (the full graph of a contention bus is not touched
-// before the order graph has accepted the move): the caller must revert m
-// to its previous (acyclic) state and call Update again with the same
-// change set, which is guaranteed to succeed and restores the evaluator
-// exactly.
+// returns the fresh evaluation. On ErrOrderCycle the graph holds a partial
+// patch: the caller must revert m to its previous (acyclic) state and call
+// Update again with the same change set, which is guaranteed to succeed
+// and restores the evaluator exactly.
 //
 // stop, when non-nil, is offered a bound before the contention pass: on a
 // bus with contention it receives the chain-free evaluation — every field
 // exact except Makespan, a lower bound, since the chain only adds edges.
-// When it returns true Update returns ErrCut at once, leaving the full
-// graph's layers and chain as they were; the next Update catches them up.
-// The layers are installed in the order graph either way; the caller
+// When it returns true Update returns ErrCut at once, skipping the
+// contention sweep. The layers are installed either way; the caller
 // treats a cut move as applied, and reverting it is the ordinary revert.
 // A nil stop evaluates exactly.
 func (e *IncEvaluator) Update(m *Mapping, cs *ChangeSet, stop func(lb Result) bool) (Result, error) {
@@ -270,9 +190,9 @@ func (e *IncEvaluator) beginPatches() {
 	e.patches = e.patches[:0]
 }
 
-// trim is the layer diff shared by staging and the full-graph sync: after
-// common prefix/suffix trimming, the installed list's window old[a:ob]
-// gives way to the replacement's window fr[a:fb].
+// trim is the layer diff of staging: after common prefix/suffix trimming,
+// the installed list's window old[a:ob] gives way to the replacement's
+// window fr[a:fb].
 func trim(old, fr []edge3) (a, ob, fb int) {
 	for a < len(old) && a < len(fr) && old[a] == fr[a] {
 		a++
@@ -286,8 +206,7 @@ func trim(old, fr []edge3) (a, ob, fb int) {
 }
 
 // stage diffs layer l's installed list against the fresh range starting
-// at from and records the patch. On a contention bus the layer now lags
-// in the full graph.
+// at from and records the patch.
 func (e *IncEvaluator) stage(l, from int) {
 	fr := e.fresh[from:]
 	a, ob, fb := trim(e.layers[l], fr)
@@ -298,10 +217,6 @@ func (e *IncEvaluator) stage(l, from int) {
 		layer: int32(l), from: int32(from), to: int32(len(e.fresh)),
 		a: int32(a), ob: int32(ob), fb: int32(fb),
 	})
-	if e.p1 != nil && !e.lags[l] {
-		e.lags[l] = true
-		e.lagging = append(e.lagging, int32(l))
-	}
 }
 
 // windows returns the differing windows of a staged patch.
@@ -445,9 +360,9 @@ func (ix *uvIndex) find(u, v int32) int {
 	}
 }
 
-// removeStale removes from g every edge of oldWin whose endpoints frWin
-// lacks. An edge in both windows stays; addFresh updates its weight.
-func (e *IncEvaluator) removeStale(g *graph.Evaluator, oldWin, frWin []edge3) {
+// removeStale removes from the graph every edge of oldWin whose endpoints
+// frWin lacks. An edge in both windows stays; addFresh updates its weight.
+func (e *IncEvaluator) removeStale(oldWin, frWin []edge3) {
 	hashed := len(frWin) > uvSmall && len(oldWin) > 1
 	if hashed {
 		e.uvScr.build(frWin)
@@ -460,16 +375,17 @@ func (e *IncEvaluator) removeStale(g *graph.Evaluator, oldWin, frWin []edge3) {
 			fi = findUV(frWin, oe.u, oe.v)
 		}
 		if fi < 0 {
-			g.RemoveEdge(int(oe.u), int(oe.v))
+			e.g.RemoveEdge(int(oe.u), int(oe.v))
 		}
 	}
 }
 
-// addFresh inserts into g every edge of frWin that oldWin lacks or carries
-// at another weight (AddEdge on an existing edge updates the weight, with
-// no cycle risk). It returns the index in frWin of an insertion that would
-// close a cycle, after applying the ones before it, or -1.
-func (e *IncEvaluator) addFresh(g *graph.Evaluator, oldWin, frWin []edge3) int {
+// addFresh inserts into the graph every edge of frWin that oldWin lacks or
+// carries at another weight (AddEdge on an existing edge updates the
+// weight, with no cycle risk). It returns the index in frWin of an
+// insertion that would close a cycle, after applying the ones before it,
+// or -1.
+func (e *IncEvaluator) addFresh(oldWin, frWin []edge3) int {
 	hashed := len(oldWin) > uvSmall && len(frWin) > 1
 	if hashed {
 		e.uvScr.build(oldWin)
@@ -484,28 +400,27 @@ func (e *IncEvaluator) addFresh(g *graph.Evaluator, oldWin, frWin []edge3) int {
 		if oi >= 0 && oldWin[oi].w == ne.w {
 			continue
 		}
-		if g.AddEdge(int(ne.u), int(ne.v), ne.w) != nil {
+		if e.g.AddEdge(int(ne.u), int(ne.v), ne.w) != nil {
 			return wi
 		}
 	}
 	return -1
 }
 
-// applyPatches performs every staged diff on the order graph, which
-// decides feasibility: first all removals, then all insertions. The global
+// applyPatches performs every staged diff on the graph, which decides
+// feasibility: first all removals, then all insertions. The global
 // remove-before-add order matters — a new edge of one layer could
 // otherwise close a phantom cycle through a doomed old edge of another
 // layer that merely had not been removed yet.
 func (e *IncEvaluator) applyPatches() error {
-	og := e.orderGraph()
 	for i := range e.patches {
 		oldWin, frWin := e.windows(&e.patches[i])
-		e.removeStale(og, oldWin, frWin)
+		e.removeStale(oldWin, frWin)
 	}
 	for i := range e.patches {
 		pt := &e.patches[i]
 		oldWin, frWin := e.windows(pt)
-		if wi := e.addFresh(og, oldWin, frWin); wi >= 0 {
+		if wi := e.addFresh(oldWin, frWin); wi >= 0 {
 			e.recordPartial(i, wi)
 			return ErrOrderCycle
 		}
@@ -517,7 +432,7 @@ func (e *IncEvaluator) applyPatches() error {
 
 // recordPartial rewrites the stored lists of the failed patch and every
 // patch after it following a mid-add cycle failure, so that each list
-// reflects exactly what is installed in the order graph: the trimmed
+// reflects exactly what is installed in the graph: the trimmed
 // prefix/suffix, the window survivors, and — for the failed layer — the
 // window edges applied before the failure. (Patches before failedIdx
 // committed normally; later patches had their removals applied but no
@@ -576,132 +491,34 @@ func (e *IncEvaluator) updateTask(m *Mapping, t int) {
 	}
 	e.taskDurV[t] = d
 	e.taskIsHW[t] = hw
-	e.full.SetDur(t, d)
-	if e.p1 != nil {
-		e.p1.SetDur(t, d)
-	}
+	e.g.SetDur(t, d)
 }
 
-// updateFlow refreshes flow k's communication duration and, on a bus with
-// contention, the flow's membership in the persistent cross-resource
-// list. A flow can be refreshed twice in one Update (both endpoints in the
-// change set); the state machine makes the second refresh a no-op instead
-// of a duplicate entry.
+// updateFlow refreshes flow k's communication duration, the weight of its
+// flow edge. A flow can be refreshed twice in one Update (both endpoints in
+// the change set); the second refresh changes nothing.
 func (e *IncEvaluator) updateFlow(m *Mapping, k int) {
 	d := e.flowDur(m, k)
 	e.sumComm += d - e.flowDurV[k]
 	e.flowDurV[k] = d
-	e.full.SetDur(e.nTasks+k, d)
-	if e.p1 == nil {
-		// Without contention there is no chain to keep the list for.
-		return
-	}
-	e.p1.SetDur(e.nTasks+k, d)
-	switch cross := d > 0; {
-	case cross && e.crossState[k] == crossAbsent:
-		e.crossState[k] = crossLive
-		e.crossIdx = append(e.crossIdx, int32(e.nTasks+k))
-	case cross && e.crossState[k] == crossStale:
-		e.crossState[k] = crossLive
-		e.crossDead--
-	case !cross && e.crossState[k] == crossLive:
-		e.crossState[k] = crossStale
-		e.crossDead++
-	}
+	e.g.SetFlowWeight(k, d)
 }
 
-// setBootDur sets the boot node duration of RC r in both graphs.
-func (e *IncEvaluator) setBootDur(r int, d int64) {
-	e.full.SetDur(e.BootNode(r), d)
-	if e.p1 != nil {
-		e.p1.SetDur(e.BootNode(r), d)
-	}
-}
+// setBootDur sets the boot node duration of RC r.
+func (e *IncEvaluator) setBootDur(r int, d int64) { e.g.SetDur(e.BootNode(r), d) }
 
-// ---------- the contention chain ----------
-
-// finish flushes the pending patches, brings the full graph up to date
-// and assembles the Result. A stop hook that cuts at the chain-free bound
-// skips everything after the chain-free flush.
+// finish flushes the pending patches and assembles the Result. On a bus
+// with contention the stop hook sees the chain-free evaluation first, and
+// a cut skips the contention sweep.
 func (e *IncEvaluator) finish(stop func(lb Result) bool) (Result, error) {
-	if e.p1 == nil {
-		return e.result(e.full.Flush()), nil
+	mk := e.g.Flush()
+	if !e.arch.Bus.Contention {
+		return e.result(mk), nil
 	}
-	if lb := e.p1.Flush(); stop != nil && stop(e.result(lb)) {
+	if stop != nil && stop(e.result(mk)) {
 		return Result{}, ErrCut
 	}
-	e.syncFull()
-	return e.result(e.full.Flush()), nil
-}
-
-// syncFull makes the full graph p1's graph plus the contention chain: the
-// cross-resource flows in chain-free start order. It diffs the full copy
-// of every lagging layer against p1's list and the installed chain
-// against the freshly sorted cross list, and applies every removal before
-// any insertion. A cross list of fewer than two members has no chain
-// edges.
-//
-// No insertion can close a cycle. After the removals the full graph is a
-// subgraph of the target, and the target is acyclic: p1 is, and chain
-// edges follow the chain-free start order. Around any would-be cycle the
-// chain-free starts must be non-decreasing, hence all equal, which forces
-// every p1 edge on it to leave a zero-duration node and every chain edge
-// to leave a positive-duration one — so the cycle would consist of chain
-// edges alone, and the chain is a simple path. A failed insertion is
-// therefore a bug.
-func (e *IncEvaluator) syncFull() {
-	for _, l := range e.lagging {
-		old, fr := e.fullLayers[l], e.layers[l]
-		a, ob, fb := trim(old, fr)
-		e.removeStale(e.full, old[a:ob], fr[a:fb])
-	}
-	if e.crossDead > 0 {
-		w := 0
-		for _, n := range e.crossIdx {
-			if e.crossState[int(n)-e.nTasks] == crossLive {
-				e.crossIdx[w] = n
-				w++
-				continue
-			}
-			e.crossState[int(n)-e.nTasks] = crossAbsent
-			if nx := e.busNext[n]; nx >= 0 {
-				e.full.RemoveEdge(int(n), int(nx))
-				e.busNext[n] = -1
-			}
-		}
-		e.crossIdx = e.crossIdx[:w]
-		e.crossDead = 0
-	}
-	e.sortCrossByStart()
-	for i, a := range e.crossIdx {
-		nx := int32(-1)
-		if i+1 < len(e.crossIdx) {
-			nx = e.crossIdx[i+1]
-		}
-		if old := e.busNext[a]; old >= 0 && old != nx {
-			e.full.RemoveEdge(int(a), int(old))
-			e.busNext[a] = -1
-		}
-	}
-	for _, l := range e.lagging {
-		old, fr := e.fullLayers[l], e.layers[l]
-		a, ob, fb := trim(old, fr)
-		if wi := e.addFresh(e.full, old[a:ob], fr[a:fb]); wi >= 0 {
-			panic(fmt.Sprintf("sched: layer edge (%d,%d) cyclic in the full graph but acyclic in p1", fr[a+wi].u, fr[a+wi].v))
-		}
-		e.fullLayers[l] = append(old[:0], fr...)
-		e.lags[l] = false
-	}
-	e.lagging = e.lagging[:0]
-	for i := 0; i+1 < len(e.crossIdx); i++ {
-		a, b := e.crossIdx[i], e.crossIdx[i+1]
-		if e.busNext[a] != b {
-			if err := e.full.AddEdge(int(a), int(b), 0); err != nil {
-				panic(fmt.Sprintf("sched: contention chain edge (%d,%d) created a cycle", a, b))
-			}
-			e.busNext[a] = b
-		}
-	}
+	return e.result(e.g.ContendedMakespan()), nil
 }
 
 // result assembles a Result around makespan mk from the maintained sums.
@@ -714,34 +531,5 @@ func (e *IncEvaluator) result(mk int64) Result {
 		ComputeSW:       model.Time(e.sumSW),
 		ComputeHW:       model.Time(e.sumHW),
 		Contexts:        e.sumCtx,
-	}
-}
-
-// sortCrossByStart insertion-sorts the cross-resource flow nodes by
-// (chain-free start time, node id) — the same key the full-rebuild path
-// uses, so both paths serialize the bus identically. The keys are staged
-// into a contiguous scratch first (one Start lookup per node, not per
-// comparison), and crossIdx arrives in its previous sorted order, so on
-// typical moves the pass is nearly linear.
-func (e *IncEvaluator) sortCrossByStart() {
-	ge := e.orderGraph()
-	if cap(e.crossScr) < len(e.crossIdx) {
-		e.crossScr = make([]crossKey, len(e.crossIdx))
-	}
-	scr := e.crossScr[:len(e.crossIdx)]
-	for i, n := range e.crossIdx {
-		scr[i] = crossKey{s: ge.Start(int(n)), id: n}
-	}
-	for i := 1; i < len(scr); i++ {
-		x := scr[i]
-		j := i - 1
-		for j >= 0 && (scr[j].s > x.s || (scr[j].s == x.s && scr[j].id > x.id)) {
-			scr[j+1] = scr[j]
-			j--
-		}
-		scr[j+1] = x
-	}
-	for i, k := range scr {
-		e.crossIdx[i] = k.id
 	}
 }

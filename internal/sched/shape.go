@@ -10,15 +10,20 @@ import (
 // derive the initial/terminal task lists of reconfiguration contexts.
 //
 // The node layout is fixed per (application, architecture) pair: tasks
-// occupy nodes [0,N), each data flow gets a communication node in [N, N+F)
-// whose duration is the bus transfer time when the flow crosses resources
-// (zero otherwise), and each RC gets a "boot" node in [N+F, N+F+R) carrying
-// the initial configuration time of its first context.
+// occupy nodes [0,N) and each RC gets a "boot" node in [N, N+R) carrying
+// the initial configuration time of its first context; these are the
+// graph nodes that both evaluators' graphs hold. Each data flow is a static
+// edge between its tasks weighted with its bus transfer time when it
+// crosses resources (zero otherwise). Only the contention pass needs a flow
+// as a node of its own, the communication node FlowNode(k) in
+// [N+R, N+R+F); outside it a flow node is a pass-through from producer to
+// consumer.
 type shape struct {
 	app  *model.App
 	arch *model.Arch
 
 	nTasks, nFlows, nBoot, v int
+	nG                       int       // graph nodes: tasks and boot nodes
 	predTasks                [][]int32 // static precedence adjacency between tasks
 	succTasks                [][]int32
 	flowsOf                  [][]int32 // flow indices incident to each task
@@ -49,7 +54,7 @@ func newShape(app *model.App, arch *model.Arch) shape {
 	s := shape{
 		app:    app,
 		arch:   arch,
-		nTasks: n, nFlows: f, nBoot: r, v: n + f + r,
+		nTasks: n, nFlows: f, nBoot: r, v: n + r + f, nG: n + r,
 		predTasks: make([][]int32, n),
 		succTasks: make([][]int32, n),
 		flowsOf:   make([][]int32, n),
@@ -87,10 +92,10 @@ func newShape(app *model.App, arch *model.Arch) shape {
 func (s *shape) TaskNode(t int) int { return t }
 
 // FlowNode returns the communication node of flow k.
-func (s *shape) FlowNode(k int) int { return s.nTasks + k }
+func (s *shape) FlowNode(k int) int { return s.nG + k }
 
 // BootNode returns the initial-configuration node of RC r.
-func (s *shape) BootNode(r int) int { return s.nTasks + s.nFlows + r }
+func (s *shape) BootNode(r int) int { return s.nTasks + r }
 
 // NumNodes returns the search-graph node count.
 func (s *shape) NumNodes() int { return s.v }
