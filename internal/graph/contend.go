@@ -166,12 +166,17 @@ func sortSweep(ord []sweepEnt) {
 	for i := 1; i < len(ord); i++ {
 		x := ord[i]
 		j := i - 1
-		for j >= 0 && (ord[j].s > x.s || (ord[j].s == x.s && ord[j].tie > x.tie)) {
+		for j >= 0 && x.before(ord[j]) {
 			ord[j+1] = ord[j]
 			j--
 		}
 		ord[j+1] = x
 	}
+}
+
+// before reports whether entry a sorts before entry b.
+func (a sweepEnt) before(b sweepEnt) bool {
+	return a.s < b.s || (a.s == b.s && a.tie < b.tie)
 }
 
 // VerifySweep checks the order of the last ContendedMakespan call against
@@ -209,11 +214,8 @@ func (e *Evaluator) VerifySweep() error {
 		if en != want {
 			return fmt.Errorf("graph: sweep entry %+v, current key %+v", en, want)
 		}
-		if i > 0 {
-			p := c.order[i-1]
-			if p.s > en.s || (p.s == en.s && p.tie >= en.tie) {
-				return fmt.Errorf("graph: sweep entries %+v and %+v out of order", p, en)
-			}
+		if i > 0 && !c.order[i-1].before(en) {
+			return fmt.Errorf("graph: sweep entries %+v and %+v out of order", c.order[i-1], en)
 		}
 	}
 	for v := 0; v < n; v++ {
