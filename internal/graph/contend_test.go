@@ -13,7 +13,7 @@ import (
 // again.
 func explicitContended(t *testing.T, g *DAG, dur []int64) int64 {
 	t.Helper()
-	n, nf := g.N(), g.NumFlows()
+	n, nf := g.N(), len(g.flows)
 	x := New(n + nf)
 	xdur := append(append([]int64(nil), dur...), make([]int64, nf)...)
 	for u := 0; u < n; u++ {
@@ -23,11 +23,10 @@ func explicitContended(t *testing.T, g *DAG, dur []int64) int64 {
 			}
 		}
 	}
-	for k := 0; k < nf; k++ {
-		u, v, w := g.Flow(k)
-		x.AddEdge(u, n+k, 0) //nolint:errcheck
-		x.AddEdge(n+k, v, 0) //nolint:errcheck
-		xdur[n+k] = w
+	for k, f := range g.flows {
+		x.AddEdge(int(f.u), n+k, 0) //nolint:errcheck
+		x.AddEdge(n+k, int(f.v), 0) //nolint:errcheck
+		xdur[n+k] = f.w
 	}
 	start, _, err := Longest(x, xdur)
 	if err != nil {

@@ -119,15 +119,6 @@ func (g *DAG) AddFlow(u, v int, w int64) (int, error) {
 	return id, nil
 }
 
-// NumFlows returns the number of flow edges.
-func (g *DAG) NumFlows() int { return len(g.flows) }
-
-// Flow returns the endpoints and the weight of flow edge id.
-func (g *DAG) Flow(id int) (u, v int, w int64) {
-	f := &g.flows[id]
-	return int(f.u), int(f.v), f.w
-}
-
 // SetFlowWeight changes the weight of flow edge id and reports whether it
 // differed from the weight installed.
 func (g *DAG) SetFlowWeight(id int, w int64) bool {

@@ -211,13 +211,13 @@ func TestFlowEdgesBesidePlainEdges(t *testing.T) {
 	if w, ok := g.Weight(0, 1); !ok || w != 5 {
 		t.Fatalf("plain weight = %d, %v; want 5", w, ok)
 	}
-	if g.M() != 3 || g.OutDegree(0) != 3 || g.InDegree(1) != 3 || g.NumFlows() != 2 {
-		t.Fatalf("M=%d out=%d in=%d flows=%d, want 3, 3, 3, 2", g.M(), g.OutDegree(0), g.InDegree(1), g.NumFlows())
+	if g.M() != 3 || g.OutDegree(0) != 3 || g.InDegree(1) != 3 || len(g.flows) != 2 {
+		t.Fatalf("M=%d out=%d in=%d flows=%d, want 3, 3, 3, 2", g.M(), g.OutDegree(0), g.InDegree(1), len(g.flows))
 	}
 	if g.SetFlowWeight(1, 11) || !g.SetFlowWeight(1, 7) {
 		t.Fatal("SetFlowWeight must report exactly the weight changes")
 	}
-	if _, _, w := g.Flow(0); w != 10 {
+	if w := g.flows[0].w; w != 10 {
 		t.Fatalf("flow 0 weight = %d, want 10 after re-weighting flow 1", w)
 	}
 	var preds []int64
@@ -230,14 +230,14 @@ func TestFlowEdgesBesidePlainEdges(t *testing.T) {
 	if !g.RemoveEdge(0, 1) || g.RemoveEdge(0, 1) {
 		t.Fatal("RemoveEdge must remove the plain edge once")
 	}
-	if g.M() != 2 || g.NumFlows() != 2 || g.HasEdge(0, 1) {
-		t.Fatalf("after removing the plain edge: M=%d flows=%d", g.M(), g.NumFlows())
+	if g.M() != 2 || len(g.flows) != 2 || g.HasEdge(0, 1) {
+		t.Fatalf("after removing the plain edge: M=%d flows=%d", g.M(), len(g.flows))
 	}
-	if c.M() != 3 || !c.HasEdge(0, 1) || c.NumFlows() != 2 {
+	if c.M() != 3 || !c.HasEdge(0, 1) || len(c.flows) != 2 {
 		t.Fatal("clone lost an edge")
 	}
 	c.SetFlowWeight(0, 1)
-	if _, _, w := g.Flow(0); w != 10 {
+	if w := g.flows[0].w; w != 10 {
 		t.Fatal("clone flow mutation leaked into original")
 	}
 }
