@@ -3,14 +3,13 @@ package graph
 import "fmt"
 
 // contention is the state of Evaluator.ContendedMakespan, allocated by its
-// first call. The sweep order persists across calls, so that between
-// consecutive calls, whose keys mostly keep their relative order, the
-// re-sort is a nearly linear insertion pass.
+// first call. The sweep order persists across calls, so the re-sort is an
+// insertion pass over a list that the last call left sorted.
 type contention struct {
 	order  []sweepEnt // every node and every member flow, in the last sweep order
 	member []bool     // flow k is in order or in joined
 	joined []int32    // flows that turned positive since the last call, not yet in order
-	flows  int        // member flows in order at the last call
+	live   int        // member flows in order at the last call
 
 	fin     []int64 // contended finish per node
 	flowFin []int64 // contended finish per member flow
@@ -96,7 +95,7 @@ func (e *Evaluator) ContendedMakespan() int64 {
 		nf++
 	}
 	c.joined = c.joined[:0]
-	c.order, c.flows = ord, nf
+	c.order, c.live = ord, nf
 	if nf < 2 {
 		// A chain of fewer than two transfers has no links: the chain-free
 		// makespan is exact.
@@ -190,7 +189,7 @@ func (e *Evaluator) VerifySweep() error {
 	if c == nil {
 		return fmt.Errorf("graph: no contended sweep has run")
 	}
-	if c.flows < 2 {
+	if c.live < 2 {
 		return nil
 	}
 	n := len(e.start)

@@ -117,7 +117,7 @@ func TestContendedMakespanMatchesExplicitChain(t *testing.T) {
 			if err := e.VerifySweep(); err != nil {
 				t.Fatalf("trial %d step %d: %v", trial, step, err)
 			}
-			if e.con.flows >= 2 {
+			if e.con.live >= 2 {
 				sweeps++
 			}
 			if mk := e.Flush(); mk != chainFree {
