@@ -83,16 +83,7 @@ func TestIncUpdateMatchesEvaluate(t *testing.T) {
 			o, c := flowsBesideLayerEdges(in.app, m)
 			orderPairs += o
 			ctxPairs += c
-			cs.Reset()
-			for tk := 0; tk < in.app.N(); tk++ {
-				cs.AddTask(tk)
-			}
-			for p := range in.arch.Processors {
-				cs.AddProc(p)
-			}
-			for r := range in.arch.RCs {
-				cs.AddRC(r)
-			}
+			markAll(cs, in.app, in.arch)
 			if in.arch.Bus.Contention && i%5 == 2 {
 				if _, err := ref.EvaluateStop(m, func(sched.Result) bool { return true }); err != sched.ErrCut {
 					t.Fatalf("%s update %d: a full-path cut returned %v", in.name, i, err)
@@ -187,16 +178,7 @@ func TestContentionSweepOrder(t *testing.T) {
 			if i%10 == 0 {
 				_, err = inc.Install(m)
 			} else {
-				cs.Reset()
-				for tk := 0; tk < in.app.N(); tk++ {
-					cs.AddTask(tk)
-				}
-				for p := range in.arch.Processors {
-					cs.AddProc(p)
-				}
-				for r := range in.arch.RCs {
-					cs.AddRC(r)
-				}
+				markAll(cs, in.app, in.arch)
 				_, err = inc.Update(m, cs, nil)
 			}
 			if err != nil {
@@ -269,6 +251,21 @@ func flowsBesideLayerEdges(app *model.App, m *sched.Mapping) (order, ctx int) {
 		}
 	}
 	return order, ctx
+}
+
+// markAll resets cs to name every task, processor and RC: the change set
+// of a whole new mapping.
+func markAll(cs *sched.ChangeSet, app *model.App, arch *model.Arch) {
+	cs.Reset()
+	for t := 0; t < app.N(); t++ {
+		cs.AddTask(t)
+	}
+	for p := range arch.Processors {
+		cs.AddProc(p)
+	}
+	for r := range arch.RCs {
+		cs.AddRC(r)
+	}
 }
 
 // crossFlows counts the flows of m that cross resources, the members of
