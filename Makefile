@@ -36,10 +36,13 @@ race:
 # path (which cuts rejected moves at their chain-free bound) and requires
 # bit-identical traces, results and fronts. FuzzDecodeOutcome feeds the
 # snapshot decoder arbitrary bytes: no panic, and whatever decodes must
-# round-trip through EncodeOutcome.
+# round-trip through EncodeOutcome. FuzzDecodeSpec posts arbitrary bodies
+# through the job-spec decoder and resolve: no panic. Its inputs are
+# whole inline models, so it shrinks the ones it keeps for at most 5 s.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEvalPathEquivalence -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDecodeOutcome -fuzztime 30s ./internal/runner
+	$(GO) test -run '^$$' -fuzz FuzzDecodeSpec -fuzztime 30s -fuzzminimizetime 5s ./internal/serve
 
 # Bench smoke: compile and run every benchmark exactly once. Catches rotted
 # benchmark code without paying for a full measurement run.

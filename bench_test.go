@@ -191,7 +191,7 @@ func BenchmarkCycleCheckClosure(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u, v := r.Intn(1000), r.Intn(1000)
-		_ = c.WouldCycle(u, v)
+		_ = c.Reaches(v, u)
 	}
 }
 

@@ -37,43 +37,6 @@ type BestKeeper interface {
 	KeepBest()
 }
 
-// BatchProblem is optionally implemented by problems that support
-// speculative batch evaluation: the runner draws a round of independent
-// candidate moves up front, all against the *current* solution, then
-// consumes them one by one in canonical order i = 0..n-1 through the usual
-// Metropolis rule. The first accepted candidate invalidates the rest of the
-// round — they were drawn against a state that no longer exists — so the
-// runner discards them (Stats.Discarded) and speculates a fresh round. The
-// consumed trajectory is a pure function of (seed, batch width).
-//
-// The call order is fixed, and implementations may rely on it: after
-// SpeculateBatch, each Candidate(i, g) is followed by ConsumeCandidate(i, …)
-// before the next Candidate, Cost or SpeculateBatch call, and candidates
-// are read in increasing i. This lets a problem score a candidate by
-// applying it in place and leaving it applied until it is consumed.
-//
-// Candidate receives the candidate's Metropolis gate, as Move.Apply does:
-// a candidate whose bound g.Rejects may stop scoring, and the runner then
-// consumes it as rejected without reading the cost Candidate returned.
-type BatchProblem interface {
-	Problem
-	// SpeculateBatch draws up to k candidate moves from rng against the
-	// current solution and returns the number drawn (normally k). It only
-	// draws: the problem's state must be left exactly as it was.
-	SpeculateBatch(rng *rand.Rand, k int) int
-	// Candidate scores candidate i against the current solution and reports
-	// its move kind (-1 when the draw produced no move), whether it
-	// evaluated feasibly, and its cost — unread when g rejected it. A
-	// feasible candidate may be left applied until ConsumeCandidate(i, …).
-	Candidate(i int, g *Gate) (kind int, ok bool, cost float64)
-	// ConsumeCandidate finalizes candidate i. With accepted true the
-	// candidate becomes the current solution (a problem that left it
-	// applied simply keeps it) and the call reports success; with accepted
-	// false the current solution must be the one the round was drawn
-	// against again.
-	ConsumeCandidate(i int, accepted bool) bool
-}
-
 // Observation is the per-iteration telemetry passed to trace callbacks.
 type Observation struct {
 	Iter        int
@@ -158,14 +121,6 @@ type Options struct {
 	// Trace, when non-nil, receives one observation per iteration. The
 	// paper's Figure 2 is produced from this stream.
 	Trace func(Observation)
-	// Batch, when >1 and the problem implements BatchProblem, switches the
-	// runner to speculative batch evaluation with that many candidates per
-	// round. Values <=1 (and problems without batch support) run the exact
-	// serial loop, bit-identical to earlier releases. Batched runs follow a
-	// different (equally valid) trajectory than serial ones — the RNG
-	// interleaving differs — but are themselves fully deterministic for a
-	// given (Seed, Batch).
-	Batch int
 }
 
 // Stats summarizes a finished run. It stays a comparable value type —
@@ -178,14 +133,6 @@ type Stats struct {
 	BestCost   float64
 	BestIter   int
 	FinalCost  float64
-	// Speculated counts candidates drawn by speculative batch rounds
-	// (zero in serial runs); Discarded counts the speculated candidates
-	// that were never consumed because an earlier candidate of their batch
-	// was accepted (or the run ended mid-batch). The runner never asks for
-	// a discarded candidate's score, so a problem that scores lazily never
-	// evaluates it.
-	Speculated int
-	Discarded  int
 }
 
 // Runner is a resumable annealing run: the loop of Run decomposed into
@@ -198,7 +145,6 @@ type Runner struct {
 	opt    Options
 	rng    *rand.Rand
 	keeper BestKeeper
-	bp     BatchProblem // non-nil only when batch mode is active
 	cost   float64
 	st     Stats
 	it     int
@@ -213,9 +159,6 @@ func NewRunner(p Problem, opt Options) *Runner {
 		panic("anneal: Options.Schedule is required")
 	}
 	r := &Runner{p: p, opt: opt, rng: rand.New(rand.NewSource(opt.Seed))}
-	if opt.Batch > 1 {
-		r.bp, _ = p.(BatchProblem)
-	}
 	r.cost = p.Cost()
 	r.st = Stats{BestCost: r.cost, FinalCost: r.cost}
 	r.keeper, _ = p.(BestKeeper)
@@ -227,16 +170,10 @@ func NewRunner(p Problem, opt Options) *Runner {
 
 // Step executes up to n iterations and reports whether the run can
 // continue. It returns false once the run is over — iteration budget spent
-// or schedule frozen. In batch mode a Step may overshoot n by up to Batch-1
-// iterations: a speculated batch is always consumed to its natural end
-// (acceptance or exhaustion), so the trajectory is independent of the step
-// granularity.
+// or schedule frozen.
 func (r *Runner) Step(n int) bool {
 	if r.done {
 		return false
-	}
-	if r.bp != nil {
-		return r.stepBatched(n)
 	}
 	opt := &r.opt
 	for k := 0; k < n; k++ {
@@ -290,93 +227,6 @@ func (r *Runner) Step(n int) bool {
 				Accepted:    accepted,
 				MoveKind:    kind,
 			})
-		}
-	}
-	return true
-}
-
-// stepBatched is the speculative-evaluation loop: rounds of up to
-// opt.Batch candidates are speculated at once, then consumed in canonical
-// order through the same Metropolis rule, budget checks, schedule
-// observations and trace stream as the serial loop. Acceptance invalidates
-// the unconsumed remainder of a round (those candidates were scored against
-// the pre-acceptance solution); they are counted in Stats.Discarded.
-func (r *Runner) stepBatched(n int) bool {
-	opt := &r.opt
-	for n > 0 {
-		if opt.MaxIters != 0 && r.it >= opt.MaxIters {
-			r.done = true
-			return false
-		}
-		if opt.Schedule.Done() {
-			r.done = true
-			return false
-		}
-		// Never speculate past the iteration budget: the final round
-		// shrinks so the consumed count lands exactly on MaxIters.
-		k := opt.Batch
-		if opt.MaxIters != 0 && opt.MaxIters-r.it < k {
-			k = opt.MaxIters - r.it
-		}
-		got := r.bp.SpeculateBatch(r.rng, k)
-		if got <= 0 {
-			// Defensive: a problem that speculated nothing still spent a
-			// draw; record one infeasible attempt so the loop provably
-			// terminates under any implementation.
-			r.it++
-			r.st.Iters++
-			r.st.Infeasible++
-			opt.Schedule.Observe(r.cost, false)
-			n--
-			continue
-		}
-		r.st.Speculated += got
-		for i := 0; i < got; i++ {
-			if opt.Schedule.Done() {
-				r.st.Discarded += got - i
-				r.done = true
-				return false
-			}
-			it := r.it
-			r.it++
-			r.st.Iters++
-			r.openGate()
-			kind, ok, cost := r.bp.Candidate(i, &r.gate)
-			accepted := false
-			switch {
-			case !ok:
-				r.st.Infeasible++
-				r.bp.ConsumeCandidate(i, false)
-			case !r.gate.rejected && r.gate.Accepts(cost):
-				if r.bp.ConsumeCandidate(i, true) {
-					accepted = true
-					r.keep(cost, it)
-				} else {
-					// Keeping a candidate that scored feasibly cannot
-					// fail; treat a refusal as infeasibility so the run
-					// still ends.
-					r.st.Infeasible++
-				}
-			default:
-				r.bp.ConsumeCandidate(i, false)
-				r.st.Rejected++
-			}
-			opt.Schedule.Observe(r.cost, accepted)
-			if opt.Trace != nil {
-				opt.Trace(Observation{
-					Iter:        it,
-					Cost:        r.cost,
-					Best:        r.st.BestCost,
-					Temperature: opt.Schedule.Temperature(),
-					Accepted:    accepted,
-					MoveKind:    kind,
-				})
-			}
-			n--
-			if accepted {
-				r.st.Discarded += got - 1 - i
-				break
-			}
 		}
 	}
 	return true

@@ -12,7 +12,7 @@
 // the tool's user-facing knob described in the abstract.
 //
 // The Metropolis test of each proposal is a Gate that the runner hands to
-// the move (Move.Apply, BatchProblem.Candidate). A move that learns a lower
+// the move (Move.Apply). A move that learns a lower
 // bound on its new cost before its evaluation is complete asks
 // Gate.Rejects; once the bound alone decides a rejection, the move stops
 // evaluating and the runner reverts it unread. The gate draws its uniform

@@ -11,24 +11,23 @@ import (
 // gate about random lower bounds on their new cost before "finishing" the
 // evaluation — the way an evaluator with a cheap early bound would. The
 // slack comes from a private stream, so it never touches the runner's.
-// Serially it proposes through Propose; batched, through SpeculateBatch.
 type boundedWalk struct {
 	x       float64
 	bounded bool
 	slack   *rand.Rand
 
-	// Move in flight (serial) or the round's candidates (batched).
-	deltas []float64
-	kinds  []int
-	open   int  // applied candidate, -1 = none
-	cut    bool // the applied move was rejected by its gate
+	// The move in flight.
+	delta   float64
+	kind    int
+	applied bool
+	cut     bool // the applied move was rejected by its gate
 
 	cuts, asks int
 	errs       []string
 }
 
 func newBoundedWalk(bounded bool) *boundedWalk {
-	return &boundedWalk{x: 40, bounded: bounded, slack: rand.New(rand.NewSource(99)), open: -1}
+	return &boundedWalk{x: 40, bounded: bounded, slack: rand.New(rand.NewSource(99))}
 }
 
 func (p *boundedWalk) fail(format string, args ...interface{}) {
@@ -46,28 +45,35 @@ func (p *boundedWalk) Cost() float64 {
 	return p.cost()
 }
 
-// draw appends one proposal: a step, an infeasible move, or no move.
-func (p *boundedWalk) draw(rng *rand.Rand) {
-	kind := 0
+// Propose draws a step, an infeasible move, or no move.
+func (p *boundedWalk) Propose(rng *rand.Rand) Move {
+	if p.cut {
+		p.fail("a rejected move was never reverted")
+	}
+	p.applied = false
+	p.kind = 0
 	switch r := rng.Intn(10); {
 	case r == 0:
-		kind = -1
+		p.kind = -1
 	case r == 1:
-		kind = 1
+		p.kind = 1
 	}
-	p.kinds = append(p.kinds, kind)
-	p.deltas = append(p.deltas, 2*rng.NormFloat64())
+	p.delta = 2 * rng.NormFloat64()
+	if p.kind < 0 {
+		return nil
+	}
+	return walkMove{p}
 }
 
-// apply performs proposal i and, when bounded, asks g about one or two
+// apply performs the move and, when bounded, asks g about one or two
 // lower bounds: the exact cost itself, one a hair below it (inside the
 // rounding margin), or one a random distance below it.
-func (p *boundedWalk) apply(i int, g *Gate) bool {
-	if p.kinds[i] != 0 {
+func (p *boundedWalk) apply(g *Gate) bool {
+	if p.kind != 0 {
 		return false
 	}
-	p.x += p.deltas[i]
-	p.open = i
+	p.x += p.delta
+	p.applied = true
 	if !p.bounded {
 		return true
 	}
@@ -91,75 +97,25 @@ func (p *boundedWalk) apply(i int, g *Gate) bool {
 	return true
 }
 
-func (p *boundedWalk) revert(i int) {
-	if p.open != i {
-		p.fail("revert of %d, applied is %d", i, p.open)
+func (p *boundedWalk) revert() {
+	if !p.applied {
+		p.fail("revert of a move that was not applied")
 	}
-	p.x -= p.deltas[i]
-	p.open, p.cut = -1, false
+	p.x -= p.delta
+	p.applied, p.cut = false, false
 }
 
 type walkMove struct{ p *boundedWalk }
 
-func (m walkMove) Apply(g *Gate) bool { return m.p.apply(0, g) }
-func (m walkMove) Revert()            { m.p.revert(0) }
-func (m walkMove) Kind() int          { return m.p.kinds[0] }
-
-func (p *boundedWalk) Propose(rng *rand.Rand) Move {
-	if p.cut {
-		p.fail("a rejected move was never reverted")
-	}
-	p.open = -1
-	p.deltas, p.kinds = p.deltas[:0], p.kinds[:0]
-	p.draw(rng)
-	if p.kinds[0] < 0 {
-		return nil
-	}
-	return walkMove{p}
-}
-
-func (p *boundedWalk) SpeculateBatch(rng *rand.Rand, k int) int {
-	p.deltas, p.kinds = p.deltas[:0], p.kinds[:0]
-	for i := 0; i < k; i++ {
-		p.draw(rng)
-	}
-	return k
-}
-
-func (p *boundedWalk) Candidate(i int, g *Gate) (int, bool, float64) {
-	if p.kinds[i] != 0 || !p.apply(i, g) {
-		return p.kinds[i], false, 0
-	}
-	if p.cut {
-		return 0, true, math.NaN() // unread: the gate rejected it
-	}
-	return 0, true, p.cost()
-}
-
-func (p *boundedWalk) ConsumeCandidate(i int, accepted bool) bool {
-	if p.kinds[i] != 0 {
-		return !accepted
-	}
-	if accepted {
-		if p.cut {
-			p.fail("candidate %d accepted after its gate rejected it", i)
-		}
-		p.open = -1
-		return true
-	}
-	p.revert(i)
-	return true
-}
-
-// serialOnly hides the batch methods so that a batched option still runs
-// the serial loop.
-type serialOnly struct{ *boundedWalk }
+func (m walkMove) Apply(g *Gate) bool { return m.p.apply(g) }
+func (m walkMove) Revert()            { m.p.revert() }
+func (m walkMove) Kind() int          { return m.p.kind }
 
 // TestGateContract: a run whose moves ask the gate about lower bounds is
 // bit-identical to one whose moves never do — same statistics, same trace,
-// and the runner's stream at the same position afterwards — on the serial
-// and the batched loop, through warmup (T = +Inf), cooling and a greedy
-// quench (T = 0). A rejected move's cost is never read.
+// and the runner's stream at the same position afterwards — through
+// warmup (T = +Inf), cooling and a greedy quench (T = 0). A rejected
+// move's cost is never read.
 func TestGateContract(t *testing.T) {
 	schedules := map[string]func() Schedule{
 		"lam":    func() Schedule { return NewLam(0.05, 300) },
@@ -170,46 +126,39 @@ func TestGateContract(t *testing.T) {
 		trace []Observation
 		next  float64
 	}
-	run := func(sched Schedule, batch int, bounded bool) (outcome, *boundedWalk) {
+	run := func(sched Schedule, bounded bool) (outcome, *boundedWalk) {
 		p := newBoundedWalk(bounded)
-		var prob Problem = p
-		if batch <= 1 {
-			prob = serialOnly{p}
-		}
 		var out outcome
-		opt := Options{Schedule: sched, MaxIters: 4000, Seed: 5, Batch: batch}
+		opt := Options{Schedule: sched, MaxIters: 4000, Seed: 5}
 		opt.Trace = func(o Observation) { out.trace = append(out.trace, o) }
-		r := NewRunner(prob, opt)
+		r := NewRunner(p, opt)
 		for r.Step(97) {
 		}
 		out.st, out.next = r.Stats(), r.rng.Float64()
 		return out, p
 	}
 	for name, mk := range schedules {
-		for _, batch := range []int{1, 8} {
-			label := fmt.Sprintf("%s/batch%d", name, batch)
-			exact, _ := run(mk(), batch, false)
-			cut, p := run(mk(), batch, true)
-			if len(p.errs) > 0 {
-				t.Fatalf("%s: contract violated:\n%v", label, p.errs)
+		exact, _ := run(mk(), false)
+		cut, p := run(mk(), true)
+		if len(p.errs) > 0 {
+			t.Fatalf("%s: contract violated:\n%v", name, p.errs)
+		}
+		if p.cuts == 0 || p.cuts == p.asks {
+			t.Fatalf("%s: %d cuts in %d bound checks — both outcomes must occur", name, p.cuts, p.asks)
+		}
+		if cut.st != exact.st {
+			t.Fatalf("%s: stats differ:\n  bounded %+v\n  exact   %+v", name, cut.st, exact.st)
+		}
+		if len(cut.trace) != len(exact.trace) {
+			t.Fatalf("%s: trace lengths differ: %d vs %d", name, len(cut.trace), len(exact.trace))
+		}
+		for i := range cut.trace {
+			if cut.trace[i] != exact.trace[i] {
+				t.Fatalf("%s: traces diverge at %d:\n  bounded %+v\n  exact   %+v", name, i, cut.trace[i], exact.trace[i])
 			}
-			if p.cuts == 0 || p.cuts == p.asks {
-				t.Fatalf("%s: %d cuts in %d bound checks — both outcomes must occur", label, p.cuts, p.asks)
-			}
-			if cut.st != exact.st {
-				t.Fatalf("%s: stats differ:\n  bounded %+v\n  exact   %+v", label, cut.st, exact.st)
-			}
-			if len(cut.trace) != len(exact.trace) {
-				t.Fatalf("%s: trace lengths differ: %d vs %d", label, len(cut.trace), len(exact.trace))
-			}
-			for i := range cut.trace {
-				if cut.trace[i] != exact.trace[i] {
-					t.Fatalf("%s: traces diverge at %d:\n  bounded %+v\n  exact   %+v", label, i, cut.trace[i], exact.trace[i])
-				}
-			}
-			if cut.next != exact.next {
-				t.Fatalf("%s: runner stream ends at a different position", label)
-			}
+		}
+		if cut.next != exact.next {
+			t.Fatalf("%s: runner stream ends at a different position", name)
 		}
 	}
 }

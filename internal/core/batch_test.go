@@ -158,64 +158,74 @@ func assertSameFront(t *testing.T, a, b []pareto.NPoint) {
 	}
 }
 
-// eagerBatch is the reference batch scorer: it scores every drawn
-// candidate up front with apply → evaluate → revert against the unchanged
-// solution, then re-applies the accepted one. It shares the explorer's
-// draws, so any difference from an in-place run is a scoring difference.
-// It never hands a gate to a move, so every candidate is evaluated in
-// full: the oracle for lazy scoring, threshold cuts included.
-type eagerBatch struct {
+// eagerRounds is the reference scorer of batched rounds, an
+// anneal.Problem over an explorer: when the explorer draws a round, it
+// scores every candidate up front — apply → evaluate → revert against the
+// unchanged solution — before the runner consumes any of them, and the
+// runner decides each candidate on its stored score. It shares the
+// explorer's draws, so any difference from an in-place run is a scoring
+// difference. It never hands a gate to a move, so every candidate is
+// evaluated in full: the oracle for in-place scoring, threshold cuts
+// included.
+type eagerRounds struct {
 	*Explorer
 	ok   []bool
 	cost []float64
+	i    int // the candidate in flight
 }
 
-func (b *eagerBatch) load(i int) {
-	e, c := b.Explorer, &b.spec[i]
-	e.mv.kind, e.mv.a, e.mv.b, e.mv.c, e.mv.d, e.mv.p = c.kind, c.a, c.b, c.c, c.d, c.p
-}
-
-func (b *eagerBatch) SpeculateBatch(rng *rand.Rand, k int) int {
-	n := b.Explorer.SpeculateBatch(rng, k)
-	b.ok, b.cost = b.ok[:0], b.cost[:0]
-	for i := 0; i < n; i++ {
-		ok, cost := false, 0.0
-		if b.spec[i].kind >= 0 {
-			b.load(i)
-			b.speculating = true
-			if b.mv.Apply(nil) {
-				ok, cost = true, b.curCost
-				b.mv.Revert()
+func (p *eagerRounds) Propose(rng *rand.Rand) anneal.Move {
+	e := p.Explorer
+	if e.next == len(e.round) {
+		e.drawRound(rng)
+		p.ok, p.cost = p.ok[:0], p.cost[:0]
+		for _, c := range e.round {
+			ok, cost := false, 0.0
+			e.mv.params = c
+			if c.kind >= 0 && e.mv.Apply(nil) {
+				ok, cost = true, e.curCost
+				e.mv.Revert()
 			}
-			b.speculating = false
+			p.ok, p.cost = append(p.ok, ok), append(p.cost, cost)
 		}
-		b.ok, b.cost = append(b.ok, ok), append(b.cost, cost)
 	}
-	return n
-}
-
-func (b *eagerBatch) Candidate(i int, _ *anneal.Gate) (int, bool, float64) {
-	return b.spec[i].kind, b.ok[i], b.cost[i]
-}
-
-func (b *eagerBatch) ConsumeCandidate(i int, accepted bool) bool {
-	if !accepted {
-		return true
+	p.i = e.next
+	if e.Propose(rng) == nil {
+		return nil
 	}
-	b.load(i)
-	return b.mv.Apply(nil)
+	return eagerMove{p}
 }
 
-// batchRun is one annealing phase over a batch problem, with Start's
-// selector feedback and a trace tap.
+// Cost is the stored score of the candidate in flight (the runner reads
+// it only after a feasible Apply), or before any round the cost of the
+// initial solution.
+func (p *eagerRounds) Cost() float64 {
+	if len(p.cost) == 0 {
+		return p.curCost
+	}
+	return p.cost[p.i]
+}
+
+// eagerMove reports a candidate's stored verdict. A feasible one is
+// applied again, without a gate, so that it becomes the current solution
+// if the runner accepts it.
+type eagerMove struct{ p *eagerRounds }
+
+func (m eagerMove) Apply(*anneal.Gate) bool { return m.p.ok[m.p.i] && m.p.mv.Apply(nil) }
+func (m eagerMove) Revert()                 { m.p.mv.Revert() }
+func (m eagerMove) Kind() int               { return m.p.mv.kind }
+
+// batchRun is the adaptive phase of a batched run, with Start's
+// per-iteration hook and a trace tap.
 type batchRun struct {
-	st    anneal.Stats
-	best  sched.Result
-	trace []equivTracePoint
-	front []pareto.NPoint
+	st         anneal.Stats
+	speculated int
+	best       sched.Result
+	trace      []equivTracePoint
+	front      []pareto.NPoint
 }
 
-func runBatchProblem(t *testing.T, app *model.App, arch *model.Arch, cfg Config, eager bool) batchRun {
+func runPhase(t *testing.T, app *model.App, arch *model.Arch, cfg Config, eager bool) batchRun {
 	t.Helper()
 	e, err := New(app, arch, cfg)
 	if err != nil {
@@ -223,28 +233,28 @@ func runBatchProblem(t *testing.T, app *model.App, arch *model.Arch, cfg Config,
 	}
 	var p anneal.Problem = e
 	if eager {
-		p = &eagerBatch{Explorer: e}
+		p = &eagerRounds{Explorer: e}
 	}
 	var out batchRun
-	opt := anneal.Options{Schedule: anneal.NewLam(cfg.Quality, cfg.Warmup)}
-	opt.MaxIters, opt.Seed, opt.Batch = cfg.MaxIters, cfg.Seed, cfg.Batch
+	opt := anneal.Options{Schedule: anneal.NewLam(cfg.Quality, cfg.Warmup), MaxIters: cfg.MaxIters, Seed: cfg.Seed}
 	opt.Trace = func(o anneal.Observation) {
-		if o.MoveKind >= 0 {
-			e.selector.Observe(o.MoveKind, o.Accepted)
-		}
+		e.observe(o)
 		out.trace = append(out.trace, equivTracePoint{cost: o.Cost, makespan: e.curRes.Makespan, accepted: o.Accepted, moveKind: o.MoveKind})
 	}
+	e.left = opt.MaxIters
 	out.st = anneal.Run(p, opt)
+	out.speculated = e.speculated
 	out.best = e.bestRes
 	out.front = e.front.Points()
 	return out
 }
 
-// TestLazyScoringMatchesEager is the in-place kernel's oracle: scoring a
-// round lazily — each candidate applied in place only when the consumer
-// reaches it, rejected ones reverted, the accepted one kept — must make
-// every decision an eager scorer makes, on both evaluation paths, with
-// every move kind enabled, and leave the same front.
+// TestLazyScoringMatchesEager is the oracle of in-place scoring: a
+// batched round whose candidates the serial loop applies only when it
+// reaches them — rejected ones reverted, the accepted one kept, the rest
+// discarded unevaluated — must make every decision an eager scorer makes,
+// on both evaluation paths, with every move kind enabled, and leave the
+// same front.
 func TestLazyScoringMatchesEager(t *testing.T) {
 	mcfg := apps.DefaultMotionConfig()
 	rcfg := apps.DefaultRandomConfig()
@@ -276,8 +286,8 @@ func TestLazyScoringMatchesEager(t *testing.T) {
 			for _, width := range []int{2, 8, 64} {
 				cfg := c.cfg
 				cfg.EvalMode, cfg.Batch = mode, width
-				lazy := runBatchProblem(t, c.app, c.arch, cfg, false)
-				eager := runBatchProblem(t, c.app, c.arch, cfg, true)
+				lazy := runPhase(t, c.app, c.arch, cfg, false)
+				eager := runPhase(t, c.app, c.arch, cfg, true)
 				name := fmt.Sprintf("%s/%s/batch%d", c.name, path, width)
 				if len(lazy.trace) != len(eager.trace) {
 					t.Fatalf("%s: trace lengths differ: %d vs %d", name, len(lazy.trace), len(eager.trace))
@@ -287,10 +297,11 @@ func TestLazyScoringMatchesEager(t *testing.T) {
 						t.Fatalf("%s: traces diverge at iteration %d:\n  lazy  %+v\n  eager %+v", name, i, lazy.trace[i], eager.trace[i])
 					}
 				}
-				if lazy.st != eager.st || lazy.best != eager.best {
-					t.Fatalf("%s: results differ:\n  lazy  %+v %+v\n  eager %+v %+v", name, lazy.st, lazy.best, eager.st, eager.best)
+				if lazy.st != eager.st || lazy.speculated != eager.speculated || lazy.best != eager.best {
+					t.Fatalf("%s: results differ:\n  lazy  %+v %d %+v\n  eager %+v %d %+v", name,
+						lazy.st, lazy.speculated, lazy.best, eager.st, eager.speculated, eager.best)
 				}
-				if lazy.st.Discarded == 0 {
+				if lazy.speculated == lazy.st.Iters {
 					t.Fatalf("%s: no candidate was ever discarded: %+v", name, lazy.st)
 				}
 				assertSameFront(t, lazy.front, eager.front)

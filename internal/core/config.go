@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/anneal"
 	"repro/internal/model"
 	"repro/internal/objective"
 	"repro/internal/pareto"
@@ -175,13 +174,13 @@ type Config struct {
 	// returned in Result.Front. Leave nil to disable (the hot loop then
 	// never computes mapping-derived metrics).
 	FrontMetrics []objective.Metric
-	// Batch, when >1, enables speculative batched move evaluation: each
-	// annealing round draws Batch independent candidates against the
-	// current solution and consumes them in canonical order, scoring each
-	// only when the consumer reaches it (see batch.go). Values <=1 run the
-	// exact serial loop (bit-identical to earlier releases). A batched run
-	// follows a different — equally valid — trajectory than the serial run
-	// with the same seed, but is itself fully deterministic for a given
+	// Batch, when >1, makes the explorer propose in rounds: each round
+	// draws Batch candidates against the current solution, the annealer
+	// consumes them in draw order, and an acceptance discards the rest
+	// unevaluated (Explorer.Propose). Values <=1 run the exact serial loop
+	// (bit-identical to earlier releases). A batched run follows a
+	// different — equally valid — trajectory than the serial run with the
+	// same seed, but is itself fully deterministic for a given
 	// (Seed, Batch).
 	Batch int
 }
@@ -221,8 +220,8 @@ type Result struct {
 	BestEval sched.Result
 	// InitialEval is the evaluation of the random initial solution.
 	InitialEval sched.Result
-	// Stats carries the annealer's run statistics.
-	Stats anneal.Stats
+	// Stats carries the run statistics of both annealing phases.
+	Stats Stats
 	// MoveStats counts per-kind proposals and acceptances across the run.
 	MoveStats MoveStats
 	// MetDeadline reports whether the best solution satisfies the
@@ -233,12 +232,32 @@ type Result struct {
 	Front *pareto.NArchive
 }
 
+// Stats sums the annealer's statistics over both phases of a run; the
+// best iteration is the adaptive phase's. It stays a comparable value
+// type — drivers snapshot and diff it with ==.
+type Stats struct {
+	Iters      int
+	Accepted   int
+	Rejected   int
+	Infeasible int
+	BestCost   float64
+	BestIter   int
+	FinalCost  float64
+	// Speculated counts the candidates batched rounds drew (zero in serial
+	// runs). Each iteration consumes one, so Discarded = Speculated − Iters
+	// counts those never consumed, because an earlier candidate of their
+	// round was accepted or the phase ended mid-round. A discarded
+	// candidate is never evaluated.
+	Speculated int
+	Discarded  int
+}
+
 // LaneStats is the telemetry of the retired lane batch kernel, which
 // scored speculated candidates in shared multi-lane sweeps. Nothing
-// records it any more — batched rounds are scored in place (batch.go) —
-// so every field is always zero. The type survives because search.Stats,
-// runner.Outcome and runner.Aggregate still carry it and perfbench reads
-// it.
+// records it any more — batched candidates are evaluated in place by the
+// serial loop — so every field is always zero. The type survives because
+// search.Stats, runner.Outcome and runner.Aggregate still carry it and
+// perfbench reads it.
 type LaneStats struct {
 	Rounds     int64
 	Lanes      int64

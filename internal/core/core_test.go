@@ -433,40 +433,48 @@ func TestDefaultCostBitIdenticalToLegacy(t *testing.T) {
 }
 
 // TestSteppedRunEquivalence: driving the explorer through Start/Step in
-// small chunks is bit-identical to the one-shot Run.
+// small chunks is bit-identical to the one-shot Run, serial and batched.
+// A batched Step ends only at the end of a round, whatever its chunk.
 func TestSteppedRunEquivalence(t *testing.T) {
 	app, arch := motionSetup(2000)
-	mk := func() Config {
-		cfg := DefaultConfig()
-		cfg.MaxIters = 1200
-		cfg.Warmup = 300
-		cfg.QuenchIters = 400
-		cfg.Seed = 77
-		return cfg
-	}
-	want, err := Explore(app, arch, mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, chunk := range []int{1, 13, 97} {
-		e, err := New(app, arch, mk())
+	for _, batch := range []int{0, 8} {
+		mk := func() Config {
+			cfg := DefaultConfig()
+			cfg.MaxIters = 1200
+			cfg.Warmup = 300
+			cfg.QuenchIters = 400
+			cfg.Seed = 77
+			cfg.Batch = batch
+			return cfg
+		}
+		want, err := Explore(app, arch, mk())
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.Start()
-		for {
-			more, err := e.Step(chunk)
+		for _, chunk := range []int{1, 13, 97} {
+			e, err := New(app, arch, mk())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !more {
-				break
+			e.Start()
+			for {
+				more, err := e.Step(chunk)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !more {
+					break
+				}
+				if e.next != len(e.round) {
+					t.Fatalf("batch %d, chunk %d: a Step returned with candidate %d of a round of %d in flight",
+						batch, chunk, e.next, len(e.round))
+				}
 			}
-		}
-		got := e.Finish()
-		if got.BestEval != want.BestEval || got.Stats != want.Stats {
-			t.Fatalf("chunk %d diverged: %+v / %+v vs %+v / %+v",
-				chunk, got.BestEval, got.Stats, want.BestEval, want.Stats)
+			got := e.Finish()
+			if got.BestEval != want.BestEval || got.Stats != want.Stats {
+				t.Fatalf("batch %d, chunk %d diverged: %+v / %+v vs %+v / %+v",
+					batch, chunk, got.BestEval, got.Stats, want.BestEval, want.Stats)
+			}
 		}
 	}
 }

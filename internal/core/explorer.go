@@ -102,13 +102,17 @@ type Explorer struct {
 	kindProposed [numMoveKinds]int64
 	kindAccepted [numMoveKinds]int64
 
-	// Speculative batch state (Config.Batch > 1; see batch.go): spec holds
-	// the current round's drawn candidates, specApplied records that the
-	// candidate Candidate last scored is still applied, and speculating
-	// suppresses its front offer until the consumer accepts it.
-	spec        []specCand
-	specApplied bool
+	// Batched proposal state (Config.Batch > 1, see Propose). speculating
+	// is set for the whole of a batched run: its moves are offered to the
+	// front only when accepted (consumed). round holds the current round's
+	// candidates and next the one Propose hands out next; left counts the
+	// iterations left in the annealing phase, which bound a round, and
+	// speculated the candidates drawn so far.
 	speculating bool
+	round       []params
+	next        int
+	left        int
+	speculated  int
 }
 
 // candidatePools caches the mapping scans of the proposal helpers. Each
@@ -200,6 +204,7 @@ func (p *Prepared) New(cfg Config) (*Explorer, error) {
 		best:      &sched.Mapping{},
 		rng:       rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
 	}
+	e.speculating = cfg.Batch > 1
 	e.scal = cfg.scalarizer()
 	e.needsMap = e.scal.NeedsMapping()
 	if e.scal.Weights[objective.Makespan] >= 0 && e.scal.DeadlinePenalty >= 0 {
@@ -281,6 +286,8 @@ func (e *Explorer) reset(m *sched.Mapping) error {
 	e.journal.area = e.area
 	e.cs.Reset()
 	e.stateTick++
+	// Candidates drawn against the replaced solution are dropped.
+	e.round, e.next = e.round[:0], 0
 	e.offerFront()
 	return nil
 }
@@ -307,9 +314,7 @@ func (e *Explorer) costOf(res sched.Result) float64 {
 // must not drag mapping scans for metrics nobody archives into the hot
 // loop.
 func (e *Explorer) offerFront() {
-	if e.front == nil || e.speculating {
-		// A speculated candidate is offered when it is accepted
-		// (ConsumeCandidate), never when it is merely scored.
+	if e.front == nil {
 		return
 	}
 	objective.ProjectArea(e.cfg.FrontMetrics, e.arch, e.cur, e.curRes, e.area, e.frontCoords)
@@ -332,7 +337,47 @@ func (e *Explorer) KeepBest() {
 // Propose implements anneal.Problem: draw a move kind from the selector and
 // instantiate its parameters. A nil return means this draw found no
 // applicable move (e.g. m1 with no processor running two tasks).
+//
+// A batched run (Config.Batch > 1) proposes in rounds: the first Propose
+// after a round ends draws min(Batch, iterations left in the phase)
+// candidates against the current solution, and each call hands out the
+// next one without drawing. An acceptance ends the round (consumed): the
+// rest were drawn against the solution it replaced, and are discarded
+// unevaluated. The trajectory is a pure function of (seed, Batch).
 func (e *Explorer) Propose(rng *rand.Rand) anneal.Move {
+	if !e.speculating {
+		return e.draw(rng)
+	}
+	if e.next == len(e.round) {
+		e.drawRound(rng)
+	}
+	c := e.round[e.next]
+	e.next++
+	e.left--
+	if c.kind < 0 {
+		return nil
+	}
+	e.mv.params = c
+	return &e.mv
+}
+
+// drawRound draws a round of min(Batch, iterations left in the phase)
+// candidates; a draw that found no move is kept as kind −1.
+func (e *Explorer) drawRound(rng *rand.Rand) {
+	k := min(e.cfg.Batch, e.left)
+	e.round, e.next = e.round[:0], 0
+	for i := 0; i < k; i++ {
+		c := params{kind: -1}
+		if e.draw(rng) != nil {
+			c = e.mv.params
+		}
+		e.round = append(e.round, c)
+	}
+	e.speculated += k
+}
+
+// draw draws one move from the selector, as Propose describes.
+func (e *Explorer) draw(rng *rand.Rand) anneal.Move {
 	kind := e.selector.Pick(rng)
 	e.kindProposed[kind]++
 	ok := false
@@ -379,34 +424,54 @@ func (e *Explorer) Start() {
 		Schedule: anneal.NewLam(e.cfg.Quality, e.cfg.Warmup),
 		MaxIters: e.cfg.MaxIters,
 		Seed:     e.cfg.Seed,
-		Batch:    e.cfg.Batch,
+		Trace:    e.observe,
 	}
-	opt.Trace = func(o anneal.Observation) {
-		if o.MoveKind >= 0 {
-			e.selector.Observe(o.MoveKind, o.Accepted)
-			if o.Accepted {
-				e.kindAccepted[o.MoveKind]++
-			}
-		}
-		if e.cfg.Trace != nil {
-			e.cfg.Trace(TracePoint{
-				Iter:        o.Iter,
-				Cost:        o.Cost,
-				Makespan:    e.curRes.Makespan,
-				BestCost:    o.Best,
-				Contexts:    e.cur.TotalContexts(),
-				Temperature: o.Temperature,
-				Accepted:    o.Accepted,
-				MoveKind:    o.MoveKind,
-			})
-		}
-	}
+	e.left = opt.MaxIters
 	e.run = &runState{runner: anneal.NewRunner(e, opt), initial: e.curRes}
+}
+
+// observe is the adaptive phase's per-iteration hook: selector feedback,
+// the bookkeeping both phases share, and the user trace.
+func (e *Explorer) observe(o anneal.Observation) {
+	if o.MoveKind >= 0 {
+		e.selector.Observe(o.MoveKind, o.Accepted)
+	}
+	e.consumed(o)
+	if e.cfg.Trace != nil {
+		e.cfg.Trace(TracePoint{
+			Iter:        o.Iter,
+			Cost:        o.Cost,
+			Makespan:    e.curRes.Makespan,
+			BestCost:    o.Best,
+			Contexts:    e.cur.TotalContexts(),
+			Temperature: o.Temperature,
+			Accepted:    o.Accepted,
+			MoveKind:    o.MoveKind,
+		})
+	}
+}
+
+// consumed is the per-iteration bookkeeping of both annealing phases. An
+// accepted move is tallied in MoveStats and, in a batched run, ends its
+// round and is offered to the front: the one offer a batched candidate
+// gets, made from the accepted solution after KeepBest.
+func (e *Explorer) consumed(o anneal.Observation) {
+	if !o.Accepted {
+		return
+	}
+	e.kindAccepted[o.MoveKind]++
+	if e.speculating {
+		e.round, e.next = e.round[:0], 0
+		e.offerFront()
+	}
 }
 
 // Step advances a started exploration by up to n annealing iterations and
 // reports whether the run can continue. Phase transitions (schedule freeze
 // into the final quench) happen inside Step; the returned error is fatal.
+// A batched round still in flight after n iterations runs to its end (an
+// overshoot of up to Batch−1 iterations), so a driver that stops a run
+// between steps stops it between rounds.
 func (e *Explorer) Step(n int) (bool, error) {
 	r := e.run
 	if r == nil {
@@ -414,7 +479,7 @@ func (e *Explorer) Step(n int) (bool, error) {
 	}
 	switch r.phase {
 	case 0:
-		if r.runner.Step(n) {
+		if e.stepPhase(n) {
 			return true, nil
 		}
 		r.st = r.runner.Stats()
@@ -435,21 +500,17 @@ func (e *Explorer) Step(n int) (bool, error) {
 			Schedule: anneal.Greedy{},
 			MaxIters: e.cfg.QuenchIters,
 			Seed:     e.cfg.Seed ^ 0x9e3779b9,
-			Batch:    e.cfg.Batch,
-			// Tally-only trace: the quench still runs without selector
-			// feedback and without the user trace (matching the historical
-			// single-shot Run), but its acceptances do count in MoveStats.
-			Trace: func(o anneal.Observation) {
-				if o.MoveKind >= 0 && o.Accepted {
-					e.kindAccepted[o.MoveKind]++
-				}
-			},
+			// The quench still runs without selector feedback and without
+			// the user trace (matching the historical single-shot Run), but
+			// its acceptances do count in MoveStats.
+			Trace: e.consumed,
 		}
+		e.left = qopt.MaxIters
 		r.runner = anneal.NewRunner(e, qopt)
 		r.phase = 1
 		return true, nil
 	case 1:
-		if r.runner.Step(n) {
+		if e.stepPhase(n) {
 			return true, nil
 		}
 		mergeStats(&r.st, r.runner.Stats())
@@ -460,6 +521,17 @@ func (e *Explorer) Step(n int) (bool, error) {
 	}
 }
 
+// stepPhase steps the phase's runner by n iterations, then on to the end
+// of a batched round still in flight: its acceptance or its last
+// candidate. It reports whether the phase can continue.
+func (e *Explorer) stepPhase(n int) bool {
+	more := e.run.runner.Step(n)
+	for more && e.next < len(e.round) {
+		more = e.run.runner.Step(1)
+	}
+	return more
+}
+
 // mergeStats folds one phase's annealer statistics into a cross-phase
 // accumulator.
 func mergeStats(st *anneal.Stats, cur anneal.Stats) {
@@ -467,8 +539,6 @@ func mergeStats(st *anneal.Stats, cur anneal.Stats) {
 	st.Accepted += cur.Accepted
 	st.Rejected += cur.Rejected
 	st.Infeasible += cur.Infeasible
-	st.Speculated += cur.Speculated
-	st.Discarded += cur.Discarded
 	if cur.BestCost < st.BestCost {
 		st.BestCost = cur.BestCost
 	}
@@ -479,10 +549,10 @@ func mergeStats(st *anneal.Stats, cur anneal.Stats) {
 // merged on the fly for an unfinished run — without cloning the best
 // solution. It is the cheap per-step progress probe behind the unified
 // driver's early-stop monitor; Finish returns the same numbers.
-func (e *Explorer) StatsSnapshot() anneal.Stats {
+func (e *Explorer) StatsSnapshot() Stats {
 	r := e.run
 	if r == nil {
-		return anneal.Stats{BestCost: e.curCost, FinalCost: e.curCost}
+		return Stats{BestCost: e.curCost, FinalCost: e.curCost}
 	}
 	st := r.st
 	if r.phase < 2 {
@@ -493,7 +563,20 @@ func (e *Explorer) StatsSnapshot() anneal.Stats {
 			mergeStats(&st, cur)
 		}
 	}
-	return st
+	out := Stats{
+		Iters:      st.Iters,
+		Accepted:   st.Accepted,
+		Rejected:   st.Rejected,
+		Infeasible: st.Infeasible,
+		BestCost:   st.BestCost,
+		BestIter:   st.BestIter,
+		FinalCost:  st.FinalCost,
+	}
+	if e.speculated > 0 {
+		// Every batched iteration consumed one drawn candidate.
+		out.Speculated, out.Discarded = e.speculated, e.speculated-st.Iters
+	}
+	return out
 }
 
 // MoveStatsSnapshot returns the per-kind proposal/acceptance counters

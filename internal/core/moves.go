@@ -18,16 +18,21 @@ import (
 // realizing the "a move will not be performed if a cycle appears" rule of
 // Section 4.3. Revert replays the journal.
 type move struct {
-	e    *Explorer
-	kind int
-	// Parameters; meaning depends on kind. For reassignments: a = task,
-	// b = destination resource kind, c = resource index, d = context
-	// index (-1 = fresh), p = insert-before task (-1 = append).
-	a, b, c, d, p int
+	e *Explorer
+	params
 
 	prevRes  sched.Result
 	prevCost float64
 	prevTick uint64
+}
+
+// params are a move's kind and parameters, as Propose draws them. Their
+// meaning depends on kind. For reassignments: a = task, b = destination
+// resource kind, c = resource index, d = context index (-1 = fresh),
+// p = insert-before task (-1 = append).
+type params struct {
+	kind          int
+	a, b, c, d, p int
 }
 
 // Kind implements anneal.Move.
@@ -60,7 +65,9 @@ func (m *move) Apply(g *anneal.Gate) bool {
 		if e.cfg.Paranoid {
 			e.checkEval("a no-op reorder", e.curRes)
 		}
-		e.offerFront()
+		if !e.speculating {
+			e.offerFront()
+		}
 		return true
 	}
 	// Invalidate the candidate pools for the applied state; every failure
@@ -120,8 +127,11 @@ func (m *move) Apply(g *anneal.Gate) bool {
 	}
 	e.curRes, e.curCost = res, e.costOf(res)
 	// Every feasible evaluation — accepted or not — is a visited point of
-	// the objective space; offer it to the in-run Pareto archive.
-	e.offerFront()
+	// the objective space; offer it to the in-run Pareto archive. A
+	// batched run offers only what it accepts (Explorer.consumed).
+	if !e.speculating {
+		e.offerFront()
+	}
 	return true
 }
 
@@ -141,7 +151,7 @@ func (m *move) noop() bool {
 // chain-free evaluation, exact but for a makespan that can only grow, and
 // the cost cannot decrease as the makespan grows (New checks the
 // scalarizer), so costOf(lb) bounds the move's cost from below. It
-// cuts when the gate rejects that bound and — for a serial move, which
+// cuts when the gate rejects that bound and — in a serial run, which
 // offers every evaluation to the front — when the front covers the bound
 // point, so that the exact point's offer would have been refused too.
 func (e *Explorer) cutOnBound(lb sched.Result) bool {
@@ -200,7 +210,7 @@ func (e *Explorer) checkRefusal(t int) {
 
 // checkCut is the Paranoid check of a cut move: a full rebuild of the
 // applied mapping costs at least the bound, the gate's drawn u rejects
-// that exact cost, and a serial move's exact point is covered by the
+// that exact cost, and in a serial run the exact point is covered by the
 // front, as its bound point was.
 func (e *Explorer) checkCut(g *anneal.Gate) {
 	full := e.rebuild("a cut move")

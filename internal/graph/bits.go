@@ -48,13 +48,6 @@ func (b Bits) Reset() {
 	}
 }
 
-// Clone returns an independent copy of b.
-func (b Bits) Clone() Bits {
-	c := make(Bits, len(b))
-	copy(c, b)
-	return c
-}
-
 // Count returns the number of set bits.
 func (b Bits) Count() int {
 	n := 0

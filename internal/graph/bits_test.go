@@ -51,19 +51,6 @@ func TestBitsOrChanged(t *testing.T) {
 	}
 }
 
-func TestBitsCloneIndependent(t *testing.T) {
-	a := NewBits(10)
-	a.Set(3)
-	c := a.Clone()
-	c.Set(4)
-	if a.Get(4) {
-		t.Fatal("clone mutation leaked")
-	}
-	if !c.Get(3) {
-		t.Fatal("clone lost bit")
-	}
-}
-
 func TestBitsForEachOrder(t *testing.T) {
 	b := NewBits(150)
 	want := []int{2, 64, 65, 149}

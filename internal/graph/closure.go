@@ -1,102 +1,37 @@
 package graph
 
-// Closure maintains the transitive closure of a DAG as one bit-set row per
-// node: row u has bit v set when u reaches v through one or more edges.
+// Closure is the transitive closure of a DAG as one bit-set row per node:
+// row u has bit v set when u reaches v through one or more edges. It is
+// built once and only read.
 //
 // The explorer uses the closure for the O(1) legality pre-check the paper
 // describes ("detectable in O(1) operations on the associated transitive
 // closure matrix"): inserting edge (u,v) creates a cycle exactly when v
 // already reaches u.
-//
-// Edge insertions update the closure incrementally in O(N²/64). Edge
-// removals are not updated in place — recomputing reachability after a
-// deletion costs as much as a rebuild — instead the closure becomes *stale*:
-// a conservative over-approximation of true reachability (removals only ever
-// shrink reachability). Over-approximation is the safe direction for the
-// pre-check: when a stale closure says "v does not reach u" the insertion is
-// certainly legal; when it says "v reaches u" the caller must either reject
-// the move or fall back to an exact DFS. Rebuild restores exactness.
 type Closure struct {
-	g     *DAG
 	reach []Bits
-	stale bool
 }
 
-// NewClosure builds the closure of g. It returns ErrCycle if g is cyclic.
+// NewClosure builds the closure of g in reverse topological order. It
+// returns ErrCycle if g is cyclic.
 func NewClosure(g *DAG) (*Closure, error) {
-	c := &Closure{g: g, reach: make([]Bits, g.N())}
+	order, err := Topo(g)
+	if err != nil {
+		return nil, err
+	}
+	c := &Closure{reach: make([]Bits, g.N())}
 	for i := range c.reach {
 		c.reach[i] = NewBits(g.N())
 	}
-	if err := c.Rebuild(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// Rebuild recomputes the closure from scratch in reverse topological order
-// and clears the stale flag. It returns ErrCycle if the graph is cyclic, in
-// which case the closure contents are undefined.
-func (c *Closure) Rebuild() error {
-	order, err := Topo(c.g)
-	if err != nil {
-		return err
-	}
-	for _, row := range c.reach {
-		row.Reset()
-	}
 	for i := len(order) - 1; i >= 0; i-- {
 		u := order[i]
-		c.g.EachSucc(u, func(v int, _ int64) {
+		g.EachSucc(u, func(v int, _ int64) {
 			c.reach[u].Set(v)
 			c.reach[u].Or(c.reach[v])
 		})
 	}
-	c.stale = false
-	return nil
+	return c, nil
 }
 
-// Stale reports whether deletions have occurred since the last Rebuild, in
-// which case Reaches over-approximates.
-func (c *Closure) Stale() bool { return c.stale }
-
-// Reaches reports whether u reaches v (u ≠ v) according to the maintained
-// rows. On a stale closure a true result may be spurious; a false result is
-// always exact.
+// Reaches reports whether u reaches v (u ≠ v).
 func (c *Closure) Reaches(u, v int) bool { return c.reach[u].Get(v) }
-
-// WouldCycle reports whether inserting edge (u,v) would create a cycle.
-// On a fresh (non-stale) closure the answer is exact; on a stale closure a
-// true result may be a false alarm but a false result is trustworthy.
-func (c *Closure) WouldCycle(u, v int) bool {
-	return u == v || c.reach[v].Get(u)
-}
-
-// OnAddEdge incorporates a *just inserted* edge (u,v) of the underlying
-// graph into the closure: every node that reaches u (and u itself) now also
-// reaches v and everything v reaches. Callers must have verified legality
-// (WouldCycle) first; feeding a cycle-creating edge corrupts the closure.
-func (c *Closure) OnAddEdge(u, v int) {
-	// delta = {v} ∪ reach(v)
-	delta := c.reach[v].Clone()
-	delta.Set(v)
-	c.reach[u].Or(delta)
-	for w := 0; w < c.g.N(); w++ {
-		if w != u && c.reach[w].Get(u) {
-			c.reach[w].Or(delta)
-		}
-	}
-}
-
-// OnRemoveEdge records that an edge of the underlying graph was removed.
-// The rows are left untouched (over-approximation); use Rebuild to restore
-// exactness.
-func (c *Closure) OnRemoveEdge(u, v int) {
-	_ = u
-	_ = v
-	c.stale = true
-}
-
-// ReachCount returns the number of nodes u currently reaches (possibly
-// over-approximated when stale).
-func (c *Closure) ReachCount(u int) int { return c.reach[u].Count() }

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // closureMatchesDFS checks every pair against ground-truth DFS reachability.
 func closureMatchesDFS(t *testing.T, g *DAG, c *Closure) {
@@ -41,105 +38,5 @@ func TestClosureRejectsCycle(t *testing.T) {
 	g.AddEdge(1, 0, 0) //nolint:errcheck
 	if _, err := NewClosure(g); err != ErrCycle {
 		t.Fatalf("err = %v, want ErrCycle", err)
-	}
-}
-
-func TestClosureWouldCycle(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 0) //nolint:errcheck
-	g.AddEdge(1, 2, 0) //nolint:errcheck
-	c, _ := NewClosure(g)
-	if !c.WouldCycle(2, 0) {
-		t.Fatal("2->0 closes a cycle")
-	}
-	if !c.WouldCycle(1, 1) {
-		t.Fatal("self loop is a cycle")
-	}
-	if c.WouldCycle(0, 2) {
-		t.Fatal("0->2 is a legal shortcut")
-	}
-}
-
-func TestClosureIncrementalAdd(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 30; trial++ {
-		n := 5 + r.Intn(25)
-		g := New(n)
-		c, err := NewClosure(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Insert random legal edges one by one, maintaining the closure
-		// incrementally, and compare against DFS truth after each step.
-		for k := 0; k < n*2; k++ {
-			u, v := r.Intn(n), r.Intn(n)
-			if u == v || g.HasEdge(u, v) {
-				continue
-			}
-			if c.WouldCycle(u, v) {
-				// Exactness check: DFS must agree it's a cycle.
-				if !g.Reaches(v, u) {
-					t.Fatal("WouldCycle false alarm on fresh closure")
-				}
-				continue
-			}
-			g.AddEdge(u, v, 0) //nolint:errcheck
-			c.OnAddEdge(u, v)
-		}
-		closureMatchesDFS(t, g, c)
-	}
-}
-
-func TestClosureStaleIsOverApproximation(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 30; trial++ {
-		n := 5 + r.Intn(20)
-		g := randomDAG(r, n, 0.3)
-		c, err := NewClosure(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Remove a few random edges without rebuilding.
-		edges := g.Edges()
-		for k := 0; k < len(edges)/2; k++ {
-			e := edges[r.Intn(len(edges))]
-			if g.RemoveEdge(e.U, e.V) {
-				c.OnRemoveEdge(e.U, e.V)
-			}
-		}
-		if len(edges) > 1 && !c.Stale() {
-			t.Fatal("closure should be stale after removals")
-		}
-		// Over-approximation: truth ⊆ closure.
-		for u := 0; u < n; u++ {
-			truth := g.ReachableFrom(u)
-			truth.ForEach(func(v int) {
-				if !c.Reaches(u, v) {
-					t.Fatalf("stale closure lost true reachability %d->%d", u, v)
-				}
-			})
-		}
-		// Rebuild restores exactness.
-		if err := c.Rebuild(); err != nil {
-			t.Fatal(err)
-		}
-		if c.Stale() {
-			t.Fatal("Rebuild did not clear stale flag")
-		}
-		closureMatchesDFS(t, g, c)
-	}
-}
-
-func TestClosureReachCount(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1, 0) //nolint:errcheck
-	g.AddEdge(1, 2, 0) //nolint:errcheck
-	g.AddEdge(1, 3, 0) //nolint:errcheck
-	c, _ := NewClosure(g)
-	if got := c.ReachCount(0); got != 3 {
-		t.Fatalf("ReachCount(0) = %d, want 3", got)
-	}
-	if got := c.ReachCount(3); got != 0 {
-		t.Fatalf("ReachCount(3) = %d, want 0", got)
 	}
 }

@@ -30,7 +30,7 @@ type Stats struct {
 	// Done reports whether the strategy has exhausted its search.
 	Done bool
 	// Speculated and Discarded carry the SA batch-evaluation telemetry
-	// (zero for serial runs and non-SA strategies; see anneal.Stats).
+	// (zero for serial runs and non-SA strategies; see core.Stats).
 	Speculated int
 	Discarded  int
 	// MoveStats carries the SA per-move-kind proposal/acceptance counters

@@ -97,9 +97,9 @@ func (s *saStrategy) Stats() Stats {
 	st := s.e.StatsSnapshot()
 	out := Stats{
 		Steps: s.steps,
-		// Discarded candidates count although the in-place batch kernel
-		// never scores them: the sum predates that kernel and is part of
-		// the result quality line and of cached outcomes.
+		// Discarded candidates count although a batched run never
+		// evaluates them: the sum predates in-place evaluation and is
+		// part of the result quality line and of cached outcomes.
 		Evaluations: st.Accepted + st.Rejected + st.Discarded,
 		BestCost:    st.BestCost,
 		Done:        s.done,

@@ -89,6 +89,12 @@ func resolve(spec *JobSpec) (*resolved, error) {
 			r.maxSteps = s.Budget.MaxSteps
 		}
 	case spec.App != nil && spec.Arch != nil:
+		if n := len(spec.App.Tasks); n > maxInlineTasks {
+			return nil, fmt.Errorf("serve: inline application has %d tasks, above the limit of %d", n, maxInlineTasks)
+		}
+		if a := spec.Arch; max(len(a.Processors), len(a.RCs), len(a.ASICs)) > maxInlineResources {
+			return nil, fmt.Errorf("serve: inline architecture has more than %d resources of one kind", maxInlineResources)
+		}
 		if err := spec.App.Validate(); err != nil {
 			return nil, fmt.Errorf("serve: inline application: %w", err)
 		}

@@ -357,6 +357,15 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 // letting an unauthenticated client stream gigabytes into the drain.
 const maxSpecBytes = 8 << 20
 
+// maxInlineTasks and maxInlineResources bound an inline model, which an
+// 8 MiB body would let hold ~900k tasks: preparing an application of N
+// tasks allocates its N²/8-byte precedence closure inside the handler.
+// Both sit far above the corpus (160 tasks, 6 resources).
+const (
+	maxInlineTasks     = 4096
+	maxInlineResources = 256 // of each kind
+)
+
 // DecodeSpec reads a JobSpec, rejecting unknown fields so typos (and
 // retired knobs such as "sched") surface as 400s instead of
 // silently-default jobs. The (size-bounded) body is drained to EOF:

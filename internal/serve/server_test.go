@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/apps"
+	"repro/internal/model"
 	"repro/internal/runner"
 	"repro/internal/search"
 )
@@ -267,6 +269,45 @@ func TestBadSpecsRejected(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing job returned %d", resp.StatusCode)
+	}
+}
+
+// TestInlineModelsBounded: an inline application one task over the bound,
+// or an architecture one resource over it, is refused with a 400 before
+// anything is prepared, and the server keeps serving: an inline
+// motion-detection job still runs.
+func TestInlineModelsBounded(t *testing.T) {
+	_, ts := testServer(t, nil)
+	mcfg := apps.DefaultMotionConfig()
+	motion := JobSpec{App: apps.MotionDetection(mcfg), Arch: apps.MotionArch(2000, mcfg)}
+	motion.SAIters = 400
+
+	bigApp := motion
+	bigApp.App = &model.App{Name: "big", Tasks: make([]model.Task, maxInlineTasks+1)}
+	for i := range bigApp.App.Tasks {
+		bigApp.App.Tasks[i].SW = 1
+	}
+	bigArch := motion
+	arch := *motion.Arch
+	arch.RCs = make([]model.RC, maxInlineResources+1)
+	for i := range arch.RCs {
+		arch.RCs[i] = model.RC{Name: "rc", NCLB: 100, TR: 1}
+	}
+	bigArch.Arch = &arch
+	for name, spec := range map[string]*JobSpec{"application": &bigApp, "architecture": &bigArch} {
+		var env errorEnvelope
+		resp := postJSON(t, ts.URL+"/v1/jobs", spec, &env)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(env.Error.Message, "inline "+name) {
+			t.Fatalf("an inline %s over the bound got %d: %+v", name, resp.StatusCode, env)
+		}
+	}
+
+	var queued JobStatus
+	if resp := postJSON(t, ts.URL+"/v1/jobs", &motion, &queued); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("inline motion-detection spec got %d", resp.StatusCode)
+	}
+	if st := waitDone(t, ts.URL, queued.ID); st.State != StateDone || st.Summary == nil {
+		t.Fatalf("inline motion-detection job: %+v", st)
 	}
 }
 
