@@ -17,7 +17,7 @@ SCHED_GATE ?= 0.05
 # and batch=8).
 BATCH ?= 8
 
-.PHONY: all build test race fuzz-smoke bench bench-json bench-check bench-baseline bench-batch-smoke bench-diff bench-micro-json dsed-smoke fleet-smoke fleet-report perfbench-check docs-check fmt fmt-check vet ci
+.PHONY: all build test race fuzz-smoke bench bench-json bench-check bench-baseline bench-batch-smoke bench-diff bench-micro-json dsed-smoke fleet-smoke fleet-report perfbench-check perfbench-ab docs-check fmt fmt-check vet ci
 
 all: build test
 
@@ -143,6 +143,20 @@ fleet-report:
 # target vets it and runs its self-tests against the current APIs.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Same-host A/B of one perfbench workload: AB_PAIRS alternating pairs of
+# untraced 30 s runs of AB_BASE (exported with git archive) and the
+# working tree, seeds 101 upward. Prints both sides' medians, quartiles
+# and pair wins per end-to-end metric and the claim verdict for
+# AB_METRIC (better in 9 of 10 pairs, by more than the base's IQR); exits
+# 3 when the claim does not hold. 10 pairs take about 12 minutes, so no
+# CI job runs it.
+AB_BASE ?= HEAD~1
+AB_WORKLOAD ?= serve-zipf
+AB_PAIRS ?= 10
+AB_METRIC ?= req_p50_ms
+perfbench-ab:
+	./scripts/perfbench_ab.sh $(AB_BASE) $(AB_WORKLOAD) $(AB_PAIRS) $(AB_METRIC)
 
 # Documentation lint: every package (library and command alike) must carry
 # a package comment ("// Package x ..." or "// Command x ...").

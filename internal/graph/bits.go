@@ -48,15 +48,6 @@ func (b Bits) Reset() {
 	}
 }
 
-// Count returns the number of set bits.
-func (b Bits) Count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // Equal reports whether b and other contain exactly the same bits.
 func (b Bits) Equal(other Bits) bool {
 	if len(b) != len(other) {

@@ -23,18 +23,6 @@ func TestBitsSetGetClear(t *testing.T) {
 	}
 }
 
-func TestBitsCount(t *testing.T) {
-	b := NewBits(200)
-	want := 0
-	for i := 0; i < 200; i += 3 {
-		b.Set(i)
-		want++
-	}
-	if got := b.Count(); got != want {
-		t.Fatalf("Count = %d, want %d", got, want)
-	}
-}
-
 func TestBitsOrChanged(t *testing.T) {
 	a := NewBits(70)
 	b := NewBits(70)
@@ -83,11 +71,8 @@ func TestBitsOrMatchesSetModel(t *testing.T) {
 			ma[int(y)] = true
 		}
 		a.Or(b)
-		if a.Count() != len(ma) {
-			return false
-		}
-		for k := range ma {
-			if !a.Get(k) {
+		for k := 0; k < 256; k++ {
+			if a.Get(k) != ma[k] {
 				return false
 			}
 		}

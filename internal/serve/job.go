@@ -223,6 +223,9 @@ type job struct {
 	events []RunEvent
 	subs   map[chan struct{}]bool
 	cancel context.CancelFunc
+	// finished is set, under Server.mu, once the server has counted the
+	// job among its finished records.
+	finished bool
 }
 
 // snapshot returns a copy of the status under the lock.
@@ -232,6 +235,13 @@ func (j *job) snapshot() JobStatus {
 	st := j.status
 	st.Events = len(j.events)
 	return st
+}
+
+// state returns the job's state under the lock.
+func (j *job) state() string {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.status.State
 }
 
 // notify wakes every subscriber (non-blocking: each channel has capacity

@@ -29,10 +29,11 @@ type Options struct {
 	// in submission order, POST /run jobs included.
 	MaxJobs int
 	// MaxFinished bounds how many finished (done/failed/canceled) job
-	// records — status, spec, event buffer — the server retains; each new
-	// submission evicts the oldest finished jobs beyond the bound, so a
-	// long-lived server cannot grow without limit. Non-positive selects
-	// 1000. Queued and running jobs are never evicted.
+	// records — status, spec, event buffer — the server retains, so a
+	// long-lived server cannot grow without limit. A job that finishes
+	// beyond the bound evicts the oldest finished record, by submission
+	// order; queued and running jobs are never evicted, and no submission
+	// scans the table. Non-positive selects 1000.
 	MaxFinished int
 	// Logf receives one line per lifecycle transition (nil = log.Printf).
 	Logf func(format string, args ...interface{})
@@ -105,10 +106,11 @@ type Server struct {
 	logf        func(string, ...interface{})
 	draining    atomic.Bool
 
-	mu     sync.Mutex // guards jobs/order/nextID
-	jobs   map[string]*job
-	order  []string
-	nextID int
+	mu       sync.Mutex // guards jobs/order/nextID/finished and each job's finished flag
+	jobs     map[string]*job
+	order    []string // the resident jobs' IDs in submission order
+	nextID   int
+	finished int // resident jobs in a terminal state
 }
 
 // New creates a server.
@@ -138,28 +140,30 @@ func New(opts Options) *Server {
 	}
 }
 
-// pruneLocked evicts the oldest finished jobs beyond the retention cap.
-// Queued and running jobs are untouched. Caller holds s.mu.
-func (s *Server) pruneLocked() {
-	finished := 0
-	for _, id := range s.order {
-		if terminal(s.jobs[id].snapshot().State) {
-			finished++
-		}
-	}
-	if finished <= s.maxFinished {
-		return
-	}
-	keep := s.order[:0]
-	for _, id := range s.order {
-		if finished > s.maxFinished && terminal(s.jobs[id].snapshot().State) {
-			delete(s.jobs, id)
-			finished--
+// retire moves j to its terminal state and counts it as finished, then
+// evicts the oldest finished records, by submission order, while more
+// than MaxFinished are resident. One critical section covers both, so a
+// client that has seen the state also sees the eviction. The walk passes
+// only the queued and running jobs older than each evicted record, so
+// retention never scans the table.
+func (s *Server) retire(j *job, state string, summary *JobSummary, errMsg string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j.finish(state, summary, errMsg)
+	j.finished = true
+	s.finished++
+	for i := 0; s.finished > s.maxFinished; {
+		id := s.order[i]
+		if !s.jobs[id].finished {
+			i++ // queued or running: stays
 			continue
 		}
-		keep = append(keep, id)
+		delete(s.jobs, id)
+		s.finished--
+		// Shift the unfinished jobs skipped so far over the gap.
+		copy(s.order[1:i+1], s.order[:i])
+		s.order = s.order[1:]
 	}
-	s.order = keep
 }
 
 // Cache returns the server's result cache (nil when disabled).
@@ -184,13 +188,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 func (s *Server) ActiveJobs() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, j := range s.jobs {
-		if !terminal(j.snapshot().State) {
-			n++
-		}
-	}
-	return n
+	return len(s.jobs) - s.finished
 }
 
 // WaitIdle blocks until every queued and running job has reached a
@@ -231,7 +229,7 @@ func (s *Server) JobStates() map[string]int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, j := range s.jobs {
-		states[j.snapshot().State]++
+		states[j.state()]++
 	}
 	return states
 }
@@ -414,7 +412,6 @@ func (s *Server) accept(w http.ResponseWriter, r *http.Request, parent context.C
 	j.status = JobStatus{ID: id, State: StateQueued, Spec: *spec, Submitted: time.Now().UTC()}
 	s.jobs[id] = j
 	s.order = append(s.order, id)
-	s.pruneLocked()
 	s.mu.Unlock()
 	s.logf("serve: %s queued (%s, strategy %s, %d runs)", id, specName(spec), res.factory.Name(), res.runs)
 	go s.execute(ctx, j, Job{ID: id, Spec: spec, res: res})
@@ -460,14 +457,14 @@ func (s *Server) execute(ctx context.Context, j *job, task Job) {
 	summary, err := s.exec.Execute(ctx, task, start, j.addEvent)
 	switch {
 	case err == nil:
-		j.finish(StateDone, summary, "")
+		s.retire(j, StateDone, summary, "")
 		s.logf("serve: %s done (%d/%d runs, best cost %.4f, %d cache hits, %.1f ms)",
 			task.ID, summary.Completed, summary.Requested, summary.BestCost, summary.CacheHits, summary.WallMS)
 	case ctx.Err() != nil:
-		j.finish(StateCanceled, summary, "") // partial aggregate of the completed runs
+		s.retire(j, StateCanceled, summary, "") // partial aggregate of the completed runs
 		s.logf("serve: %s canceled (%d runs completed)", task.ID, summaryCompleted(summary))
 	default:
-		j.finish(StateFailed, nil, err.Error())
+		s.retire(j, StateFailed, nil, err.Error())
 		s.logf("serve: %s failed: %v", task.ID, err)
 	}
 }
