@@ -39,10 +39,14 @@ race:
 # round-trip through EncodeOutcome. FuzzDecodeSpec posts arbitrary bodies
 # through the job-spec decoder and resolve: no panic. Its inputs are
 # whole inline models, so it shrinks the ones it keeps for at most 5 s.
+# FuzzRestore feeds memo.Restore snapshot bodies under a valid checksum:
+# no panic, a failed restore changes nothing, and a restored cache
+# snapshots and restores again to the same entries and bytes.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEvalPathEquivalence -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDecodeOutcome -fuzztime 30s ./internal/runner
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSpec -fuzztime 30s -fuzzminimizetime 5s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzRestore -fuzztime 30s ./internal/memo
 
 # Bench smoke: compile and run every benchmark exactly once. Catches rotted
 # benchmark code without paying for a full measurement run.
@@ -146,17 +150,18 @@ perfbench-check:
 
 # Same-host A/B of one perfbench workload: AB_PAIRS alternating pairs of
 # untraced 30 s runs of AB_BASE (exported with git archive) and the
-# working tree, seeds 101 upward. Prints both sides' medians, quartiles
-# and pair wins per end-to-end metric and the claim verdict for
-# AB_METRIC (better in 9 of 10 pairs, by more than the base's IQR); exits
-# 3 when the claim does not hold. 10 pairs take about 12 minutes, so no
-# CI job runs it.
+# working tree, seeds AB_SEED0 upward (a claim needs seeds the change was
+# not developed on). Prints both sides' medians, quartiles and pair wins
+# per end-to-end metric and the claim verdict for AB_METRIC (better in 9
+# of 10 pairs, by more than the base's IQR); exits 3 when the claim does
+# not hold. 10 pairs take about 12 minutes, so no CI job runs it.
 AB_BASE ?= HEAD~1
 AB_WORKLOAD ?= serve-zipf
 AB_PAIRS ?= 10
 AB_METRIC ?= req_p50_ms
+AB_SEED0 ?= 101
 perfbench-ab:
-	./scripts/perfbench_ab.sh $(AB_BASE) $(AB_WORKLOAD) $(AB_PAIRS) $(AB_METRIC)
+	./scripts/perfbench_ab.sh $(AB_BASE) $(AB_WORKLOAD) $(AB_PAIRS) $(AB_METRIC) '' $(AB_SEED0)
 
 # Documentation lint: every package (library and command alike) must carry
 # a package comment ("// Package x ..." or "// Command x ...").

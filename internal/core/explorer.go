@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/anneal"
 	"repro/internal/graph"
@@ -137,16 +138,21 @@ type candidatePools struct {
 
 // Prepared caches everything about an (application, architecture) pair that
 // is independent of the run configuration: validation, the transitive
-// closure of the precedence graph, and the fixed topological order. The
-// strategy factory (internal/search) prepares once per batch and then
-// spawns one cheap Explorer per seed, hoisting the O(V²) closure
-// construction out of the per-run hot loop. A Prepared is immutable after
-// construction and safe for concurrent use by multiple explorers.
+// closure of the precedence graph, the fixed topological order and, once
+// asked for, the two model digests. The strategy factory (internal/search)
+// holds one and spawns one cheap Explorer per seed, hoisting the O(V²)
+// closure construction out of the per-run hot loop; a corpus scenario
+// keeps one for the whole process (scenario.Prepared). A Prepared is
+// read-only after construction and safe for concurrent use, and so are
+// the models it holds: no caller may mutate them.
 type Prepared struct {
 	app       *model.App
 	arch      *model.Arch
 	precReach *graph.Closure
 	topoPos   []int
+
+	digestOnce  sync.Once
+	appD, archD string
 }
 
 // Prepare validates the inputs and precomputes the run-independent state.
@@ -180,6 +186,14 @@ func (p *Prepared) App() *model.App { return p.app }
 
 // Arch returns the prepared architecture.
 func (p *Prepared) Arch() *model.Arch { return p.arch }
+
+// Digests returns the application and architecture digests
+// (model.App.Digest, model.Arch.Digest), hashed on the first call. Prepare
+// does not hash: most factories are never keyed.
+func (p *Prepared) Digests() (app, arch string) {
+	p.digestOnce.Do(func() { p.appD, p.archD = p.app.Digest(), p.arch.Digest() })
+	return p.appD, p.archD
+}
 
 // New builds an explorer over the prepared pair with a random initial
 // solution (the paper's initialization: a random number of tasks moved one

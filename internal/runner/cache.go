@@ -105,7 +105,8 @@ const ResultEpoch = 1
 // run index is deliberately absent — a run's result depends on its seed
 // alone. Factories carrying function-typed hooks are uncacheable.
 func StrategyKey(f *search.Factory, maxSteps int) KeyFunc {
-	return strategyKey(ResultEpoch, f.App().Digest(), f.Arch().Digest(), f, maxSteps)
+	appD, archD := f.Digests()
+	return strategyKey(ResultEpoch, appD, archD, f, maxSteps)
 }
 
 // strategyKey is StrategyKey at a given result epoch, over instance
@@ -157,9 +158,10 @@ func WithCache(cfg CacheConfig) (RunFunc, error) {
 	if cfg.Cache == nil {
 		return StrategyBudget(f, cfg.MaxSteps), nil
 	}
-	// The instance digests are hashed once per job: they name the pair in
-	// the donor index and in every run key.
-	appD, archD := f.App().Digest(), f.Arch().Digest()
+	// The instance digests name the pair in the donor index and in every
+	// run key. They are hashed once per prepared instance, so a job over
+	// a corpus scenario, whose instance the process shares, hashes nothing.
+	appD, archD := f.Digests()
 	if cfg.Transfer {
 		applyTransfer(f, cfg.Cache, appD, archD)
 	}

@@ -24,8 +24,9 @@ func FleetKey(f *search.Factory, maxSteps int, baseSeed int64, runs int) (key st
 	if !ok {
 		return "", false
 	}
+	appD, archD := f.Digests()
 	k := memo.KeyOf(
-		f.App().Digest(), f.Arch().Digest(), fp,
+		appD, archD, fp,
 		strconv.Itoa(maxSteps),
 		strconv.FormatInt(baseSeed, 10),
 		strconv.Itoa(runs),

@@ -16,6 +16,11 @@
 // arch fingerprints; an intentional corpus change regenerates the file
 // with `go test ./internal/scenario -run Golden -update`.
 //
+// Instantiate generates fresh models that the caller owns. Prepared
+// returns the scenario's one process-wide core.Prepared instead, built on
+// the first call and shared read-only by every later caller: the job
+// server resolves every scenario job on it.
+//
 // RunMatrix (bench.go) is the benchmark driver behind cmd/dsebench: it
 // runs a strategy × scenario matrix on the parallel multi-run engine
 // under each scenario's budget and emits per-cell report.BenchRow records

@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/apps"
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/scenario/archgen"
 	"repro/internal/search"
@@ -60,6 +62,18 @@ type Scenario struct {
 	// buildArch, when non-nil, overrides archgen — the paper family uses
 	// it to pin the exact published ARM922+Virtex-E constants.
 	buildArch func(rng *rand.Rand) (*model.Arch, error)
+
+	// prep holds the process-wide prepared instance (see Prepared).
+	// Register allocates it: Register takes the scenario by value, and a
+	// sync.Once must not be copied.
+	prep *sharedInstance
+}
+
+// sharedInstance is a scenario's prepared instance, built once.
+type sharedInstance struct {
+	once sync.Once
+	p    *core.Prepared
+	err  error
 }
 
 // appRng and archRng derive independent deterministic streams from the
@@ -99,7 +113,8 @@ func (s *Scenario) Arch() (*model.Arch, error) {
 	return arch, nil
 }
 
-// Instantiate generates both halves of the scenario.
+// Instantiate generates both halves of the scenario, fresh models that
+// the caller owns.
 func (s *Scenario) Instantiate() (*model.App, *model.Arch, error) {
 	app, err := s.App()
 	if err != nil {
@@ -110,6 +125,24 @@ func (s *Scenario) Instantiate() (*model.App, *model.Arch, error) {
 		return nil, nil, err
 	}
 	return app, arch, nil
+}
+
+// Prepared returns the scenario's process-wide prepared instance. The
+// first call instantiates, validates and prepares the models; every later
+// call, through any alias, returns the same pointer. The instance and its
+// models are shared and read-only: a caller that wants models of its own
+// calls Instantiate.
+func (s *Scenario) Prepared() (*core.Prepared, error) {
+	s.prep.once.Do(func() {
+		app, arch, err := s.Instantiate()
+		if err == nil {
+			s.prep.p, err = core.Prepare(app, arch)
+		}
+		if err != nil {
+			s.prep.err = fmt.Errorf("scenario %s: %w", s.Name, err)
+		}
+	})
+	return s.prep.p, s.prep.err
 }
 
 // Deadline returns the real-time constraint as a model.Time (0 = none).
@@ -156,6 +189,7 @@ func Register(s Scenario) {
 	if _, dup := registry[s.Name]; dup {
 		panic("scenario: duplicate scenario " + s.Name)
 	}
+	s.prep = &sharedInstance{}
 	registry[s.Name] = &s
 }
 

@@ -11,10 +11,15 @@ import (
 )
 
 // App returns the application the factory builds strategies over.
-func (f *Factory) App() *model.App { return f.app }
+func (f *Factory) App() *model.App { return f.prep.App() }
 
 // Arch returns the architecture the factory builds strategies over.
-func (f *Factory) Arch() *model.Arch { return f.arch }
+func (f *Factory) Arch() *model.Arch { return f.prep.Arch() }
+
+// Digests returns the instance's application and architecture digests,
+// hashed once per prepared instance (core.Prepared.Digests): factories
+// over one shared instance hash nothing.
+func (f *Factory) Digests() (app, arch string) { return f.prep.Digests() }
 
 // saFields is the deterministic projection of core.Config included in
 // fingerprints: every value field that influences a run's result. Seed is

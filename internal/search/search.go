@@ -152,41 +152,41 @@ func (c *Config) scalarizer() objective.Scalarizer {
 }
 
 // Factory builds fresh Strategy instances of one named kind over a
-// validated (application, architecture) pair. Multi-run drivers construct
-// the factory once — hoisting validation and the SA precedence-closure
+// prepared (application, architecture) pair. Multi-run callers construct
+// the factory once — hoisting validation and the precedence-closure
 // preparation out of the per-run path — and call New per seed; a Factory
 // is immutable after construction and safe for concurrent New calls.
 type Factory struct {
 	name string
 	def  *definition
-	app  *model.App
-	arch *model.Arch
+	prep *core.Prepared // the instance; shared, only read
 	cfg  Config
 	scal objective.Scalarizer
-	prep *core.Prepared // non-nil when the kind (or a scheduler member) is "sa"
-	warm *WarmStart     // transfer warm start (see SetWarmStart)
+	warm *WarmStart // transfer warm start (see SetWarmStart)
 }
 
-// NewFactory validates the instance and resolves the named strategy kind
-// against the registry.
+// NewFactory prepares the instance (core.Prepare: both models validate,
+// there is a processor and no cycle) and resolves the named strategy kind
+// over it.
 func NewFactory(name string, app *model.App, arch *model.Arch, cfg Config) (*Factory, error) {
+	prep, err := core.Prepare(app, arch)
+	if err != nil {
+		return nil, err
+	}
+	return NewFactoryOn(name, prep, cfg)
+}
+
+// NewFactoryOn resolves the named strategy kind against the registry over
+// an instance prepared once, which any number of factories may share.
+func NewFactoryOn(name string, prep *core.Prepared, cfg Config) (*Factory, error) {
 	def := registry[name]
 	if def == nil {
 		return nil, fmt.Errorf("search: unknown strategy %q (have %v)", name, Names())
 	}
-	f := &Factory{name: name, def: def, app: app, arch: arch, cfg: cfg, scal: cfg.scalarizer()}
-	members := []string{name}
+	f := &Factory{name: name, def: def, prep: prep, cfg: cfg, scal: cfg.scalarizer()}
 	if def.composite {
-		var err error
-		if members, err = f.memberNames(); err != nil {
+		if _, err := f.memberNames(); err != nil {
 			return nil, err
-		}
-	}
-	for _, m := range members {
-		if v := registry[m].validate; v != nil {
-			if err := v(f); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return f, nil
@@ -270,11 +270,12 @@ func (f *Factory) warmIncumbent() (*Outcome, error) {
 		return nil, nil
 	}
 	m := f.warm.Best.Clone()
-	res, err := sched.NewEvaluator(f.app, f.arch).Evaluate(m)
+	app, arch := f.App(), f.Arch()
+	res, err := sched.NewEvaluator(app, arch).Evaluate(m)
 	if err != nil {
 		return nil, fmt.Errorf("search: warm-start donor mapping does not evaluate: %w", err)
 	}
-	v := objective.Eval(f.app, f.arch, m, res)
+	v := objective.Eval(app, arch, m, res)
 	out := &Outcome{
 		Best:        m,
 		Eval:        res,
@@ -328,15 +329,15 @@ func buildGA(f *Factory) (Strategy, error) {
 	cfg := f.cfg.GA
 	cfg.Objective = &f.scal
 	cfg.FrontMetrics = f.cfg.FrontMetrics
-	return &gaStrategy{app: f.app, arch: f.arch, cfg: cfg, deadline: f.cfg.SA.Deadline}, nil
+	return &gaStrategy{app: f.App(), arch: f.Arch(), cfg: cfg, deadline: f.cfg.SA.Deadline}, nil
 }
 
 func buildList(f *Factory) (Strategy, error) {
-	return newListStrategy(f.app, f.arch, f.scal, f.cfg.FrontMetrics, f.cfg.SA.Deadline), nil
+	return newListStrategy(f.App(), f.Arch(), f.scal, f.cfg.FrontMetrics, f.cfg.SA.Deadline), nil
 }
 
 func buildBrute(f *Factory) (Strategy, error) {
-	return newBruteStrategy(f.app, f.arch, f.scal, f.cfg.FrontMetrics, f.cfg.SA.Deadline), nil
+	return newBruteStrategy(f.App(), f.Arch(), f.scal, f.cfg.FrontMetrics, f.cfg.SA.Deadline), nil
 }
 
 func buildScheduler(f *Factory) (Strategy, error) {

@@ -1,23 +1,29 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/runner"
 )
 
-// This file measures what one submission costs as the job table fills,
-// devel-bench style (see graph/devel_bench_test.go): a stub executor
-// that runs no search isolates the handler and the retention bookkeeping
-// from the engine. It touches only server fields older than the
-// finished-job counter, so the file also runs against a tree in which
-// every submission scanned the table, for an A/B:
+// This file measures the serve path devel-bench style (see
+// graph/devel_bench_test.go), through Handler() with no socket.
+// BenchmarkDevelSubmit costs one submission as the job table fills: a
+// stub executor that runs no search isolates the handler and the
+// retention bookkeeping from the engine. BenchmarkDevelHit costs one
+// cache-hit job end to end on the local executor. Both use only the
+// server's API and fields older than the finished-job counter, so the
+// file also runs against older trees, for an A/B:
 //
-//	go test -run '^$' -bench DevelSubmit -cpu 1 ./internal/serve
+//	go test -run '^$' -bench 'Devel(Submit|Hit)' -cpu 1,2 ./internal/serve
 
 // execFunc adapts a function to the Executor seam.
 type execFunc func(ctx context.Context, job Job, start func(string), emit func(RunEvent)) (*JobSummary, error)
@@ -81,5 +87,49 @@ func BenchmarkDevelSubmit(b *testing.B) {
 			b.StopTimer()
 			waitIdle(b, s)
 		})
+	}
+}
+
+// develPool is serve-zipf's scenario pool (perfbench/serve.go).
+var develPool = []string{
+	"pipeline-fft-small", "layered-small", "paper-fig2", "paper-small-device",
+	"pipeline-jpeg", "forkjoin-medium", "sdf-ratechange-medium",
+}
+
+// develJob posts body to POST /v1/jobs through h, then streams the job to
+// its final line, which must report a done job with hits cache hits.
+func develJob(b *testing.B, h http.Handler, body string, hits int) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+	var st struct {
+		ID string `json:"id"`
+	}
+	if rec.Code != http.StatusAccepted || json.Unmarshal(rec.Body.Bytes(), &st) != nil {
+		b.Fatalf("POST /v1/jobs = %d: %s", rec.Code, rec.Body)
+	}
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+st.ID+"/stream", nil))
+	out := bytes.TrimSuffix(rec.Body.Bytes(), []byte("\n"))
+	final := out[bytes.LastIndexByte(out, '\n')+1:]
+	if !bytes.HasPrefix(final, []byte(`{"state":"done"`)) || !bytes.Contains(final, []byte(fmt.Sprintf(`"cacheHits":%d,`, hits))) {
+		b.Fatalf("%s: final line %s, want done with %d cache hits", st.ID, final, hits)
+	}
+}
+
+// BenchmarkDevelHit runs one cache-hit job per op: serve-zipf's request
+// (SA, two runs on one worker) over its seven pool scenarios in turn, on
+// the local executor, after one warm-up pass has cached every answer.
+func BenchmarkDevelHit(b *testing.B) {
+	s := New(Options{Cache: runner.NewResultCache(0), Logf: func(string, ...interface{}) {}})
+	h := s.Handler()
+	specs := make([]string, len(develPool))
+	for i, name := range develPool {
+		specs[i] = fmt.Sprintf(`{"scenario":%q,"strategy":"sa","runs":2,"seed":1,"workers":1}`, name)
+		develJob(b, h, specs[i], 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		develJob(b, h, specs[i%len(specs)], 2)
 	}
 }

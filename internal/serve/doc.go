@@ -9,7 +9,7 @@
 // The API surface (see docs/CLI.md for the dsed command wrapping it):
 //
 //	POST   /v1/jobs              submit a job (scenario name or inline models); 202 + job id
-//	GET    /v1/jobs              list jobs
+//	GET    /v1/jobs              list the resident jobs in submission order
 //	GET    /v1/jobs/{id}         job status, and the summary once finished
 //	GET    /v1/jobs/{id}/stream  NDJSON: buffered per-run events, then live ones, then the final line
 //	DELETE /v1/jobs/{id}         cancel a queued or running job

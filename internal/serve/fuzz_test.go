@@ -12,7 +12,8 @@ import (
 
 // FuzzDecodeSpec hardens the job-spec path every submission takes: no
 // request body may panic DecodeSpec or resolve, which validates the spec,
-// instantiates its models and prepares its strategy factory. Whatever a
+// prepares its models (or takes its scenario's shared instance) and builds
+// its strategy factory. Whatever a
 // client posts is a runnable job or an error. Run with
 //
 //	go test -fuzz=FuzzDecodeSpec ./internal/serve

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/objective"
 	"repro/internal/runner"
@@ -60,14 +61,16 @@ type resolved struct {
 // frontMetrics is the area/makespan trade-off every job archives.
 var frontMetrics = []objective.Metric{objective.HWArea, objective.Makespan}
 
-// resolve validates the spec, instantiates its models and builds the
-// job's strategy factory.
+// resolve validates the spec and builds the job's strategy factory. A
+// scenario job's factory runs on the scenario's process-wide prepared
+// instance, so the job instantiates, prepares and hashes nothing; an
+// inline job prepares its own models.
 func resolve(spec *JobSpec) (*resolved, error) {
 	r := &resolved{runs: spec.Runs, maxSteps: spec.MaxSteps, transfer: spec.Transfer}
 	var (
-		app  *model.App
-		arch *model.Arch
+		prep *core.Prepared
 		cfg  search.Config
+		err  error
 	)
 	switch {
 	case spec.Scenario != "" && (spec.App != nil || spec.Arch != nil):
@@ -77,8 +80,7 @@ func resolve(spec *JobSpec) (*resolved, error) {
 		if !ok {
 			return nil, fmt.Errorf("serve: unknown scenario %q (have %v)", spec.Scenario, scenario.Names())
 		}
-		var err error
-		if app, arch, err = s.Instantiate(); err != nil {
+		if prep, err = s.Prepared(); err != nil {
 			return nil, err
 		}
 		cfg = s.SearchConfig()
@@ -101,7 +103,9 @@ func resolve(spec *JobSpec) (*resolved, error) {
 		if err := spec.Arch.Validate(); err != nil {
 			return nil, fmt.Errorf("serve: inline architecture: %w", err)
 		}
-		app, arch = spec.App, spec.Arch
+		if prep, err = core.Prepare(spec.App, spec.Arch); err != nil {
+			return nil, err
+		}
 		cfg = search.DefaultConfig()
 		cfg.SA.Deadline = model.FromMillis(spec.DeadlineMS)
 	default:
@@ -118,8 +122,7 @@ func resolve(spec *JobSpec) (*resolved, error) {
 	if strategy == "" {
 		strategy = "sa"
 	}
-	var err error
-	if r.factory, err = search.NewFactory(strategy, app, arch, cfg); err != nil {
+	if r.factory, err = search.NewFactoryOn(strategy, prep, cfg); err != nil {
 		return nil, err
 	}
 	return r, nil

@@ -152,6 +152,24 @@ func TestRetentionSkipsUnfinished(t *testing.T) {
 	}
 }
 
+// TestListInSubmissionOrder: GET /v1/jobs lists the resident jobs in
+// submission order, also where the IDs gain a digit and their string
+// order stops agreeing with it.
+func TestListInSubmissionOrder(t *testing.T) {
+	s := New(Options{Logf: t.Logf, Executor: finishAtOnce})
+	s.mu.Lock()
+	s.nextID = 999998
+	s.mu.Unlock()
+	h := s.Handler()
+	for seed := 1; seed <= 3; seed++ {
+		submitJob(t, h, seed)
+	}
+	waitIdle(t, s)
+	if got, want := resident(t, h), []string{"job-999999", "job-1000000", "job-1000001"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("GET /v1/jobs lists %v, want %v", got, want)
+	}
+}
+
 // TestRetentionConcurrent submits 200 jobs from 8 goroutines through
 // both submission endpoints, cancelling every fifth, and checks that the
 // table ends with exactly the newest MaxFinished records and consistent

@@ -7,7 +7,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -483,6 +482,7 @@ func (s *Server) jobFor(r *http.Request) (*job, bool) {
 	return j, ok
 }
 
+// handleList lists the resident jobs in submission order.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	out := make([]JobStatus, 0, len(s.order))
@@ -490,7 +490,6 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		out = append(out, s.jobs[id].snapshot())
 	}
 	s.mu.Unlock()
-	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
 	WriteJSON(w, http.StatusOK, out)
 }
 

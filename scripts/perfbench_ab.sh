@@ -2,16 +2,18 @@
 # Same-host A/B of one perfbench workload: a base commit against the
 # working tree, in alternating pairs of untraced 30 s runs.
 #
-#   scripts/perfbench_ab.sh BASE WORKLOAD PAIRS METRIC [OUT]
-#   make perfbench-ab AB_BASE=HEAD~1 AB_WORKLOAD=serve-zipf AB_PAIRS=10 AB_METRIC=req_p50_ms
+#   scripts/perfbench_ab.sh BASE WORKLOAD PAIRS METRIC [OUT [SEED0]]
+#   make perfbench-ab AB_BASE=HEAD~1 AB_WORKLOAD=serve-zipf AB_PAIRS=10 AB_METRIC=req_p50_ms AB_SEED0=101
 #
 # BASE is exported with git archive into a temporary directory. Pair i
-# runs both trees at seed 101+i, the base first on even i and the working
-# tree first on odd i; each tree builds under its own CARGO_TARGET_DIR in
-# .bench_ab/. Every run's last JSON line is appended to OUT (default
-# .bench_ab/WORKLOAD.json, one object per line) tagged with side
-# ("base" or "change"), seed and result digest. PAIRS=0 runs nothing and
-# summarizes an existing OUT.
+# runs both trees at seed SEED0+i (SEED0 defaults to 101; a claim needs
+# seeds that were not used while the change was developed), the base
+# first on even i and the working tree first on odd i; each tree builds
+# under its own CARGO_TARGET_DIR in .bench_ab/. Every run's last JSON
+# line is appended to OUT (default .bench_ab/WORKLOAD.json, also when OUT
+# is empty; one object per line) tagged with side ("base" or "change"),
+# seed and result digest. PAIRS=0 runs nothing and summarizes an
+# existing OUT.
 #
 # The summary gives, for each end-to-end metric in BENCHMARK.json, both
 # medians and quartiles, the change in median against the metric's bound,
@@ -21,12 +23,13 @@
 # the claim holds, 3 when it does not, 1 on any other error.
 set -euo pipefail
 
-if [ $# -lt 4 ] || [ $# -gt 5 ]; then
-    echo "usage: $0 BASE WORKLOAD PAIRS METRIC [OUT]" >&2
+if [ $# -lt 4 ] || [ $# -gt 6 ]; then
+    echo "usage: $0 BASE WORKLOAD PAIRS METRIC [OUT [SEED0]]" >&2
     exit 1
 fi
 BASE=$1 WORKLOAD=$2 PAIRS=$3 METRIC=$4
 OUT=${5:-.bench_ab/$WORKLOAD.json}
+SEED0=${6:-101}
 command -v jq >/dev/null || { echo "perfbench-ab: needs jq" >&2; exit 1; }
 ROOT=$(git rev-parse --show-toplevel)
 cd "$ROOT"
@@ -50,7 +53,7 @@ if [ "$PAIRS" -gt 0 ]; then
         rm -f "$log"
     }
     for ((i = 0; i < PAIRS; i++)); do
-        seed=$((101 + i))
+        seed=$((SEED0 + i))
         if ((i % 2 == 0)); then
             run base "$SRC" "$seed"
             run change "$ROOT" "$seed"
